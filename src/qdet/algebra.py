@@ -517,7 +517,7 @@ class TorusElement:
         """The scalar this element multiplies a monomial by."""
         n = self.shape.n
         exp_total = 0
-        coeff = Fraction(1)
+        coeff = 1
         for idx, e in enumerate(exps):
             if not e:
                 continue

@@ -1,9 +1,12 @@
 """Optional on-disk cache for computed ideal spans.
 
-Spans are stored as JSON files keyed by a content hash of the defining
-data (shape, minor, degree, format version).  The cache directory comes
-from the QDET_CACHE environment variable when set, otherwise from
-set_cache_dir; with neither, caching is a no-op.
+Spans are stored as files named by a content hash of the defining data
+(shape, minor, degree, format version).  A file holds two lines of JSON:
+a header with the format, the key, the rank and the sha256 of the second
+line, then the encoded rows.  A file whose header, digest or row count
+does not match is a miss.  The cache directory comes from the
+QDET_CACHE environment variable when set, otherwise from set_cache_dir;
+with neither, caching is a no-op.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ from fractions import Fraction
 from .scalars import LaurentScalar
 
 #: bump when the serialized layout changes
-FORMAT = 1
+FORMAT = 2
 
 _dir_override = None
 
@@ -53,42 +56,60 @@ def _decode_rows(data):
         row = {}
         for col, terms in enc:
             row[int(col)] = LaurentScalar(
-                {int(e): Fraction(int(n), int(d)) for e, n, d in terms})
+                {int(e): int(n) if d == 1 else Fraction(int(n), int(d))
+                 for e, n, d in terms})
         rows.append(row)
     return rows
 
 
+def _digest(body):
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
+
+
 def load_rows(key):
-    """Stored rows for the key, or None on any miss or decode problem."""
+    """Stored rows for the key, or None on any miss or decode problem.
+
+    The rows are returned only when the header matches the key and the
+    format, the digest matches the stored rows and their number matches
+    the stored rank.
+    """
     base = cache_dir()
     if not base:
         return None
     path = _path_for(base, key)
     try:
         with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
+            header = json.loads(fh.readline())
+            body = fh.readline().rstrip("\n")
+        if (header.get("format") != FORMAT
+                or header.get("key") != repr(tuple(key))
+                or header.get("sha256") != _digest(body)):
+            return None
+        rows = _decode_rows(json.loads(body))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError):
         return None
-    if payload.get("format") != FORMAT or payload.get("key") != repr(tuple(key)):
+    if header.get("rank") != len(rows):
         return None
-    try:
-        return _decode_rows(payload["rows"])
-    except (KeyError, TypeError, ValueError):
-        return None
+    return rows
 
 
 def store_rows(key, rows):
-    """Persist rows for the key; silently does nothing without a cache dir."""
+    """Persist echelon rows for the key (their number is the rank).
+
+    Silently does nothing without a cache dir.
+    """
     base = cache_dir()
     if not base:
         return
     os.makedirs(base, exist_ok=True)
-    payload = {"format": FORMAT, "key": repr(tuple(key)),
-               "rows": _encode_rows(rows)}
+    body = json.dumps(_encode_rows(rows), separators=(",", ":"))
+    header = {"format": FORMAT, "key": repr(tuple(key)), "rank": len(rows),
+              "sha256": _digest(body)}
     fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+            fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+            fh.write(body + "\n")
         os.replace(tmp, _path_for(base, key))
     except OSError:
         try:

@@ -26,7 +26,7 @@ from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      std_le)
 from .linalg import (CoefficientVector, Echelon, LinearSolver,
-                     component_basis, rank)
+                     component_basis, poly_row, rank)
 from .report import CheckReport
 from .scalars import ONE, RationalScalar
 from .tower import build_frame, stage_monomials, tower_stages
@@ -35,10 +35,6 @@ from .tower import build_frame, stage_monomials, tower_stages
 def _row_to_poly(row, basis):
     return NCPoly(basis.shape,
                   {basis.monomials[i].exps: c for i, c in row.items()})
-
-
-def _poly_row(p, basis):
-    return CoefficientVector.from_poly(p, basis)._laurent_row()
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +60,7 @@ class IdealComponent:
         """Exact membership of a homogeneous polynomial of this degree."""
         if p.is_zero:
             return True
-        return not self.echelon.residue(_poly_row(p, self.basis))
+        return not self.echelon.residue(poly_row(p, self.basis))
 
     def reduce(self, p):
         """A residue of p against the span; zero exactly on members.
@@ -72,7 +68,7 @@ class IdealComponent:
         The reduction is fraction-free, so a nonzero residue is only
         determined up to a nonzero scalar.
         """
-        row = self.echelon.residue(_poly_row(p, self.basis))
+        row = self.echelon.residue(poly_row(p, self.basis))
         return _row_to_poly(row, self.basis)
 
     def row_polys(self):
@@ -124,7 +120,9 @@ def _build_echelon(gamma, degree, basis, guard, key):
         ech = Echelon()
         for row in cached:
             ech.insert(row)
-        return ech
+        if ech.rank == len(cached):
+            return ech
+        # a stored row depends on the others: not the stored span, rebuild
     shape = gamma.shape
     ech = Echelon()
     if degree > 0:
@@ -133,10 +131,10 @@ def _build_echelon(gamma, degree, basis, guard, key):
                 for b in range(1, shape.n + 1)]
         for p in prev.row_polys():
             for g in gens:
-                ech.insert(_poly_row(g * p, basis))
-                ech.insert(_poly_row(p * g, basis))
+                ech.insert(poly_row(g * p, basis))
+                ech.insert(poly_row(p * g, basis))
     for mn in _excluded_by_degree(shape, gamma.rows, gamma.cols).get(degree, ()):
-        ech.insert(_poly_row(minor_value(mn), basis))
+        ech.insert(poly_row(minor_value(mn), basis))
     _disk.store_rows(("ideal",) + key, ech.rows())
     return ech
 
@@ -405,7 +403,7 @@ def generator_image_suite(gamma, guard=None):
         for s in range(1, shape.n + 1):
             sub = generator_image_check(gamma, r, s, guard)
             rep.add("x[%d,%d]" % (r, s), sub.passed,
-                    "" if sub.passed else "; ".join(sub.failures()))
+                    "; ".join(item.name for item in sub.failures()))
     return rep
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra over Q(q) for graded components.
 
 Vectors are coordinates of homogeneous polynomials over the ordered
-monomial basis of one graded component.  Elimination is fraction-free:
-rows stay in Z[q, q^-1] up to content, a combined row is rescaled by its
-polynomial content, and division only happens when explicit solution
-coefficients are requested.
+monomial basis of one graded component.  Elimination is fraction-free
+in the sense of Bareiss: rows stay in Z[q, q^-1] with int coefficients
+(a Fraction only when a caller hands in a non-integral one), a combined
+row is rescaled by its q-shift and its integer (or rational) content
+only, and division only happens when explicit solution coefficients are
+requested.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
@@ -14,12 +16,12 @@ row.  Leading position is the smallest column index.
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
 from .algebra import NCPoly, graded_basis, graded_dim
-from .scalars import (RationalScalar, RAT_ONE, RAT_ZERO, ONE,
-                      laurent_exact_div, laurent_gcd)
+from .scalars import (RationalScalar, RAT_ONE, RAT_ZERO, _laurent,
+                      clear_denominators)
 
 #: (mode, q_values) used when a call passes mode=None
 _DEFAULT_MODE = ("exact", None)
@@ -86,16 +88,8 @@ class CoefficientVector:
 
     @classmethod
     def from_poly(cls, p, basis):
-        if p.shape != basis.shape:
-            raise ShapeMismatch("polynomial over %s, basis over %s"
-                                % (p.shape, basis.shape))
-        coeffs = {}
-        for e, c in p.terms.items():
-            if sum(e) != basis.degree:
-                raise BasisMismatch(
-                    "degree-%d term in a degree-%d component" % (sum(e), basis.degree))
-            coeffs[basis.index[e]] = RationalScalar.from_laurent(c)
-        return cls(basis, coeffs)
+        return cls(basis, {i: RationalScalar.from_laurent(c)
+                           for i, c in poly_row(p, basis).items()})
 
     def to_poly(self):
         terms = {}
@@ -112,16 +106,26 @@ class CoefficientVector:
         return not self.coeffs
 
     def _laurent_row(self):
-        """Clear denominators: the row times the lcm of its denominators."""
-        row = {}
-        common = ONE
-        for c in self.coeffs.values():
-            if c.den != ONE:
-                common = common * laurent_exact_div(
-                    c.den, laurent_gcd([common, c.den]) or ONE)
-        for i, c in self.coeffs.items():
-            row[i] = c.num * laurent_exact_div(common, c.den)
-        return row
+        """Clear denominators: the row times a nonzero common denominator,
+        which keeps rank and membership."""
+        nums, _ = clear_denominators(self.coeffs.values())
+        return dict(zip(self.coeffs, nums))
+
+
+def poly_row(p, basis):
+    """A homogeneous NCPoly as a Laurent row (column -> coefficient)."""
+    if p.shape != basis.shape:
+        raise ShapeMismatch("polynomial over %s, basis over %s"
+                            % (p.shape, basis.shape))
+    index = basis.index
+    row = {}
+    for e, c in p.terms.items():
+        i = index.get(e)
+        if i is None:
+            raise BasisMismatch("degree-%d term in a degree-%d component"
+                                % (sum(e), basis.degree))
+        row[i] = c
+    return row
 
 
 def _check_same_basis(vectors):
@@ -138,37 +142,38 @@ def _check_same_basis(vectors):
 # fraction-free echelon over Laurent rows (dict col -> LaurentScalar)
 
 
-def _rational_content(values):
-    num = 0
-    den = 1
-    for v in values:
-        for c in v.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
 def row_normalized(row):
-    """Strip q-power, polynomial, and rational content; fix the sign.
+    """Strip the q-shift and the integer (or rational) content; fix the sign.
 
-    The pivot (lowest column) entry ends with a positive coefficient on its
-    highest power of q.  Normalization keeps entries small and makes the
-    stored echelon deterministic.
+    Afterwards the lowest exponent over the row is 0, the coefficients are
+    coprime ints, and the pivot (lowest column) entry has a positive
+    coefficient on its highest power of q.  Polynomial content is left in
+    place: the rows stay small without it, and normalization is
+    deterministic, so the stored echelon is too.
     """
     if not row:
         return row
-    values = list(row.values())
-    shift = min(v.min_exp for v in values)
-    g = laurent_gcd(values)
-    content = _rational_content(values)
-    out = {}
-    for k, v in row.items():
-        v = laurent_exact_div(v, g) if g != ONE and not g.is_zero else v
-        out[k] = v.shift(-shift) * (1 / content)
-    pivot = out[min(out)]
-    if pivot.leading_coeff < 0:
-        out = {k: -v for k, v in out.items()}
-    return out
+    shift = min([min(v.terms) for v in row.values()])
+    pivot = row[min(row)].terms
+    den = 1
+    try:
+        g = gcd(*[c for v in row.values() for c in v.terms.values()])
+    except TypeError:
+        # some coefficient is a Fraction: scale by the lcm of denominators
+        den = lcm(*[c.denominator for v in row.values()
+                    for c in v.terms.values()])
+        g = gcd(*[c.numerator * (den // c.denominator)
+                  for v in row.values() for c in v.terms.values()])
+    if pivot[max(pivot)] < 0:
+        g = -g
+    if den == 1:
+        if g == 1 and not shift:
+            return row
+        return {k: _laurent({e - shift: c // g for e, c in v.terms.items()})
+                for k, v in row.items()}
+    return {k: _laurent({e - shift: c.numerator * (den // c.denominator) // g
+                         for e, c in v.terms.items()})
+            for k, v in row.items()}
 
 
 def _combine(row, piv_row, col):

@@ -7,6 +7,13 @@ finitely many poles excluded per value.  LaurentScalar is the workhorse
 (all structure constants of the algebra live in Z[q, q^-1]); the
 RationalScalar field only appears where elimination has to divide.
 
+Coefficients are Python ints whenever they are integral, and a
+`fractions.Fraction` only when they are not (parser rationals, unit
+inverses, RationalScalar numerators, specialization).  Structure
+constants, minors and ideal rows are therefore pure int arithmetic.
+Every coefficient division goes through `_exact_div`, which stays in
+the integers when the division is exact and never yields a float.
+
 Instances are immutable by convention: no method mutates `terms` after
 construction, which is what makes the caching layers safe.
 """
@@ -22,19 +29,57 @@ class DegenerateSpecializationWarning(UserWarning):
 
 
 def _coerce_fraction(x):
-    if isinstance(x, Fraction):
-        return x
+    """An int or Fraction coefficient as an int when integral."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
-class LaurentScalar:
-    """Sparse Laurent polynomial in q with Fraction coefficients.
+def _exact_div(a, b):
+    """a / b for int or Fraction coefficients, never a float.
 
-    terms maps integer exponents to nonzero coefficients; the zero
-    polynomial is the empty map.  The representation is canonical, so
-    structural equality is mathematical equality.
+    An int when b divides a in the integers, otherwise a Fraction.
+    """
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        return quot if not rem else Fraction(a, b)
+    return _coerce_fraction(Fraction(a) / b)
+
+
+def _as_laurent(x):
+    """A LaurentScalar operand from a LaurentScalar, int or Fraction."""
+    if isinstance(x, LaurentScalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return LaurentScalar.from_rational(x)
+    return NotImplemented
+
+
+def _laurent(terms):
+    """A LaurentScalar over a terms dict with no zero coefficients.
+
+    The dict is taken over, not copied.  All-int dicts (the hot path) are
+    used as they are; any other goes through the constructor, which turns
+    integral Fractions into ints.
+    """
+    # int + Fraction is a Fraction, so the sum is an int iff every term is
+    if type(sum(terms.values())) is not int:
+        return LaurentScalar(terms)
+    r = LaurentScalar.__new__(LaurentScalar)
+    r.terms = terms
+    r._hash = None
+    return r
+
+
+class LaurentScalar:
+    """Sparse Laurent polynomial in q with rational coefficients.
+
+    terms maps integer exponents to nonzero coefficients: an int when
+    integral, otherwise a Fraction.  The zero polynomial is the empty map.
+    The representation is canonical, so structural equality is
+    mathematical equality.
     """
 
     __slots__ = ("terms", "_hash")
@@ -62,79 +107,69 @@ class LaurentScalar:
     # ring structure
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentScalar.from_rational(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
+        if type(other) is not LaurentScalar:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return other
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, _F0) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        r = LaurentScalar.__new__(LaurentScalar)
-        r.terms = out
-        r._hash = None
-        return r
+                del out[e]
+        return _laurent(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentScalar.__new__(LaurentScalar)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        r._hash = None
-        return r
+        return _laurent({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentScalar.from_rational(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not LaurentScalar:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return other
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _laurent(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce_fraction(other)
-            if not other:
-                return ZERO
-            r = LaurentScalar.__new__(LaurentScalar)
-            r.terms = {e: c * other for e, c in self.terms.items()}
-            r._hash = None
-            return r
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
+        if type(other) is not LaurentScalar:
+            if isinstance(other, (int, Fraction)):
+                other = _coerce_fraction(other)
+                if not other:
+                    return ZERO
+                return _laurent({e: c * other for e, c in self.terms.items()})
+            if not isinstance(other, LaurentScalar):
+                return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
         if len(a) == 1:
             (e1, c1), = a.items()
-            r = LaurentScalar.__new__(LaurentScalar)
-            r.terms = {e1 + e: c1 * c for e, c in b.items()}
-            r._hash = None
-            return r
+            return _laurent({e1 + e: c1 * c for e, c in b.items()})
         if len(b) == 1:
             (e1, c1), = b.items()
-            r = LaurentScalar.__new__(LaurentScalar)
-            r.terms = {e1 + e: c1 * c for e, c in a.items()}
-            r._hash = None
-            return r
+            return _laurent({e1 + e: c1 * c for e, c in a.items()})
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                s = out.get(e, _F0) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        r = LaurentScalar.__new__(LaurentScalar)
-        r.terms = out
-        r._hash = None
-        return r
+        return _laurent(out)
 
     __rmul__ = __mul__
 
@@ -151,10 +186,10 @@ class LaurentScalar:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentScalar.from_rational(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
+        if type(other) is not LaurentScalar:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return other
         return RationalScalar(self, other)
 
     # ------------------------------------------------------------------
@@ -194,16 +229,16 @@ class LaurentScalar:
     def unit_inverse(self):
         """Inverse of a one-term scalar c*q^e, namely (1/c)*q^-e."""
         e, c = self.single_term()
-        return LaurentScalar({-e: Fraction(1) / c})
+        return _laurent({-e: _exact_div(1, c)})
 
     def shift(self, k):
         """Multiply by q^k."""
         if not k or not self.terms:
             return self
-        return LaurentScalar({e + k: c for e, c in self.terms.items()})
+        return _laurent({e + k: c for e, c in self.terms.items()})
 
     def specialize(self, q0):
-        """Evaluate at a nonzero rational q0.
+        """Evaluate at a nonzero rational q0; the value is a Fraction.
 
         Warns when q0 is 1 or -1, where the quantum structure degenerates.
         """
@@ -216,19 +251,19 @@ class LaurentScalar:
                 DegenerateSpecializationWarning,
                 stacklevel=2,
             )
-        total = _F0
+        total = 0
         for e, c in self.terms.items():
-            total += c * q0 ** e
-        return total
+            total += c * q0 ** e if e >= 0 else _exact_div(c, q0 ** -e)
+        return Fraction(total)
 
     # ------------------------------------------------------------------
     # comparisons and rendering
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentScalar.from_rational(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
+        if type(other) is not LaurentScalar:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return other
         return self.terms == other.terms
 
     def __hash__(self):
@@ -242,8 +277,6 @@ class LaurentScalar:
     def __repr__(self):
         return "LaurentScalar(%s)" % render_laurent(self)
 
-
-_F0 = Fraction(0)
 
 ZERO = LaurentScalar()
 ONE = LaurentScalar({0: 1})
@@ -281,8 +314,8 @@ def render_laurent(a):
 
 
 # ----------------------------------------------------------------------
-# dense polynomial helpers (internal): a poly is a list of Fractions,
-# index = exponent, last entry nonzero, [] = zero.
+# dense polynomial helpers (internal): a poly is a list of int or Fraction
+# coefficients, index = exponent, last entry nonzero, [] = zero.
 
 
 def _to_poly(a):
@@ -291,7 +324,7 @@ def _to_poly(a):
         return [], 0
     lo = min(a.terms)
     hi = max(a.terms)
-    coeffs = [_F0] * (hi - lo + 1)
+    coeffs = [0] * (hi - lo + 1)
     for e, c in a.terms.items():
         coeffs[e - lo] = c
     return coeffs, lo
@@ -312,10 +345,10 @@ def _poly_divmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(a) - len(b) + 1)
     lead = b[-1]
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
+        c = _exact_div(a[i + len(b) - 1], lead)
         if c:
             q[i] = c
             for j, bc in enumerate(b):
@@ -332,7 +365,7 @@ def _poly_gcd(a, b):
     if a:
         lead = a[-1]
         if lead != 1:
-            a = [c / lead for c in a]
+            a = [_exact_div(c, lead) for c in a]
     return a
 
 
@@ -397,8 +430,8 @@ class RationalScalar:
             pd, _ = _poly_divmod(pd, g)
         lead = pd[-1]
         if lead != 1:
-            pn = [c / lead for c in pn]
-            pd = [c / lead for c in pd]
+            pn = [_exact_div(c, lead) for c in pn]
+            pd = [_exact_div(c, lead) for c in pd]
         self.num = _from_poly(pn, sn - sd)
         self.den = _from_poly(pd)
 
@@ -509,6 +542,27 @@ def _as_rational(x):
     if isinstance(x, (int, Fraction)):
         return RationalScalar.from_laurent(LaurentScalar.from_rational(x))
     return NotImplemented
+
+
+def clear_denominators(values):
+    """RationalScalars over one common denominator.
+
+    Returns (nums, den): LaurentScalars with nums[i] == values[i] * den
+    exactly, where den is the product of the distinct denominators.
+    """
+    values = list(values)
+    dens = {v.den for v in values if v.den != ONE}
+    den = ONE
+    for d in dens:
+        den = den * d
+    nums = []
+    for v in values:
+        num = v.num
+        for d in dens:
+            if d != v.den:
+                num = num * d
+        nums.append(num)
+    return nums, den
 
 
 RAT_ZERO = RationalScalar.from_laurent(ZERO)

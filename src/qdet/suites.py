@@ -446,8 +446,8 @@ def run_suite(name, config):
 def run_workbench(config):
     """Run all requested suites and collect a WorkbenchRun."""
     config.validate()
-    if config.cache:
-        _disk.set_cache_dir(config.cache)
+    # set or clear: a directory from an earlier run must not leak into this one
+    _disk.set_cache_dir(config.cache)
     names = config.suite_list()
     with mode_context(config.q_mode, config.q_values or None):
         if config.jobs > 1 and len(names) > 1:

@@ -27,7 +27,8 @@ from .algebra import NCPoly, TorusElement, eigenvalue_of, q_commute_scalar
 from .minors import Minor, minor_value
 from .linalg import CoefficientVector, component_basis, rank, span_membership
 from .report import CheckReport
-from .scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, laurent_exact_div
+from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, clear_denominators,
+                      laurent_exact_div)
 
 #: refuse frames above this many ambient generators unless forced
 SHAPE_GUARD = 25
@@ -483,6 +484,20 @@ class OreStepReport:
         return self.report.passed
 
 
+def recombine_witness(shape, polys, coeffs):
+    """sum(c * p) over a common denominator, as (numerator, denominator).
+
+    coeffs are RationalScalars aligned with polys; the result satisfies
+    sum(c * p) * denominator == numerator exactly.
+    """
+    nums, den = clear_denominators(coeffs)
+    back = NCPoly.zero(shape)
+    for p, num in zip(polys, nums):
+        if not num.is_zero:
+            back = back + p.scale(num)
+    return back, den
+
+
 def ore_step_check(frame, stage_index, max_degree=None):
     """Certify one tower extension as a skew polynomial step.
 
@@ -548,11 +563,9 @@ def ore_step_check(frame, stage_index, max_degree=None):
             rep.add(name, False, "outside the previous stage")
             continue
         # recombine to double-check the witness
-        back = NCPoly.zero(frame.shape)
-        for (exps, p), lam2 in zip(prior_products[d], combo):
-            if not lam2.is_zero:
-                back = back + p.scale(lam2.to_laurent())
-        rep.add(name, back == delta,
+        back, den = recombine_witness(
+            frame.shape, [p for _, p in prior_products[d]], combo)
+        rep.add(name, back == delta.scale(den),
                 "witness over %d ordered products" % len(span))
 
     weights = [g.degree for g in stage.generators]

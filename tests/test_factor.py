@@ -1,6 +1,8 @@
 """Factor rings by excluded minors: ideals, bases, and normality."""
 
+import hashlib
 import itertools
+import json
 import os
 
 import pytest
@@ -18,6 +20,8 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
 from qdet.linalg import component_basis
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, RAT_ONE)
+from qdet.report import CheckReport
+from qdet.suites import WorkbenchConfig, run_workbench
 
 
 @pytest.fixture
@@ -235,6 +239,21 @@ class TestGeneratorImages:
         assert generator_image_suite(g1312).passed
 
 
+class TestGeneratorImageFailures:
+    def test_failing_sub_check_is_reported_by_name(self, g11, monkeypatch):
+        from qdet import factor as factor_mod
+
+        def failing(gamma, r, s, guard=None):
+            rep = CheckReport("generator_image", {})
+            rep.add("congruence", False, "forced")
+            return rep
+
+        monkeypatch.setattr(factor_mod, "generator_image_check", failing)
+        rep = generator_image_suite(g11)
+        assert not rep.passed
+        assert all(item.witness == "congruence" for item in rep.items)
+
+
 class TestRegularityAndDomain:
     def test_regularity(self, g11, g1312):
         assert regularity_check(g11, 3).passed
@@ -275,7 +294,8 @@ class TestDiskCache:
         with open(path, "r", encoding="ascii") as fh:
             payload = fh.read()
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(payload.replace('"format":1', '"format":99'))
+            fh.write(payload.replace('"format":%d' % cache.FORMAT,
+                                     '"format":99'))
         assert cache.load_rows(key) is None
 
     def test_env_overrides_override(self, tmp_path, monkeypatch):
@@ -307,3 +327,91 @@ class TestDiskCache:
             monkeypatch.delenv("QDET_CACHE")
             spans_clear()
         assert ideal_component(gamma, 2).rank == want == 1
+
+
+def _tamper_rows(path, edit):
+    """Apply edit to the stored rows of a cache file; the header is kept."""
+    with open(path, "r", encoding="ascii") as fh:
+        header, body = fh.read().splitlines()
+    rows = json.loads(body)
+    edit(rows)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + json.dumps(rows, separators=(",", ":")) + "\n")
+
+
+def _delete_middle_row(rows):
+    if rows:
+        rows.pop(len(rows) // 2)
+
+
+def _edit_middle_coefficient(rows):
+    if rows:
+        row = rows[len(rows) // 2]
+        row[-1][1][0][1] += 1
+
+
+class TestDiskCacheIntegrity:
+    """Tampered span files are misses: the spans are rebuilt, never trusted."""
+
+    @pytest.mark.parametrize("edit", [_delete_middle_row,
+                                      _edit_middle_coefficient])
+    def test_tampered_spans_are_rebuilt(self, tmp_path, edit):
+        config = WorkbenchConfig(m=3, n=3, gamma=((1, 3), (1, 2)),
+                                 max_degree=3, suites=("factor-basis",),
+                                 cache=str(tmp_path))
+        try:
+            spans_clear()
+            first = run_workbench(config)
+            assert first.ok
+            files = sorted(tmp_path.glob("*.json"))
+            assert files
+            for path in files:
+                _tamper_rows(path, edit)
+            spans_clear()
+            second = run_workbench(config)
+            assert second.ok, [c.name for s in second.suites
+                               for c in s.failed]
+            assert second.counts() == first.counts()
+        finally:
+            cache.set_cache_dir(None)
+            spans_clear()
+
+    def test_missing_field_and_stale_rank_are_misses(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+        key = ("test", 3)
+        rows = [{0: ONE}, {1: Q}]
+        cache.store_rows(key, rows)
+        assert cache.load_rows(key) == rows
+        path = cache._path_for(str(tmp_path), key)
+        with open(path, "r", encoding="ascii") as fh:
+            header, body = fh.read().splitlines()
+        head = json.loads(header)
+        for field in ("rank", "sha256"):
+            partial = {k: v for k, v in head.items() if k != field}
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(json.dumps(partial) + "\n" + body + "\n")
+            assert cache.load_rows(key) is None
+        # one row deleted with a digest that matches what is left
+        short = json.dumps(json.loads(body)[:1], separators=(",", ":"))
+        head["sha256"] = hashlib.sha256(short.encode("ascii")).hexdigest()
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(json.dumps(head) + "\n" + short + "\n")
+        assert cache.load_rows(key) is None
+
+    def test_dependent_stored_rows_are_rebuilt(self, tmp_path, monkeypatch,
+                                               shape22):
+        gamma = Minor(shape22, (1,), (1,))
+        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+        try:
+            spans_clear()
+            # header and digest are consistent, but the second row is
+            # q times the first, so re-inserting gives rank 1, not 2
+            cache.store_rows(("ideal", 2, 2, (1,), (1,), 2),
+                             [{0: ONE}, {0: Q}])
+            assert ideal_component(gamma, 2).rank == 1
+            assert ideal_component(gamma, 2).contains(minor_value(
+                Minor(shape22, (1, 2), (1, 2))))
+        finally:
+            monkeypatch.delenv("QDET_CACHE")
+            spans_clear()

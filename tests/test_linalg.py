@@ -1,12 +1,16 @@
 """Exact linear algebra over the Laurent coefficient field."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
-from qdet.linalg import (CoefficientVector, Echelon, component_basis,
-                         mode_context, rank, span_membership)
+from qdet.linalg import (CoefficientVector, Echelon, LinearSolver,
+                         component_basis, mode_context, poly_row, rank,
+                         row_normalized, span_membership)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
                           RAT_ONE, RAT_ZERO)
@@ -210,3 +214,71 @@ class TestEchelonInternals:
         assert ech.rank == 4
         assert not ech.insert(member)
         assert ech.rank == 4
+
+
+_int_entries = st.dictionaries(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(LaurentScalar)
+
+_int_rows = st.lists(
+    st.dictionaries(st.integers(min_value=0, max_value=4), _int_entries,
+                    max_size=4),
+    max_size=7,
+)
+
+
+class TestIntegerRows:
+    def test_poly_row_matches_the_coefficient_vector(self, rng, shape22):
+        basis = component_basis(shape22, 2)
+        for _ in range(10):
+            p = random_poly(rng, shape22, max_terms=4, max_degree=2)
+            p = p.homogeneous_components().get(2, NCPoly.zero(shape22))
+            assert poly_row(p, basis) == CoefficientVector.from_poly(
+                p, basis)._laurent_row()
+
+    def test_poly_row_checks_shape_and_degree(self, shape22, shape33):
+        basis = component_basis(shape22, 2)
+        with pytest.raises(BasisMismatch):
+            poly_row(NCPoly.generator(shape22, 1, 1), basis)
+        with pytest.raises(ShapeMismatch):
+            poly_row(NCPoly.generator(shape33, 1, 1) ** 2, basis)
+
+    def test_row_normalized_strips_shift_content_and_sign(self):
+        row = {3: LaurentScalar({2: -4, 0: 6}), 5: LaurentScalar({-1: 2})}
+        out = row_normalized(row)
+        assert out == {3: LaurentScalar({3: 2, 1: -3}),
+                       5: LaurentScalar({0: -1})}
+        assert all(type(c) is int for v in out.values()
+                   for c in v.terms.values())
+
+    def test_row_normalized_clears_fractions(self):
+        row = {0: LaurentScalar({0: Fraction(1, 2)}),
+               1: LaurentScalar({1: Fraction(-2, 3)})}
+        out = row_normalized(row)
+        assert out == {0: LaurentScalar({0: 3}), 1: LaurentScalar({1: -4})}
+        assert all(type(c) is int for v in out.values()
+                   for c in v.terms.values())
+
+    def test_polynomial_content_is_kept(self):
+        # (q + 1) divides both entries; only integer content is stripped
+        row = {0: LaurentScalar({1: 2, 0: 2}), 1: LaurentScalar({2: 2, 1: 2})}
+        assert row_normalized(row) == {0: LaurentScalar({1: 1, 0: 1}),
+                                       1: LaurentScalar({2: 1, 1: 1})}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_int_rows)
+    def test_echelon_rank_matches_the_rational_solver(self, rows):
+        ech = Echelon()
+        solver = LinearSolver()
+        grew = 0
+        for row in rows:
+            ech.insert(row)
+            if solver.insert({k: RationalScalar.from_laurent(v)
+                              for k, v in row.items() if v}):
+                grew += 1
+        assert ech.rank == grew
+        for stored in ech.rows():
+            for v in stored.values():
+                assert all(type(c) is int for c in v.terms.values())

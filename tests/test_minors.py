@@ -227,3 +227,15 @@ class TestIdentityContainer:
         assert not ident.holds
         x11x12 = NCPoly.generator(shape22, 1, 1) * NCPoly.generator(shape22, 1, 2)
         assert ident.evaluate() == x11x12.scale(ONE - Q_INV)
+
+
+class TestIntegerStructureConstants:
+    def test_normal_form_and_minor_coefficients_are_ints(self, shape33):
+        for i, j, k, l in itertools.product(range(1, 4), repeat=4):
+            p = NCPoly.generator(shape33, i, j) * NCPoly.generator(shape33, k, l)
+            for c in p.terms.values():
+                assert all(type(v) is int for v in c.terms.values())
+        for mn in enumerate_minors(shape33):
+            for method in ("perm_sum", "laplace_first_row"):
+                for c in minor_value(mn, method).terms.values():
+                    assert all(type(v) is int for v in c.terms.values())

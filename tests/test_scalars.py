@@ -212,3 +212,45 @@ class TestRendering:
         assert render_laurent(L(e2=1)) == "q^2"
         assert render_laurent(-Q) == "-q"
         assert render_laurent(L(e1=Fraction(2, 3))) == "2/3*q"
+
+
+class TestIntegerCoefficients:
+    def test_specialize_negative_exponents_is_exact(self):
+        a = LaurentScalar({-2: 3, 1: 1})
+        got = a.specialize(2)
+        assert type(got) is Fraction
+        assert got == Fraction(11, 4)
+        with pytest.warns(DegenerateSpecializationWarning):
+            at_one = QHAT.specialize(1)
+        assert type(at_one) is Fraction and at_one == 0
+        assert type(Q_INV.specialize(-3)) is Fraction
+
+    def test_unit_inverse_of_two_q(self):
+        inv = LaurentScalar({1: 2}).unit_inverse()
+        assert inv == LaurentScalar({-1: Fraction(1, 2)})
+        assert type(Q.unit_inverse().terms[-1]) is int
+        assert type(MINUS_Q.unit_inverse().terms[-1]) is int
+
+    def test_integral_fraction_is_stored_as_int(self):
+        a = LaurentScalar({0: Fraction(2)})
+        b = LaurentScalar({0: 2})
+        assert a == b and hash(a) == hash(b)
+        assert type(a.terms[0]) is int
+        assert type(LaurentScalar.from_rational(Fraction(6, 3)).terms[0]) is int
+
+    def test_integral_results_of_fraction_arithmetic_are_ints(self):
+        half = LaurentScalar({1: Fraction(1, 2), 0: Fraction(1, 3)})
+        for r in (half * 2, half + half, half * LaurentScalar({0: 6}),
+                  half - LaurentScalar({0: Fraction(-2, 3)})):
+            assert all(type(c) is int for c in r.terms.values()
+                       if c.denominator == 1)
+        assert type((half * 6).terms[1]) is int
+
+    def test_int_arithmetic_stays_int(self):
+        a = QHAT ** 3 * (Q + 2) - minus_q_power(-3) * 5
+        assert all(type(c) is int for c in a.terms.values())
+
+    def test_rational_scalar_parts(self):
+        r = RationalScalar(L(e2=2, e0=-2), L(e1=2, e0=2))
+        assert r.num == L(e1=1, e0=-1) and r.den == ONE
+        assert all(type(c) is int for c in r.num.terms.values())

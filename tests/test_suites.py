@@ -190,6 +190,28 @@ class TestRunWorkbench:
         finally:
             disk.set_cache_dir(None)
 
+    def test_run_without_cache_clears_an_earlier_directory(self, tmp_path,
+                                                          monkeypatch):
+        from qdet import cache as disk
+        from qdet.factor import spans_clear
+        monkeypatch.delenv("QDET_CACHE", raising=False)
+        target = tmp_path / "spans"
+        try:
+            spans_clear()
+            run_workbench(small_config(suites=("factor-basis",), max_degree=1,
+                                       cache=str(target)))
+            assert disk.cache_dir() == str(target)
+            written = sorted(target.glob("*.json"))
+            spans_clear()
+            run = run_workbench(small_config(suites=("factor-basis",),
+                                             max_degree=2))
+            assert run.ok
+            assert disk.cache_dir() is None
+            assert sorted(target.glob("*.json")) == written
+        finally:
+            disk.set_cache_dir(None)
+            spans_clear()
+
 
 def fake_suite(records):
     def func(config):

@@ -8,7 +8,9 @@ from qdet.algebra import MatrixShape, NCPoly, TorusElement, eigenvalue_of
 from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
                          ZeroInput)
 from qdet.minors import Minor, enumerate_minors, minor_value
-from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power)
+from qdet import tower as tower_mod
+from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV, QHAT,
+                          minus_q_power)
 from qdet.tower import (build_frame, check_h_actions, enumerate_family,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
@@ -224,6 +226,44 @@ class TestOreSteps:
             ore_step_check(frame1312, -1)
         with pytest.raises(StageOutOfRange):
             ore_step_check(frame1312, 2, max_degree=1)
+
+
+class TestWitnessRecombination:
+    def test_common_denominator(self, shape22):
+        x11 = NCPoly.generator(shape22, 1, 1)
+        x12 = NCPoly.generator(shape22, 1, 2)
+        # x11 / (q + 1) + q x11 / (q + 1) == x11, a witness with a denominator
+        coeffs = [RationalScalar(ONE, Q + 1), RationalScalar(Q, Q + 1),
+                  RationalScalar(ONE, Q - 1) * 0]
+        back, den = tower_mod.recombine_witness(shape22, [x11, x11, x12],
+                                                coeffs)
+        assert den == Q + 1
+        assert back == x11.scale(den)
+
+    def test_distinct_denominators(self, shape22):
+        x11 = NCPoly.generator(shape22, 1, 1)
+        x12 = NCPoly.generator(shape22, 1, 2)
+        coeffs = [RationalScalar(ONE, Q + 1), RationalScalar(Q, Q - 1)]
+        back, den = tower_mod.recombine_witness(shape22, [x11, x12], coeffs)
+        assert den == (Q + 1) * (Q - 1)
+        assert back == x11.scale(Q - 1) + x12.scale(Q * (Q + 1))
+
+    def test_rational_witness_fails_instead_of_raising(self, frame1312,
+                                                       monkeypatch):
+        real = tower_mod.span_membership
+
+        def skewed(target, span):
+            combo = real(target, span)
+            if combo is None:
+                return None
+            return [c * RationalScalar(Q, Q + 2) for c in combo]
+
+        monkeypatch.setattr(tower_mod, "span_membership", skewed)
+        out = ore_step_check(frame1312, 1, max_degree=2)
+        witnessed = [item for item in out.report.items
+                     if item.witness.startswith("witness over")]
+        assert len(witnessed) == 2
+        assert not any(item.passed for item in witnessed)
 
 
 class TestGammaNormality:
