@@ -16,10 +16,13 @@ The standard order puts *larger* minors lower: [I|J] <= [K|L] iff
 import itertools
 from functools import lru_cache
 
-from .errors import (EmptyMinor, IndexOutOfShape, OverlapError, ShapeMismatch,
-                     SizeMismatch)
-from .algebra import MatrixShape, NCPoly, normal_form
-from .scalars import LaurentScalar, ONE, minus_q_power
+from .errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
+                     OverlapError, ShapeMismatch, SizeMismatch)
+from .algebra import MatrixShape, NCPoly
+from .scalars import minus_q_power
+
+#: largest minor size minor_value expands (size 8 has 40320 terms)
+MINOR_SIZE_GUARD = 8
 
 
 def _check_index_set(values, bound, what):
@@ -83,11 +86,19 @@ def _minor_value_cached(m, n, rows, cols, method):
     if not rows:
         return NCPoly.one(shape)
     if method == "perm_sum":
-        out = NCPoly.zero(shape)
-        for perm in itertools.permutations(range(len(cols))):
-            word = tuple((rows[p], cols[perm[p]]) for p in range(len(rows)))
-            out = out + normal_form(shape, word).scale(minus_q_power(_inversions(perm)))
-        return out
+        # rows strictly increase, so every word is already PBW-ordered:
+        # its normal form is the monomial itself with coefficient 1
+        t = len(rows)
+        signs = [minus_q_power(k) for k in range(t * (t - 1) // 2 + 1)]
+        starts = [(r - 1) * n - 1 for r in rows]
+        zeros = [0] * (m * n)
+        terms = {}
+        for perm in itertools.permutations(cols):
+            exps = list(zeros)
+            for start, c in zip(starts, perm):
+                exps[start + c] = 1
+            terms[tuple(exps)] = signs[_inversions(perm)]
+        return NCPoly(shape, terms)
     if method == "laplace_first_row":
         out = NCPoly.zero(shape)
         for k in range(len(cols)):
@@ -103,8 +114,13 @@ def minor_value(minor, method="perm_sum"):
     """Expand a minor to its PBW normal form.
 
     Both methods agree; "laplace_first_row" recurses along the top row and
-    exists so the permutation sum can be cross-checked against it.
+    exists so the permutation sum can be cross-checked against it.  A minor
+    above MINOR_SIZE_GUARD raises DegreeTooLarge before any expansion.
     """
+    if minor.size > MINOR_SIZE_GUARD:
+        raise DegreeTooLarge("minor of size %d exceeds the size-%d guard "
+                             "(%s has %d! terms)"
+                             % (minor.size, MINOR_SIZE_GUARD, minor, minor.size))
     return _minor_value_cached(minor.shape.m, minor.shape.n,
                                minor.rows, minor.cols, method)
 

@@ -51,10 +51,16 @@ class FamilyMember:
 
 
 class Frame:
-    """A minor together with the index bookkeeping its tower needs."""
+    """A minor together with the index bookkeeping its tower needs.
+
+    Two lazy caches live on the frame and die with it: the family
+    (`_members`) and the ordered tower products (`_products`, filled by
+    stage_monomials).  A suite builds one frame per call, so neither
+    outlives the suite.
+    """
 
     __slots__ = ("shape", "minor", "rows", "cols", "row_complement",
-                 "col_complement", "_members")
+                 "col_complement", "_members", "_products")
 
     def __init__(self, minor):
         self.shape = minor.shape
@@ -66,6 +72,7 @@ class Frame:
         self.col_complement = tuple(c for c in range(1, self.shape.n + 1)
                                     if c not in minor.cols)
         self._members = None
+        self._products = {}
 
     @property
     def size(self):
@@ -459,17 +466,55 @@ def _weighted_exponents(weights, total):
     return out
 
 
+def _strip(exps):
+    """exps without its trailing zeros."""
+    end = len(exps)
+    while end and not exps[end - 1]:
+        end -= 1
+    return exps[:end]
+
+
+def _ordered_product(frame, gens, key):
+    """g_0^e_0 * ... * g_k^e_k for a stripped exponent key, memoised.
+
+    A key with a nonzero prefix is (product of the prefix) * g_k^e_k; a
+    pure power is g_k^(e-1) * g_k, so every entry costs one multiplication.
+    """
+    prod = frame._products.get(key)
+    if prod is not None:
+        return prod
+    if not key:
+        prod = NCPoly.one(frame.shape)
+    else:
+        k = len(key) - 1
+        e = key[k]
+        head = _strip(key[:k])
+        if head:
+            prod = (_ordered_product(frame, gens, head)
+                    * _ordered_product(frame, gens, (0,) * k + (e,)))
+        elif e == 1:
+            prod = gens[k].value
+        else:
+            prod = (_ordered_product(frame, gens, (0,) * k + (e - 1,))
+                    * gens[k].value)
+    frame._products[key] = prod
+    return prod
+
+
 def stage_monomials(stage, d):
-    """Ordered products of stage generators of total degree d."""
-    weights = [g.degree for g in stage.generators]
-    out = []
-    for exps in _weighted_exponents(weights, d):
-        prod = NCPoly.one(stage.frame.shape)
-        for g, e in zip(stage.generators, exps):
-            if e:
-                prod = prod * g.value ** e
-        out.append((exps, prod))
-    return out
+    """Ordered products of stage generators of total degree d.
+
+    Returns (exps, product) pairs in _weighted_exponents order.  Products
+    are memoised on the stage's frame under exps stripped of trailing
+    zeros: stage k+1 extends stage k's generators, so one key names the
+    same product at every stage, and a degree-d product reuses its
+    lower-degree prefix.  The stage must come from tower_stages of its
+    frame; the returned polynomials are shared and must not be mutated.
+    """
+    gens = stage.generators
+    weights = [g.degree for g in gens]
+    return [(exps, _ordered_product(stage.frame, gens, _strip(exps)))
+            for exps in _weighted_exponents(weights, d)]
 
 
 @dataclass

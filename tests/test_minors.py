@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from qdet.algebra import (MatrixShape, Monomial, NCPoly, q_commute_scalar)
-from qdet.errors import (EmptyMinor, IndexOutOfShape, OverlapError,
-                         SizeMismatch)
+from qdet.errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
+                         OverlapError, SizeMismatch)
 from qdet.minors import (Minor, MinorIdentity, enumerate_minors,
                          excluded_minors, laplace_relation,
                          laplace_row_relation, minor_value, muir_extend,
@@ -64,6 +64,23 @@ class TestMinorBasics:
             for minor in enumerate_minors(shape):
                 assert minor_value(minor, "perm_sum") == \
                     minor_value(minor, "laplace_first_row"), minor
+
+    def test_full_determinants_agree_up_to_size_6(self):
+        for t in range(1, 7):
+            det = quantum_determinant(MatrixShape(t, t))
+            value = minor_value(det)
+            assert len(value.terms) == len(list(itertools.permutations(range(t))))
+            assert value == minor_value(det, "laplace_first_row"), t
+
+    def test_size_guard(self):
+        ok = quantum_determinant(MatrixShape(8, 8))
+        assert minor_value(ok).coeff(mono(ok.shape, tuple(
+            (i, 9 - i) for i in range(1, 9)))) == minus_q_power(28)
+        big = quantum_determinant(MatrixShape(9, 9))
+        for method in ("perm_sum", "laplace_first_row"):
+            with pytest.raises(DegreeTooLarge, match="size-8 guard"):
+                minor_value(big, method)
+        assert minor_value(Minor(big.shape, (1, 9), (2, 9))).degree() == 2
 
 
 class TestStandardOrder:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from qdet.algebra import NCPoly, render_poly
-from qdet.errors import ExprSyntaxError
+from qdet.algebra import MatrixShape, NCPoly, render_poly
+from qdet.errors import DegreeTooLarge, ExprSyntaxError
 from qdet.minors import Minor, minor_value
 from qdet.parser import parse_expression, parse_index_pair
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT
@@ -74,6 +74,11 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expression(text, shape22)
         assert err.value.pos == pos, err.value
+
+    def test_minor_size_guard(self):
+        full = ",".join(map(str, range(1, 10)))
+        with pytest.raises(DegreeTooLarge, match="size-8 guard"):
+            parse_expression("minor[%s|%s]" % (full, full), MatrixShape(9, 9))
 
     def test_message_carries_position(self, shape22):
         with pytest.raises(ExprSyntaxError, match=r"at position 3"):

@@ -9,6 +9,7 @@ import pytest
 from qdet import cli
 from qdet import suites as suites_mod
 from qdet.errors import ConfigError, DegreeTooLarge
+from qdet.minors import enumerate_minors, std_le
 from qdet.suites import (SUITE_NAMES, SuiteReport, WorkbenchConfig,
                          emit_report, run_suite, run_workbench)
 
@@ -222,6 +223,56 @@ def fake_suite(records):
     return func
 
 
+class TestMinorsOrderChecks:
+    """The minors suite tests std_le's order axioms from one N^2 table."""
+
+    @staticmethod
+    def order_statuses(config):
+        rep = run_suite("minors", config)
+        return {c.name: c.status for c in rep.checks
+                if c.name.startswith("order ")}
+
+    def test_standard_order_passes(self):
+        assert self.order_statuses(WorkbenchConfig(m=3, n=3)) == {
+            "order reflexive": "pass", "order antisymmetric": "pass",
+            "order transitive": "pass"}
+
+    def test_non_transitive_relation_fails(self, monkeypatch):
+        config = WorkbenchConfig(m=3, n=3)
+        pos = {mn: k for k, mn in enumerate(enumerate_minors(config.shape()))}
+        # a <= a and a <= its successor only: a chain without its closure
+        monkeypatch.setattr(suites_mod, "std_le",
+                            lambda a, b: pos[b] - pos[a] in (0, 1))
+        assert self.order_statuses(config) == {
+            "order reflexive": "pass", "order antisymmetric": "pass",
+            "order transitive": "fail"}
+
+    def test_non_antisymmetric_relation_fails(self, monkeypatch):
+        monkeypatch.setattr(suites_mod, "std_le", lambda a, b: True)
+        assert self.order_statuses(WorkbenchConfig(m=3, n=3)) == {
+            "order reflexive": "pass", "order antisymmetric": "fail",
+            "order transitive": "pass"}
+
+    def test_non_reflexive_relation_fails(self, monkeypatch):
+        monkeypatch.setattr(suites_mod, "std_le", lambda a, b: False)
+        assert self.order_statuses(WorkbenchConfig(m=3, n=3)) == {
+            "order reflexive": "fail", "order antisymmetric": "pass",
+            "order transitive": "pass"}
+
+    def test_std_le_is_called_once_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return std_le(a, b)
+
+        monkeypatch.setattr(suites_mod, "std_le", counting)
+        config = WorkbenchConfig(m=4, n=4)
+        assert len(enumerate_minors(config.shape())) == 69
+        self.order_statuses(config)
+        assert len(calls) == 69 ** 2
+
+
 class TestCLI:
 
     def test_compute_minor(self, capsys):
@@ -246,6 +297,17 @@ class TestCLI:
         rc = cli.main(["compute", "minor", "--m", "2", "--n", "2", "1,2|1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_compute_minor_size_guard(self, capsys):
+        full = ",".join(map(str, range(1, 10)))
+        rc = cli.main(["compute", "minor", "--m", "9", "--n", "9",
+                       "%s|%s" % (full, full)])
+        assert rc == 2
+        assert "size-8 guard" in capsys.readouterr().err
+        rc = cli.main(["compute", "expr", "--m", "9", "--n", "9",
+                       "minor[%s|%s]" % (full, full)])
+        assert rc == 2
+        assert "size-8 guard" in capsys.readouterr().err
 
     def test_verify_passes_and_writes_report(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -196,6 +196,55 @@ class TestStages:
             assert not p.is_zero
 
 
+def naive_stage_monomials(stage, d):
+    """Each ordered product rebuilt left to right from 1, no sharing."""
+    weights = [g.degree for g in stage.generators]
+    out = []
+    for exps in tower_mod._weighted_exponents(weights, d):
+        prod = NCPoly.one(stage.frame.shape)
+        for g, e in zip(stage.generators, exps):
+            for _ in range(e):
+                prod = prod * g.value
+        out.append((exps, prod))
+    return out
+
+
+class TestProductMemo:
+    def test_memo_matches_naive_products(self, shape33):
+        frames = [build_frame(mn) for mn in enumerate_minors(shape33)]
+        frames.append(build_frame(Minor(MatrixShape(4, 4), (2, 4), (1, 3))))
+        for fr in frames:
+            for stage in tower_stages(fr):
+                for d in range(5):
+                    got = stage_monomials(stage, d)
+                    want = naive_stage_monomials(stage, d)
+                    assert [e for e, _ in got] == [e for e, _ in want]
+                    assert got == want, (fr, stage.index, d)
+
+    def test_second_call_returns_the_same_objects(self, frame1312):
+        stages = tower_stages(frame1312)
+        first = stage_monomials(stages[-1], 3)
+        again = stage_monomials(tower_stages(frame1312)[-1], 3)
+        assert len(first) == len(again)
+        assert all(p is r for (_, p), (_, r) in zip(first, again))
+
+    def test_products_are_shared_across_stages(self, frame1312):
+        stages = tower_stages(frame1312)
+        short = dict(stage_monomials(stages[0], 2))
+        for exps, p in stage_monomials(stages[-1], 2):
+            head, tail = exps[:4], exps[4:]
+            if not any(tail):
+                assert short[head] is p
+
+    def test_fresh_frame_starts_empty(self, shape33):
+        gamma = Minor(shape33, (1, 3), (1, 2))
+        used = build_frame(gamma)
+        assert used._products == {}
+        stage_monomials(tower_stages(used)[-1], 2)
+        assert used._products
+        assert build_frame(gamma)._products == {}
+
+
 class TestOreSteps:
     def test_full_tower_dims(self, frame1312):
         want = {0: [1, 4, 11, 24], 1: [1, 4, 12, 28], 2: [1, 4, 13, 32]}
