@@ -7,71 +7,8 @@ ring by the minors not above it: standard monomial bases, Hilbert
 dimensions, normalizing scalars, regularity, and generator rewriting.
 """
 
-from .errors import (WorkbenchError, ShapeMismatch, IndexOutOfShape,
-                     EmptyMinor, SizeMismatch, OverlapError, ZeroInput,
-                     BasisMismatch, DegreeTooLarge, StageOutOfRange,
-                     UndefinedMember, NotAboveGamma, NoScalarFound,
-                     PoleAtSpecialization, ExprSyntaxError, ConfigError)
-from .scalars import (LaurentScalar, RationalScalar, ZERO, ONE, Q, Q_INV,
-                      QHAT, minus_q_power, render_laurent,
-                      DEFAULT_SPECIALIZE_POINTS)
-from .algebra import (MatrixShape, Monomial, NCPoly, TorusElement,
-                      normal_form, graded_basis, graded_dim, torus_act,
-                      eigenvalue_of, q_commute_scalar, render_poly)
-from .minors import (Minor, minor_value, std_le, enumerate_minors,
-                     excluded_minors, MinorIdentity, laplace_relation,
-                     laplace_row_relation, muir_extend, quantum_determinant)
-from .linalg import (GradedBasis, CoefficientVector, Echelon, LinearSolver,
-                     component_basis, rank, span_membership, mode_context)
-from .tower import (Frame, FamilyMember, GenRef, TowerStage, build_frame,
-                    enumerate_family, member_ref, generator_count,
-                    member_torus, check_h_actions, family_relations_check,
-                    subalgebra_commutation_check, tower_stages,
-                    stage_series_dims, stage_monomials, ore_step_check,
-                    gamma_normality_check)
-from .factor import (IdealComponent, StandardMonomial, ideal_component,
-                     quotient_is_zero, quotient_equal, hilbert_function,
-                     standard_monomials, standard_monomial_count,
-                     basis_check, hilbert_check, normality_scalar,
-                     normality_check, generator_image_check,
-                     generator_image_suite, regularity_check,
-                     zero_divisor_check, tower_image_check)
-from .parser import parse_expression, parse_index_pair
-from .report import CheckItem, CheckReport
-from .suites import (WorkbenchConfig, WorkbenchRun, SuiteReport, CheckRecord,
-                     SUITE_NAMES, run_suite, run_workbench, emit_report)
+from .algebra import MatrixShape, NCPoly, normal_form
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WorkbenchError", "ShapeMismatch", "IndexOutOfShape", "EmptyMinor",
-    "SizeMismatch", "OverlapError", "ZeroInput", "BasisMismatch",
-    "DegreeTooLarge", "StageOutOfRange", "UndefinedMember", "NotAboveGamma",
-    "NoScalarFound", "PoleAtSpecialization", "ExprSyntaxError", "ConfigError",
-    "LaurentScalar", "RationalScalar", "ZERO", "ONE", "Q", "Q_INV", "QHAT",
-    "minus_q_power", "render_laurent", "DEFAULT_SPECIALIZE_POINTS",
-    "MatrixShape", "Monomial", "NCPoly", "TorusElement", "normal_form",
-    "graded_basis", "graded_dim", "torus_act", "eigenvalue_of",
-    "q_commute_scalar", "render_poly",
-    "Minor", "minor_value", "std_le", "enumerate_minors", "excluded_minors",
-    "MinorIdentity", "laplace_relation", "laplace_row_relation",
-    "muir_extend", "quantum_determinant",
-    "GradedBasis", "CoefficientVector", "Echelon", "LinearSolver",
-    "component_basis", "rank", "span_membership", "mode_context",
-    "Frame", "FamilyMember", "GenRef", "TowerStage", "build_frame",
-    "enumerate_family", "member_ref", "generator_count", "member_torus",
-    "check_h_actions", "family_relations_check",
-    "subalgebra_commutation_check", "tower_stages", "stage_series_dims",
-    "stage_monomials", "ore_step_check", "gamma_normality_check",
-    "IdealComponent", "StandardMonomial", "ideal_component",
-    "quotient_is_zero", "quotient_equal", "hilbert_function",
-    "standard_monomials", "standard_monomial_count", "basis_check",
-    "hilbert_check", "normality_scalar", "normality_check",
-    "generator_image_check", "generator_image_suite", "regularity_check",
-    "zero_divisor_check", "tower_image_check",
-    "parse_expression", "parse_index_pair",
-    "CheckItem", "CheckReport",
-    "WorkbenchConfig", "WorkbenchRun", "SuiteReport", "CheckRecord",
-    "SUITE_NAMES", "run_suite", "run_workbench", "emit_report",
-    "__version__",
-]
+__all__ = ["MatrixShape", "NCPoly", "normal_form", "__version__"]

@@ -476,6 +476,11 @@ def graded_basis(shape, d):
     return out
 
 
+#: largest graded-component dimension that suite linear algebra or an
+#: expression power may reach before DegreeTooLarge
+DIM_GUARD = 10000
+
+
 def graded_dim(shape, d):
     """Dimension of the degree-d component, computed combinatorially."""
     import math

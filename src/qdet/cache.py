@@ -96,23 +96,26 @@ def load_rows(key):
 def store_rows(key, rows):
     """Persist echelon rows for the key (their number is the rank).
 
-    Silently does nothing without a cache dir.
+    Silently does nothing without a cache dir, or when the directory
+    cannot be created or written.
     """
     base = cache_dir()
     if not base:
         return
-    os.makedirs(base, exist_ok=True)
     body = json.dumps(_encode_rows(rows), separators=(",", ":"))
     header = {"format": FORMAT, "key": repr(tuple(key)), "rank": len(rows),
               "sha256": _digest(body)}
-    fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(base, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(json.dumps(header, separators=(",", ":")) + "\n")
             fh.write(body + "\n")
         os.replace(tmp, _path_for(base, key))
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

@@ -4,17 +4,22 @@
         --suites torus,ore-tower --report out.json
     qdet compute minor --m 3 --n 3 "1,3|1,2"
     qdet compute expr --m 2 --n 2 "x[1,1]*x[2,2] - q*x[1,2]*x[2,1]"
+    qdet compute expr --m 2 --n 2 -- "-x[1,1]"
+
+An expression that starts with '-' goes after '--', or argparse reads it
+as an option.
 
 verify exits 0 when every check passes, 1 when any check fails, and 2 on
-configuration or syntax problems.  The QDET_CACHE environment variable
-overrides --cache when both are present.
+configuration or syntax problems.  Every check is exact and the suites
+run one after the other in this process.  The QDET_CACHE environment
+variable overrides --cache when both are present; a cache directory that
+cannot be written only makes the run uncached.
 """
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .errors import ConfigError, ExprSyntaxError, WorkbenchError
+from .errors import DegreeTooLarge, ExprSyntaxError, WorkbenchError
 from .algebra import MatrixShape, render_poly
 from .minors import Minor, minor_value
 from .parser import parse_expression, parse_index_pair
@@ -42,14 +47,8 @@ def build_parser():
                              % ", ".join(SUITE_NAMES))
     verify.add_argument("--report", default=None,
                         help="write a JSON report to this path")
-    verify.add_argument("--q-mode", choices=("exact", "specialize"),
-                        default="exact", dest="q_mode")
-    verify.add_argument("--q-values", default=None, dest="q_values",
-                        help="comma-separated rationals for specialize mode")
     verify.add_argument("--cache", default=None,
                         help="directory for cached ideal spans")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="suites run in this many threads")
 
     compute = sub.add_parser("compute", help="evaluate one expression")
     compute.add_argument("what", choices=("minor", "expr"))
@@ -59,19 +58,6 @@ def build_parser():
     return parser
 
 
-def _parse_q_values(text):
-    if not text:
-        return ()
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            out.append(Fraction(piece))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("bad q value %r" % piece) from None
-    return tuple(out)
-
-
 def _cmd_verify(args):
     gamma = None
     if args.gamma is not None:
@@ -79,8 +65,7 @@ def _cmd_verify(args):
     config = WorkbenchConfig(
         m=args.m, n=args.n, gamma=gamma, max_degree=args.max_degree,
         suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()),
-        q_mode=args.q_mode, q_values=_parse_q_values(args.q_values),
-        cache=args.cache, jobs=args.jobs)
+        cache=args.cache)
     run = run_workbench(config)
     shown = 0
     for suite in run.suites:
@@ -109,13 +94,20 @@ def _cmd_compute(args):
         value = minor_value(Minor(shape, rows, cols))
     else:
         value = parse_expression(args.text, shape)
-    print(render_poly(value))
+    try:
+        text = render_poly(value)
+    except ValueError as exc:   # an int past sys.get_int_max_str_digits()
+        raise DegreeTooLarge("result too large to print: %s" % exc) from None
+    print(text)
     return 0
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # a usage error (2) or --help (0)
+        return exc.code
     try:
         if args.command == "verify":
             return _cmd_verify(args)

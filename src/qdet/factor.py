@@ -15,7 +15,6 @@ minor above gamma, regularity of gamma, and the rewriting of an ambient
 variable through gamma into base variables and family minors.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,14 +82,12 @@ class IdealComponent:
         return ext.rank
 
 
-_BUILD_LOCK = threading.Lock()
 _ECHELONS = {}
 
 
 def spans_clear():
     """Drop all cached ideal spans (mainly for tests)."""
-    with _BUILD_LOCK:
-        _ECHELONS.clear()
+    _ECHELONS.clear()
 
 
 @lru_cache(maxsize=512)
@@ -104,13 +101,10 @@ def _excluded_by_degree(shape, rows, cols):
 def ideal_component(gamma, degree, guard=None):
     """The degree-d component of I_gamma, cached per session and on disk."""
     key = (gamma.shape.m, gamma.shape.n, gamma.rows, gamma.cols, degree)
-    with _BUILD_LOCK:
-        ech = _ECHELONS.get(key)
+    ech = _ECHELONS.get(key)
     basis = component_basis(gamma.shape, degree, guard)
     if ech is None:
-        ech = _build_echelon(gamma, degree, basis, guard, key)
-        with _BUILD_LOCK:
-            _ECHELONS[key] = ech
+        ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, guard, key)
     return IdealComponent(gamma, degree, basis, ech)
 
 

@@ -6,15 +6,14 @@ in the sense of Bareiss: rows stay in Z[q, q^-1] with int coefficients
 (a Fraction only when a caller hands in a non-integral one), a combined
 row is rescaled by its q-shift and its integer (or rational) content
 only, and division only happens when explicit solution coefficients are
-requested.
+requested.  Rank and span membership are always decided this way, over
+Q(q) itself; q is never evaluated at a point.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
 row.  Leading position is the smallest column index.
 """
 
-from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -22,23 +21,6 @@ from .errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
 from .algebra import NCPoly, graded_basis, graded_dim
 from .scalars import (RationalScalar, RAT_ONE, RAT_ZERO, _laurent,
                       clear_denominators)
-
-#: (mode, q_values) used when a call passes mode=None
-_DEFAULT_MODE = ("exact", None)
-
-
-@contextmanager
-def mode_context(mode, q_values=None):
-    """Temporarily change the default mode for rank and span_membership."""
-    global _DEFAULT_MODE
-    if mode not in ("exact", "specialize"):
-        raise ValueError("unknown mode %r" % mode)
-    saved = _DEFAULT_MODE
-    _DEFAULT_MODE = (mode, tuple(q_values) if q_values else None)
-    try:
-        yield
-    finally:
-        _DEFAULT_MODE = saved
 
 
 class GradedBasis:
@@ -248,67 +230,16 @@ class Echelon:
         return [self.pivots[c] for c in sorted(self.pivots)]
 
 
-def _specialized_rank(rows, q0):
-    """Rank of Laurent rows after evaluating q at q0, by Fraction elimination."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        r = {}
-        for k, v in row.items():
-            val = v.specialize(q0)
-            if val:
-                r[k] = val
-        while r:
-            col = min(r)
-            stored = pivots.get(col)
-            if stored is None:
-                pivots[col] = r
-                rank += 1
-                break
-            fac = r[col] / stored[col]
-            nxt = {}
-            for k, v in r.items():
-                if k == col:
-                    continue
-                nxt[k] = v
-            for k, v in stored.items():
-                if k == col:
-                    continue
-                acc = nxt.get(k, Fraction(0)) - fac * v
-                if acc:
-                    nxt[k] = acc
-                else:
-                    nxt.pop(k, None)
-            r = nxt
-    return rank
-
-
-def rank(vectors, mode=None, q_values=None):
-    """Rank of a list of CoefficientVectors.
-
-    exact mode runs fraction-free elimination over Q[q, q^-1].  specialize
-    mode evaluates at each rational point and reports the maximum rank: a
-    lower bound on the exact rank, usable as a fast pre-check (and it is
-    conclusive whenever it reaches the number of vectors).  mode=None uses
-    the ambient default set by mode_context.
-    """
-    if mode is None:
-        mode, default_q = _DEFAULT_MODE
-        q_values = q_values or default_q
+def rank(vectors):
+    """Rank of a list of CoefficientVectors, by fraction-free elimination
+    over Q[q, q^-1]."""
     vectors = list(vectors)
     if not vectors:
         return 0
     _check_same_basis(vectors)
-    rows = [v._laurent_row() for v in vectors]
-    if mode == "specialize":
-        from .scalars import DEFAULT_SPECIALIZE_POINTS
-        pts = q_values or DEFAULT_SPECIALIZE_POINTS
-        return max(_specialized_rank(rows, q0) for q0 in pts)
-    if mode != "exact":
-        raise ValueError("unknown rank mode %r" % mode)
     ech = Echelon()
-    for row in rows:
-        ech.insert(row)
+    for v in vectors:
+        ech.insert(v._laurent_row())
     return ech.rank
 
 
@@ -380,40 +311,16 @@ class LinearSolver:
         return {k: -v for k, v in combo.items()}
 
 
-def span_membership(v, spanning, mode=None, q_values=None):
+def span_membership(v, spanning):
     """Write v as an exact combination of the spanning vectors.
 
     Returns a list of RationalScalars aligned with `spanning`, or None when
-    v lies outside the span.  A rank jump at an evaluation point only
-    suggests nonmembership (a true member can have witness coefficients
-    with a pole there), so specialize mode confirms a suggested nonmember
-    with one fraction-free reduction before answering None; membership
-    witnesses are always confirmed exactly.  mode=None uses the ambient
-    default set by mode_context.
+    v lies outside the span.
     """
-    if mode is None:
-        mode, default_q = _DEFAULT_MODE
-        q_values = q_values or default_q
     spanning = list(spanning)
-    basis = _check_same_basis(spanning + [v])
+    _check_same_basis(spanning + [v])
     if v.is_zero:
         return [RAT_ZERO] * len(spanning)
-    if mode == "specialize":
-        from .scalars import DEFAULT_SPECIALIZE_POINTS
-        pts = q_values or DEFAULT_SPECIALIZE_POINTS
-        rows = [s._laurent_row() for s in spanning]
-        target = v._laurent_row()
-        for q0 in pts:
-            base = _specialized_rank(rows, q0)
-            if _specialized_rank(rows + [target], q0) > base:
-                ech = Echelon()
-                for row in rows:
-                    ech.insert(row)
-                if ech.residue(target):
-                    return None
-                break
-    elif mode != "exact":
-        raise ValueError("unknown membership mode %r" % mode)
     solver = LinearSolver()
     for s in spanning:
         solver.insert(dict(s.coeffs))

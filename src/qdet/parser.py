@@ -16,15 +16,24 @@ Negative powers are allowed only on invertible expressions: nonzero
 rationals and single-term Laurent scalars such as q or 2*q^3.  Every
 syntax or semantic problem raises ExprSyntaxError carrying the character
 offset where it was detected.
+
+A power p^k raises DegreeTooLarge before anything is multiplied when
+|k| times the size of p's largest coefficient (its bits plus its span of
+q exponents) exceeds POWER_SIZE_GUARD, or when p is not a scalar and the
+degree-(k * deg p) component is larger than algebra.DIM_GUARD.
 """
 
 import re
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, IndexOutOfShape, SizeMismatch
-from .algebra import NCPoly
+from .errors import (DegreeTooLarge, ExprSyntaxError, IndexOutOfShape,
+                     SizeMismatch)
+from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import Minor, minor_value
 from .scalars import Q
+
+#: bound on |k| * (size of the base's largest coefficient) for p^k
+POWER_SIZE_GUARD = 2000
 
 _TOKEN_RE = re.compile(r"(\d+)|(minor|x|q)\b|([\[\](),|+\-*^/])|(\S)")
 
@@ -34,7 +43,11 @@ def _tokenize(text):
     for match in _TOKEN_RE.finditer(text):
         pos = match.start()
         if match.group(1) is not None:
-            tokens.append(("int", int(match.group(1)), pos))
+            try:
+                value = int(match.group(1))
+            except ValueError:   # longer than sys.get_int_max_str_digits()
+                raise ExprSyntaxError("integer literal too long", pos) from None
+            tokens.append(("int", value, pos))
         elif match.group(2) is not None:
             tokens.append(("name", match.group(2), pos))
         elif match.group(3) is not None:
@@ -43,6 +56,27 @@ def _tokenize(text):
             raise ExprSyntaxError("unexpected character %r" % match.group(4), pos)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _coefficient_size(c):
+    """Bits of a LaurentScalar's largest coefficient plus its q-span."""
+    bits = max(abs(v.numerator).bit_length() + v.denominator.bit_length() - 1
+               for v in c.terms.values())
+    return bits + max(c.terms) - min(c.terms)
+
+
+def _check_power(p, k):
+    """Raise DegreeTooLarge if p^k would be too large to compute."""
+    size = max(map(_coefficient_size, p.terms.values()), default=1)
+    if abs(k) * size > POWER_SIZE_GUARD:
+        raise DegreeTooLarge(
+            "power %d of a base with coefficients of size %d exceeds the "
+            "guard %d" % (k, size, POWER_SIZE_GUARD))
+    degree = p.degree()
+    if degree > 0 and graded_dim(p.shape, k * degree) > DIM_GUARD:
+        raise DegreeTooLarge(
+            "power %d of a degree-%d expression reaches a component of "
+            "dimension above %d" % (k, degree, DIM_GUARD))
 
 
 class _Parser:
@@ -108,6 +142,7 @@ class _Parser:
             self.advance()
             sign = -1
         k = sign * self.expect("int", "an integer exponent")[1]
+        _check_power(p, k)
         if k >= 0:
             return p ** k
         if len(p.terms) == 1:

@@ -383,23 +383,6 @@ def laurent_exact_div(a, g):
     return _from_poly(quot, sa - sg)
 
 
-def laurent_gcd(values):
-    """A gcd of several Laurent scalars, as a monic polynomial in q.
-
-    Dividing every input by the result (via laurent_exact_div) is exact.
-    The q-power part is not included; callers strip it separately.
-    """
-    g = []
-    for v in values:
-        if not v.terms:
-            continue
-        p, _ = _to_poly(v)
-        g = _poly_gcd(g, p) if g else _poly_gcd(p, [])
-        if len(g) == 1:
-            break
-    return _from_poly(g) if g else ZERO
-
-
 class RationalScalar:
     """Element of Q(q) as a reduced fraction of Laurent polynomials.
 
@@ -567,12 +550,3 @@ def clear_denominators(values):
 
 RAT_ZERO = RationalScalar.from_laurent(ZERO)
 RAT_ONE = RationalScalar.from_laurent(ONE)
-
-
-def specialize(a, q0):
-    """Evaluate a LaurentScalar or RationalScalar at rational q0 != 0."""
-    return a.specialize(q0)
-
-
-#: default evaluation points for the fast specialization pre-check
-DEFAULT_SPECIALIZE_POINTS = (Fraction(7, 3), Fraction(5, 2), Fraction(-4, 7))

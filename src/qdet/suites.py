@@ -10,22 +10,22 @@ one minor).  Reports serialize to JSON with a fixed layout:
      "summary": {"pass": N, "fail": M, "line": "pass N / fail M"}}
 
 The "ms" field is reserved for timings but always written as null so two
-runs of the same configuration produce byte-identical reports.
+runs of the same configuration produce byte-identical reports.  Suites
+run one after the other, and every check is exact; the config block
+still writes "q_mode": "exact", "q_values": [] and "jobs": 1 as fixed
+values, so reports keep their version-1 bytes.
 """
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import cache as _disk
 from .errors import ConfigError, DegreeTooLarge, WorkbenchError
-from .algebra import MatrixShape, NCPoly, graded_basis, graded_dim
+from .algebra import DIM_GUARD, MatrixShape, NCPoly, graded_basis, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      quantum_determinant, std_le)
-from .linalg import mode_context
 from .factor import (basis_check, generator_image_suite, hilbert_check,
                      normality_check, regularity_check,
                      standard_monomial_count, tower_image_check,
@@ -36,9 +36,6 @@ from .tower import (build_frame, check_h_actions, family_relations_check,
                     subalgebra_commutation_check)
 
 REPORT_VERSION = 1
-
-#: component dimension cap for suite-driven linear algebra
-SUITE_GUARD = 10000
 
 #: suites in canonical order; entries marked True need a minor
 _SUITE_NEEDS_GAMMA = (
@@ -68,10 +65,7 @@ class WorkbenchConfig:
     gamma: tuple = None          # ((rows...), (cols...)) or None
     max_degree: int = 3
     suites: tuple = ("all",)
-    q_mode: str = "exact"
-    q_values: tuple = ()
     cache: str = None
-    jobs: int = 1
 
     def validate(self):
         if not (isinstance(self.m, int) and isinstance(self.n, int)
@@ -79,13 +73,6 @@ class WorkbenchConfig:
             raise ConfigError("shape sides must be positive integers")
         if not (isinstance(self.max_degree, int) and self.max_degree >= 0):
             raise ConfigError("max_degree must be a nonnegative integer")
-        if self.q_mode not in ("exact", "specialize"):
-            raise ConfigError("q_mode must be 'exact' or 'specialize'")
-        if not (isinstance(self.jobs, int) and self.jobs >= 1):
-            raise ConfigError("jobs must be a positive integer")
-        for v in self.q_values:
-            if not isinstance(v, (int, Fraction)) or v == 0:
-                raise ConfigError("q_values must be nonzero rationals")
         names = self.suite_list()
         if self.gamma is None:
             needed = [s for s in names if _NEEDS_GAMMA[s]]
@@ -133,10 +120,10 @@ class WorkbenchConfig:
             "gamma": gamma_text,
             "max_degree": self.max_degree,
             "suites": self.suite_list(),
-            "q_mode": self.q_mode,
-            "q_values": [str(v) for v in self.q_values],
+            "q_mode": "exact",
+            "q_values": [],
             "cache": self.cache,
-            "jobs": self.jobs,
+            "jobs": 1,
         }
 
 
@@ -394,7 +381,7 @@ def _suite_gamma_normal(config):
                                        "max_degree": config.max_degree})
     rep.absorb(gamma_normality_check(frame))
     rep.absorb(regularity_check(frame.minor, config.max_degree,
-                                guard=SUITE_GUARD))
+                                guard=DIM_GUARD))
     return rep
 
 
@@ -404,24 +391,24 @@ def _suite_factor_basis(config):
     rep = SuiteReport("factor-basis", {"gamma": str(gamma),
                                        "max_degree": config.max_degree})
     for d in range(0, config.max_degree + 1):
-        rep.absorb(basis_check(shape, d, gamma, guard=SUITE_GUARD))
-    rep.absorb(hilbert_check(gamma, config.max_degree, guard=SUITE_GUARD))
-    rep.absorb(zero_divisor_check(gamma, config.max_degree, guard=SUITE_GUARD))
-    rep.absorb(tower_image_check(gamma, config.max_degree, guard=SUITE_GUARD))
+        rep.absorb(basis_check(shape, d, gamma, guard=DIM_GUARD))
+    rep.absorb(hilbert_check(gamma, config.max_degree, guard=DIM_GUARD))
+    rep.absorb(zero_divisor_check(gamma, config.max_degree, guard=DIM_GUARD))
+    rep.absorb(tower_image_check(gamma, config.max_degree, guard=DIM_GUARD))
     return rep
 
 
 def _suite_ctau(config):
     gamma = config.gamma_minor()
     rep = SuiteReport("ctau", {"gamma": str(gamma)})
-    rep.absorb(normality_check(gamma, guard=SUITE_GUARD))
+    rep.absorb(normality_check(gamma, guard=DIM_GUARD))
     return rep
 
 
 def _suite_theta(config):
     gamma = config.gamma_minor()
     rep = SuiteReport("theta", {"gamma": str(gamma)})
-    rep.absorb(generator_image_suite(gamma, guard=SUITE_GUARD))
+    rep.absorb(generator_image_suite(gamma, guard=DIM_GUARD))
     return rep
 
 
@@ -457,13 +444,5 @@ def run_workbench(config):
     config.validate()
     # set or clear: a directory from an earlier run must not leak into this one
     _disk.set_cache_dir(config.cache)
-    names = config.suite_list()
-    with mode_context(config.q_mode, config.q_values or None):
-        if config.jobs > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [pool.submit(run_suite, name, config)
-                           for name in names]
-                reports = [f.result() for f in futures]
-        else:
-            reports = [run_suite(name, config) for name in names]
+    reports = [run_suite(name, config) for name in config.suite_list()]
     return WorkbenchRun(config, reports)

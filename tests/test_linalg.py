@@ -9,7 +9,7 @@ from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
 from qdet.linalg import (CoefficientVector, Echelon, LinearSolver,
-                         component_basis, mode_context, poly_row, rank,
+                         component_basis, poly_row, rank,
                          row_normalized, span_membership)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
@@ -105,25 +105,6 @@ class TestRank:
         assert rank(list(reversed(vs))) == r
         assert rank(vs + vs) == r
 
-    def test_specialize_agrees_generically(self, rng, shape22):
-        basis = component_basis(shape22, 2)
-        for _ in range(8):
-            vs = []
-            for _ in range(rng.randint(1, 6)):
-                p = random_poly(rng, shape22, max_degree=2)
-                p = p.homogeneous_components().get(2)
-                if p is not None:
-                    vs.append(vec(p, basis))
-            exact = rank(vs, mode="exact")
-            lower = rank(vs, mode="specialize")
-            assert lower <= exact
-            assert lower == exact  # generic points, fixed seed
-
-    def test_unknown_mode(self, shape22):
-        basis = component_basis(shape22, 1)
-        with pytest.raises(ValueError):
-            rank(monomial_vectors(basis), mode="float")
-
 
 class TestMembership:
     def test_witness_recombines(self, rng, shape33):
@@ -157,48 +138,12 @@ class TestMembership:
         assert span_membership(zero, monos) == [RAT_ZERO] * 4
 
     def test_pole_at_evaluation_point(self, shape22):
-        # membership whose witness has a pole at the evaluation point:
-        # the point check suggests nonmembership and must be overruled
+        # a witness with a pole at q = 2 is still found exactly
         basis = component_basis(shape22, 1)
         x11 = NCPoly.generator(shape22, 1, 1)
         row = vec(x11.scale(Q - 2), basis)
         target = vec(x11, basis)
-        for mode, pts in (("exact", None), ("specialize", (2,)),
-                          ("specialize", None)):
-            got = span_membership(target, [row], mode=mode, q_values=pts)
-            assert got == [RationalScalar(ONE, Q - 2)], mode
-
-    def test_specialize_nonmember(self, shape22):
-        basis = component_basis(shape22, 1)
-        x11 = NCPoly.generator(shape22, 1, 1)
-        x12 = NCPoly.generator(shape22, 1, 2)
-        row = vec(x11.scale(Q - 2), basis)
-        assert span_membership(vec(x12, basis), [row],
-                               mode="specialize", q_values=(2,)) is None
-
-
-class TestModeContext:
-    def test_context_sets_default(self, shape22):
-        basis = component_basis(shape22, 1)
-        v = vec(NCPoly.generator(shape22, 1, 1).scale(Q - 2), basis)
-        assert rank([v]) == 1
-        with mode_context("specialize", (2,)):
-            assert rank([v]) == 0  # the single row vanishes at q = 2
-            assert rank([v], mode="exact") == 1  # explicit override
-        assert rank([v]) == 1  # restored
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            with mode_context("approximate"):
-                pass
-
-    def test_restored_after_error(self, shape22):
-        basis = component_basis(shape22, 1)
-        v = vec(NCPoly.generator(shape22, 1, 1).scale(Q - 2), basis)
-        with pytest.raises(RuntimeError):
-            with mode_context("specialize", (2,)):
-                raise RuntimeError("boom")
-        assert rank([v]) == 1
+        assert span_membership(target, [row]) == [RationalScalar(ONE, Q - 2)]
 
 
 class TestEchelonInternals:

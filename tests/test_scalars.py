@@ -9,8 +9,7 @@ from qdet.errors import PoleAtSpecialization
 from qdet.scalars import (LaurentScalar, RationalScalar, ZERO, ONE, Q, Q_INV,
                           QHAT, MINUS_Q, RAT_ONE, RAT_ZERO,
                           DegenerateSpecializationWarning,
-                          DEFAULT_SPECIALIZE_POINTS, laurent_exact_div,
-                          laurent_gcd, minus_q_power, render_laurent)
+                          laurent_exact_div, minus_q_power, render_laurent)
 
 
 def L(**terms):
@@ -85,13 +84,6 @@ class TestDivision:
         with pytest.raises(ValueError):
             laurent_exact_div(L(e2=1, e0=1), L(e1=1, e0=-1))
 
-    def test_gcd_monic_and_divides(self):
-        g = laurent_gcd([L(e2=1, e0=-1), L(e3=1, e1=-1)])
-        # both are (q - 1)(q + 1) times a unit; gcd is monic with min exp 0
-        assert g == L(e2=1, e0=-1)
-        for a in (L(e2=1, e0=-1), L(e3=1, e1=-1)):
-            laurent_exact_div(a, g)
-
 
 class TestSpecialize:
     def test_values(self):
@@ -107,9 +99,6 @@ class TestSpecialize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             Q_INV.specialize(0)
-
-    def test_default_points_are_generic(self):
-        assert all(p not in (0, 1, -1) for p in DEFAULT_SPECIALIZE_POINTS)
 
 
 _scalars = st.dictionaries(

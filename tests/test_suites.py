@@ -1,10 +1,13 @@
 """Workbench configuration, suite runner, JSON reports, and the CLI."""
 
+import dataclasses
 import io
 import json
-from fractions import Fraction
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdet import cli
 from qdet import suites as suites_mod
@@ -45,19 +48,6 @@ class TestConfigValidation:
     def test_max_degree(self):
         with pytest.raises(ConfigError, match="max_degree"):
             WorkbenchConfig(m=2, n=2, max_degree=-1).validate()
-
-    def test_q_mode(self):
-        with pytest.raises(ConfigError, match="q_mode"):
-            WorkbenchConfig(m=2, n=2, q_mode="fuzzy").validate()
-
-    def test_jobs(self):
-        with pytest.raises(ConfigError, match="jobs"):
-            WorkbenchConfig(m=2, n=2, jobs=0).validate()
-
-    @pytest.mark.parametrize("values", [(0,), (Fraction(0),), (1.5,), ("2",)])
-    def test_q_values(self, values):
-        with pytest.raises(ConfigError, match="nonzero rationals"):
-            WorkbenchConfig(m=2, n=2, q_values=values).validate()
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
@@ -101,13 +91,17 @@ class TestSuiteList:
     def test_as_dict(self):
         config = WorkbenchConfig(
             m=3, n=3, gamma=((1, 3), (1, 2)), max_degree=4,
-            suites=("torus",), q_mode="specialize",
-            q_values=(2, Fraction(1, 3)), cache=None, jobs=2)
-        assert config.as_dict() == {
-            "m": 3, "n": 3, "gamma": "1,3|1,2", "max_degree": 4,
-            "suites": ["torus"], "q_mode": "specialize",
-            "q_values": ["2", "1/3"], "cache": None, "jobs": 2,
-        }
+            suites=("torus",), cache="spans")
+        # q_mode, q_values and jobs are fixed values kept for the layout
+        assert list(config.as_dict().items()) == [
+            ("m", 3), ("n", 3), ("gamma", "1,3|1,2"), ("max_degree", 4),
+            ("suites", ["torus"]), ("q_mode", "exact"), ("q_values", []),
+            ("cache", "spans"), ("jobs", 1),
+        ]
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(WorkbenchConfig)] == [
+            "m", "n", "gamma", "max_degree", "suites", "cache"]
 
     def test_as_dict_without_gamma(self):
         assert WorkbenchConfig(m=2, n=2).as_dict()["gamma"] is None
@@ -156,13 +150,6 @@ class TestRunWorkbench:
         assert first.getvalue() == second.getvalue()
         assert first.getvalue().endswith("\n")
         assert json.loads(first.getvalue()) == full_run.as_dict()
-
-    def test_parallel_jobs_match_serial_run(self):
-        serial = run_workbench(WorkbenchConfig(m=2, n=2, max_degree=2))
-        threaded = run_workbench(WorkbenchConfig(m=2, n=2, max_degree=2,
-                                                 jobs=3))
-        assert threaded.as_dict()["suites"] == serial.as_dict()["suites"]
-        assert [s.name for s in threaded.suites] == list(GAMMA_FREE)
 
     def test_run_workbench_validates_first(self):
         with pytest.raises(ConfigError, match="shape sides"):
@@ -287,6 +274,15 @@ class TestCLI:
         assert rc == 0
         assert capsys.readouterr().out == "x[1,2]*x[2,1]\n"
 
+    def test_compute_leading_minus(self, capsys):
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "-x"])
+        assert rc == 2
+        assert "required: text" in capsys.readouterr().err
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "--",
+                       "-x[1,1]"])
+        assert rc == 0
+        assert capsys.readouterr().out == "-x[1,1]\n"
+
     def test_compute_syntax_error(self, capsys):
         rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "x[1,1] +"])
         assert rc == 2
@@ -345,12 +341,6 @@ class TestCLI:
         assert rc == 2
         assert "need --gamma" in capsys.readouterr().err
 
-    def test_verify_bad_q_value(self, capsys):
-        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw",
-                       "--q-mode", "specialize", "--q-values", "2,zebra"])
-        assert rc == 2
-        assert "bad q value 'zebra'" in capsys.readouterr().err
-
     def test_verify_failure_exit_and_listing(self, capsys, monkeypatch):
         monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
             ("claim one", False, "counterexample"),
@@ -377,8 +367,94 @@ class TestCLI:
         assert len(shown) == cli.FAIL_PRINT_CAP
         assert "  ... 5 more failures" in out
 
-    def test_specialize_mode_runs(self, capsys):
-        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw",
-                       "--q-mode", "specialize", "--q-values", "2,1/3"])
+    @pytest.mark.parametrize("flag", [["--jobs", "2"],
+                                      ["--q-mode", "specialize"],
+                                      ["--q-values", "2,1/3"]])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw"]
+                      + flag)
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path,
+                                               monkeypatch, sub):
+        from qdet import cache as disk
+        from qdet.factor import spans_clear
+        monkeypatch.delenv("QDET_CACHE", raising=False)
+        blocker = tmp_path / "FILE"
+        blocker.write_text("not a directory")
+        try:
+            spans_clear()   # force a build, so the span is stored
+            rc = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", "1|1",
+                           "--max-degree", "2", "--suites", "factor-basis",
+                           "--cache", str(blocker / sub)])
+        finally:
+            disk.set_cache_dir(None)
+            spans_clear()
         assert rc == 0
-        assert "fail 0" in capsys.readouterr().out
+        assert capsys.readouterr().out.rstrip().endswith("/ fail 0")
+        assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("text", [
+        "q^9999999999", "2^9999999999", "(x[1,1]+x[2,2])^1000",
+        "(q+1)^999999", "x[1,1]^-9999999999", "((9^99)^99)^99", "2^1001",
+        "x[1,1]^38"], ids=["q", "two", "sum", "scalar-sum", "negative",
+                           "nested", "size-edge", "dimension-edge"])
+    def test_compute_power_guard(self, capsys, text):
+        start = time.perf_counter()
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: power ")
+        assert "exceeds the guard 2000" in err or "above 10000" in err
+
+    def test_compute_power_guard_holds_on_a_1x1_shape(self, capsys):
+        # every component of O_q(M_1,1) has dimension 1: only the size
+        # bound stops this power
+        rc = cli.main(["compute", "expr", "--m", "1", "--n", "1",
+                       "x[1,1]^9999999999"])
+        assert rc == 2
+        assert "exceeds the guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,want", [
+        ("(x[1,1]+x[2,2])^2",
+         "x[1,1]^2 + 2*x[1,1]*x[2,2] - (q - q^-1)*x[1,2]*x[2,1] + x[2,2]^2"),
+        ("q^-3*x[1,1]", "q^-3*x[1,1]"),
+        ("x[1,1]^3", "x[1,1]^3"),
+        ("x[1,1]^37", "x[1,1]^37"),
+        ("2^1000", str(2 ** 1000)),
+    ], ids=["sum", "q-inverse", "cube", "dimension-edge", "size-edge"])
+    def test_compute_powers_below_the_guard(self, capsys, text, want):
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
+        assert rc == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_compute_oversized_literal_and_result(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int string-length limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)   # the default, whatever the env
+        try:
+            rc = cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                           "1" * 5000])
+            assert rc == 2
+            assert "integer literal too long" in capsys.readouterr().err
+            # 9^4990 has 4762 digits
+            rc = cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                           "*".join(["9^499"] * 10)])
+            assert rc == 2
+            assert "too large to print" in capsys.readouterr().err
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(list("x[],0123456789 q+-*^/()")
+                                    + ["minor"]), max_size=16)
+           .map(lambda tokens: "".join(tokens)[:16]))
+    def test_compute_expr_fuzz(self, text):
+        # any text gives a result (0) or a reported error (2), never a
+        # traceback
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
+        assert rc in (0, 2)
