@@ -24,10 +24,10 @@ from .algebra import NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      std_le)
-from .linalg import (CoefficientVector, Echelon, LinearSolver,
-                     component_basis, poly_row, rank)
-from .report import CheckReport
-from .scalars import ONE, RationalScalar
+from .linalg import (Echelon, component_basis, poly_row, rank,
+                     span_membership)
+from .report import SuiteReport
+from .scalars import ONE
 from .tower import build_frame, stage_monomials, tower_stages
 
 
@@ -73,12 +73,12 @@ class IdealComponent:
     def row_polys(self):
         return [_row_to_poly(row, self.basis) for row in self.echelon.rows()]
 
-    def extended_rank(self, vectors):
-        """Rank of this span together with extra CoefficientVectors."""
+    def extended_rank(self, rows):
+        """Rank of this span together with extra Laurent rows."""
         ext = Echelon()
         ext.pivots = dict(self.echelon.pivots)
-        for v in vectors:
-            ext.insert(v._laurent_row())
+        for row in rows:
+            ext.insert(row)
         return ext.rank
 
 
@@ -232,21 +232,21 @@ def basis_check(shape, degree, gamma=None, guard=None):
     params = {"shape": str(shape), "degree": degree}
     if gamma is not None:
         params["gamma"] = str(gamma)
-    rep = CheckReport("standard_basis", params)
+    rep = SuiteReport("standard_basis", params)
     floor = gamma
     stds = standard_monomials(shape, degree, floor)
     ambient = graded_dim(shape, degree)
     basis = component_basis(shape, degree, guard)
-    vecs = [CoefficientVector.from_poly(s.value(), basis) for s in stds]
+    rows = [poly_row(s.value(), basis) for s in stds]
     if gamma is None:
-        r = rank(vecs)
+        r = rank(rows)
         rep.add("independent", r == len(stds),
                 "rank %d of %d monomials" % (r, len(stds)))
         rep.add("spanning", len(stds) == ambient,
                 "%d monomials, dimension %d" % (len(stds), ambient))
         return rep
     ic = ideal_component(gamma, degree, guard)
-    total = ic.extended_rank(vecs)
+    total = ic.extended_rank(rows)
     quotient_dim = ambient - ic.rank
     rep.add("independent mod ideal", total == ic.rank + len(stds),
             "rank grew %d of %d" % (total - ic.rank, len(stds)))
@@ -257,7 +257,7 @@ def basis_check(shape, degree, gamma=None, guard=None):
 
 def hilbert_check(gamma, max_degree, guard=None):
     """Quotient dimensions equal standard monomial counts, degree by degree."""
-    rep = CheckReport("hilbert", {"gamma": str(gamma), "max_degree": max_degree})
+    rep = SuiteReport("hilbert", {"gamma": str(gamma), "max_degree": max_degree})
     dims = hilbert_function(gamma, max_degree, guard)
     for d in range(max_degree + 1):
         count = standard_monomial_count(gamma.shape, d, floor=gamma)
@@ -273,9 +273,11 @@ def hilbert_check(gamma, max_degree, guard=None):
 def normality_scalar(gamma, tau, guard=None):
     """The unique nonzero c with gamma*tau - c*tau*gamma in I_gamma.
 
-    Requires std_le(gamma, tau).  The scalar is solved for over the ideal
-    span with exact division, then the claimed congruence is re-verified
-    by an independent fraction-free reduction.
+    Requires std_le(gamma, tau).  The scalar is solved for by one
+    fraction-free reduction of gamma*tau against tau*gamma on top of the
+    ideal span, with c read off the provenance columns as num/den (see
+    linalg.span_membership); then the claimed congruence is re-verified by
+    an independent reduction against the ideal span alone.
     """
     if gamma.shape != tau.shape:
         raise ShapeMismatch("minors over %s and %s" % (gamma.shape, tau.shape))
@@ -286,20 +288,15 @@ def normality_scalar(gamma, tau, guard=None):
     degree = gamma.size + tau.size
     ic = ideal_component(gamma, degree, guard)
     basis = ic.basis
-    vvec = CoefficientVector.from_poly(v, basis)
     if ic.contains(v):
         raise NoScalarFound("tau*gamma vanishes in the quotient for %s" % tau)
-    solver = LinearSolver()
-    solver.insert(dict(vvec.coeffs))
-    for row in ic.echelon.rows():
-        solver.insert({k: RationalScalar.from_laurent(c)
-                       for k, c in row.items()})
-    combo = solver.express(dict(CoefficientVector.from_poly(u, basis).coeffs))
+    combo = span_membership(poly_row(u, basis), [poly_row(v, basis)],
+                            len(basis), base=ic.echelon)
     if combo is None:
         raise NoScalarFound("gamma*tau is not congruent to a multiple of "
                             "tau*gamma for %s" % tau)
-    c = combo.get(0)
-    if c is None or c.is_zero:
+    c, = combo
+    if c.is_zero:
         raise NoScalarFound("congruence holds only with a zero scalar for %s"
                             % tau)
     residual = u.scale(c.den) - v.scale(c.num)
@@ -311,7 +308,7 @@ def normality_scalar(gamma, tau, guard=None):
 
 def normality_check(gamma, guard=None):
     """normality_scalar exists for every minor above gamma."""
-    rep = CheckReport("normality_scalars", {"gamma": str(gamma)})
+    rep = SuiteReport("normality_scalars", {"gamma": str(gamma)})
     for tau in enumerate_minors(gamma.shape):
         if not std_le(gamma, tau):
             continue
@@ -342,7 +339,7 @@ def generator_image_check(gamma, r, s, guard=None):
     """
     shape = gamma.shape
     shape.check(r, s)
-    rep = CheckReport("generator_image",
+    rep = SuiteReport("generator_image",
                       {"gamma": str(gamma), "r": r, "s": s})
     in_rows = r in gamma.rows
     in_cols = s in gamma.cols
@@ -391,13 +388,13 @@ def generator_image_check(gamma, r, s, guard=None):
 
 def generator_image_suite(gamma, guard=None):
     """generator_image_check over every ambient variable."""
-    rep = CheckReport("generator_images", {"gamma": str(gamma)})
+    rep = SuiteReport("generator_images", {"gamma": str(gamma)})
     shape = gamma.shape
     for r in range(1, shape.m + 1):
         for s in range(1, shape.n + 1):
             sub = generator_image_check(gamma, r, s, guard)
-            rep.add("x[%d,%d]" % (r, s), sub.passed,
-                    "; ".join(item.name for item in sub.failures()))
+            rep.add("x[%d,%d]" % (r, s), not sub.failed,
+                    "; ".join(c.name for c in sub.failed))
     return rep
 
 
@@ -412,7 +409,7 @@ def regularity_check(gamma, max_degree, guard=None):
     gamma times the ambient monomials of degree dp adds exactly
     dim J_gamma(dp) new rows on top of the ideal component.
     """
-    rep = CheckReport("regularity", {"gamma": str(gamma),
+    rep = SuiteReport("regularity", {"gamma": str(gamma),
                                      "max_degree": max_degree})
     shape = gamma.shape
     t = gamma.size
@@ -422,10 +419,9 @@ def regularity_check(gamma, max_degree, guard=None):
         ic = ideal_component(gamma, total_deg, guard)
         j_dim = graded_dim(shape, dp) - ideal_component(gamma, dp, guard).rank
         src = component_basis(shape, dp, guard)
-        vecs = [CoefficientVector.from_poly(gval * NCPoly(shape, {mono.exps: ONE}),
-                                            ic.basis)
+        rows = [poly_row(gval * NCPoly(shape, {mono.exps: ONE}), ic.basis)
                 for mono in src.monomials]
-        grew = ic.extended_rank(vecs) - ic.rank
+        grew = ic.extended_rank(rows) - ic.rank
         rep.add("degree %d" % dp, grew == j_dim,
                 "image rank %d, quotient dimension %d" % (grew, j_dim))
     return rep
@@ -437,7 +433,7 @@ def zero_divisor_check(gamma, max_degree, guard=None):
     Runs over all pairs of positive-degree standard monomials above gamma
     whose degrees sum to at most max_degree.
     """
-    rep = CheckReport("zero_divisors", {"gamma": str(gamma),
+    rep = SuiteReport("zero_divisors", {"gamma": str(gamma),
                                         "max_degree": max_degree})
     shape = gamma.shape
     by_degree = {d: standard_monomials(shape, d, floor=gamma)
@@ -461,16 +457,15 @@ def tower_image_check(gamma, max_degree, guard=None):
     For each degree, the ordered products of the final tower stage add as
     many new rows over the ideal component as their span has on its own.
     """
-    rep = CheckReport("tower_image", {"gamma": str(gamma),
+    rep = SuiteReport("tower_image", {"gamma": str(gamma),
                                       "max_degree": max_degree})
     frame = build_frame(gamma)
     last = tower_stages(frame)[-1]
     for d in range(max_degree + 1):
         ic = ideal_component(gamma, d, guard)
-        vecs = [CoefficientVector.from_poly(p, ic.basis)
-                for _, p in stage_monomials(last, d)]
-        own = rank(vecs)
-        grew = ic.extended_rank(vecs) - ic.rank
+        rows = [poly_row(p, ic.basis) for _, p in stage_monomials(last, d)]
+        own = rank(rows)
+        grew = ic.extended_rank(rows) - ic.rank
         rep.add("degree %d" % d, grew == own,
                 "tower dimension %d, image dimension %d" % (own, grew))
     return rep

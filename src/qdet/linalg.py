@@ -1,13 +1,16 @@
 """Exact linear algebra over Q(q) for graded components.
 
-Vectors are coordinates of homogeneous polynomials over the ordered
-monomial basis of one graded component.  Elimination is fraction-free
-in the sense of Bareiss: rows stay in Z[q, q^-1] with int coefficients
-(a Fraction only when a caller hands in a non-integral one), a combined
-row is rescaled by its q-shift and its integer (or rational) content
-only, and division only happens when explicit solution coefficients are
-requested.  Rank and span membership are always decided this way, over
-Q(q) itself; q is never evaluated at a point.
+Vectors are Laurent rows (column -> LaurentScalar): the coordinates of a
+homogeneous polynomial over the ordered monomial basis of one graded
+component, as `poly_row` writes them.  There is one eliminator, the
+fraction-free `Echelon` in the sense of Bareiss: rows stay in
+Z[q, q^-1] with int coefficients (a Fraction only when a caller hands in
+a non-integral one), a combined row is rescaled by its q-shift and its
+integer (or rational) content only, and nothing is ever divided.  Rank
+and span membership are decided this way, over Q(q) itself; q is never
+evaluated at a point.  Explicit solution coefficients are read off
+provenance columns carried through the same elimination (see
+span_membership), so a RationalScalar is only ever an output.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
@@ -18,9 +21,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
-from .algebra import NCPoly, graded_basis, graded_dim
-from .scalars import (RationalScalar, RAT_ONE, RAT_ZERO, _laurent,
-                      clear_denominators)
+from .algebra import graded_basis, graded_dim
+from .scalars import ONE, ZERO, RationalScalar, _laurent
 
 
 class GradedBasis:
@@ -59,41 +61,6 @@ def component_basis(shape, degree, guard=None):
     return _basis_cached(shape.m, shape.n, degree, guard)
 
 
-class CoefficientVector:
-    """A homogeneous polynomial written out over a GradedBasis."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis, coeffs):
-        self.basis = basis
-        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero}
-
-    @classmethod
-    def from_poly(cls, p, basis):
-        return cls(basis, {i: RationalScalar.from_laurent(c)
-                           for i, c in poly_row(p, basis).items()})
-
-    def to_poly(self):
-        terms = {}
-        for i, c in self.coeffs.items():
-            terms[self.basis.monomials[i].exps] = c.to_laurent()
-        return NCPoly(self.basis.shape, terms)
-
-    @property
-    def entries(self):
-        return [self.coeffs.get(i, RAT_ZERO) for i in range(len(self.basis))]
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def _laurent_row(self):
-        """Clear denominators: the row times a nonzero common denominator,
-        which keeps rank and membership."""
-        nums, _ = clear_denominators(self.coeffs.values())
-        return dict(zip(self.coeffs, nums))
-
-
 def poly_row(p, basis):
     """A homogeneous NCPoly as a Laurent row (column -> coefficient)."""
     if p.shape != basis.shape:
@@ -108,16 +75,6 @@ def poly_row(p, basis):
                                 % (sum(e), basis.degree))
         row[i] = c
     return row
-
-
-def _check_same_basis(vectors):
-    basis = None
-    for v in vectors:
-        if basis is None:
-            basis = v.basis
-        elif v.basis != basis:
-            raise BasisMismatch("vectors over different graded bases")
-    return basis
 
 
 # ----------------------------------------------------------------------
@@ -230,101 +187,41 @@ class Echelon:
         return [self.pivots[c] for c in sorted(self.pivots)]
 
 
-def rank(vectors):
-    """Rank of a list of CoefficientVectors, by fraction-free elimination
-    over Q[q, q^-1]."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    _check_same_basis(vectors)
+def rank(rows):
+    """Rank of Laurent rows, by fraction-free elimination over Q[q, q^-1]."""
     ech = Echelon()
-    for v in vectors:
-        ech.insert(v._laurent_row())
+    for row in rows:
+        ech.insert(row)
     return ech.rank
 
 
-# ----------------------------------------------------------------------
-# solving for explicit coefficients (division allowed)
+def span_membership(target, spanning, width, base=None):
+    """Write the Laurent row `target` as a combination of `spanning` rows.
 
+    All rows live in the columns below `width`.  With an Echelon `base`,
+    any member of its span may be added to the combination for free, and
+    only the spanning rows get coefficients.
 
-class LinearSolver:
-    """Row echelon with exact division and provenance tracking.
-
-    Stores rows over RationalScalar together with the combination of the
-    original inserted vectors that produced them, so membership queries can
-    return witness coefficients that recombine exactly.
-    """
-
-    __slots__ = ("pivots", "count")
-
-    def __init__(self):
-        self.pivots = {}
-        self.count = 0
-
-    def insert(self, row):
-        combo = {self.count: RAT_ONE}
-        self.count += 1
-        row = dict(row)
-        while row:
-            col = min(row)
-            stored = self.pivots.get(col)
-            if stored is None:
-                self.pivots[col] = (row, combo)
-                return True
-            row, combo = self._reduce_once(row, combo, stored, col)
-        return False
-
-    @staticmethod
-    def _reduce_once(row, combo, stored, col):
-        srow, scombo = stored
-        fac = row[col] / srow[col]
-        out = {k: v for k, v in row.items() if k != col}
-        for k, v in srow.items():
-            if k == col:
-                continue
-            acc = out.get(k)
-            acc = -(fac * v) if acc is None else acc - fac * v
-            if acc.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        ncombo = dict(combo)
-        for k, v in scombo.items():
-            acc = ncombo.get(k)
-            acc = -(fac * v) if acc is None else acc - fac * v
-            if acc.is_zero:
-                ncombo.pop(k, None)
-            else:
-                ncombo[k] = acc
-        return out, ncombo
-
-    def express(self, row):
-        """Coefficients over the inserted vectors, or None if outside the span."""
-        row = dict(row)
-        combo = {}
-        while row:
-            col = min(row)
-            stored = self.pivots.get(col)
-            if stored is None:
-                return None
-            row, combo = self._reduce_once(row, combo, stored, col)
-        return {k: -v for k, v in combo.items()}
-
-
-def span_membership(v, spanning):
-    """Write v as an exact combination of the spanning vectors.
+    Provenance columns follow the basis columns: spanning row i carries a
+    1 at column width + i and the target a 1 at width + len(spanning).
+    Every row the elimination makes is a combination of these augmented
+    rows and of base rows, which carry no provenance.  When the target's
+    basis columns reduce away, its residue is lam * target - sum mu_i * s_i
+    minus a base member, with zero basis part, so the coefficient of s_i
+    is mu_i / lam = -res[width + i] / res[width + len(spanning)].  No
+    stored row has the target's column, so lam stays nonzero.
 
     Returns a list of RationalScalars aligned with `spanning`, or None when
-    v lies outside the span.
+    the target lies outside the span.
     """
-    spanning = list(spanning)
-    _check_same_basis(spanning + [v])
-    if v.is_zero:
-        return [RAT_ZERO] * len(spanning)
-    solver = LinearSolver()
-    for s in spanning:
-        solver.insert(dict(s.coeffs))
-    combo = solver.express(dict(v.coeffs))
-    if combo is None:
+    n = len(spanning)
+    ech = Echelon()
+    if base is not None:
+        ech.pivots = dict(base.pivots)
+    for i, row in enumerate(spanning):
+        ech.insert({**row, width + i: ONE})
+    res = ech.residue({**target, width + n: ONE})
+    if min(res) < width:
         return None
-    return [combo.get(i, RAT_ZERO) for i in range(len(spanning))]
+    lam = res[width + n]
+    return [RationalScalar(-res.get(width + i, ZERO), lam) for i in range(n)]

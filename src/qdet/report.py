@@ -1,38 +1,39 @@
-"""Tiny result containers shared by the verification routines."""
+"""The one report type, shared by the verification routines and suites."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
-class CheckItem:
+class CheckRecord:
     name: str
-    passed: bool
+    status: str
     witness: str = ""
+    ms: object = None
 
 
 @dataclass
-class CheckReport:
-    """A named bundle of individual pass/fail items."""
+class SuiteReport:
+    """A named bundle of pass/fail records."""
 
     name: str
-    params: dict = field(default_factory=dict)
-    items: list = field(default_factory=list)
+    params: dict
+    checks: list = field(default_factory=list)
 
-    def add(self, name, passed, witness=""):
-        self.items.append(CheckItem(name, bool(passed), witness))
-        return passed
+    @property
+    def failed(self):
+        return [c for c in self.checks if c.status != "pass"]
 
     @property
     def passed(self):
-        return all(item.passed for item in self.items)
+        return not self.failed
 
-    def failures(self):
-        return [item for item in self.items if not item.passed]
+    def absorb(self, other, prefix=None):
+        """Append copies of another report's records, names prefixed."""
+        for c in other.checks:
+            name = c.name if prefix is None else "%s: %s" % (prefix, c.name)
+            self.checks.append(replace(c, name=name))
 
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        lines = ["%s: %s (%d checks)" % (self.name, status, len(self.items))]
-        for item in self.failures():
-            lines.append("  FAIL %s%s" % (item.name,
-                                          " :: " + item.witness if item.witness else ""))
-        return "\n".join(lines)
+    def add(self, name, passed, witness=""):
+        self.checks.append(CheckRecord(name, "pass" if passed else "fail",
+                                       witness))
+        return passed

@@ -18,7 +18,7 @@ values, so reports keep their version-1 bytes.
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cache as _disk
 from .errors import ConfigError, DegreeTooLarge, WorkbenchError
@@ -30,6 +30,7 @@ from .factor import (basis_check, generator_image_suite, hilbert_check,
                      normality_check, regularity_check,
                      standard_monomial_count, tower_image_check,
                      zero_divisor_check)
+from .report import SuiteReport
 from .scalars import Q, QHAT
 from .tower import (build_frame, check_h_actions, family_relations_check,
                     gamma_normality_check, generator_count, ore_step_check,
@@ -125,36 +126,6 @@ class WorkbenchConfig:
             "cache": self.cache,
             "jobs": 1,
         }
-
-
-@dataclass
-class CheckRecord:
-    name: str
-    status: str
-    witness: str = ""
-    ms: object = None
-
-
-@dataclass
-class SuiteReport:
-    name: str
-    params: dict
-    checks: list = field(default_factory=list)
-
-    @property
-    def failed(self):
-        return [c for c in self.checks if c.status != "pass"]
-
-    def absorb(self, check_report, prefix=None):
-        """Flatten a CheckReport's items into records."""
-        for item in check_report.items:
-            name = item.name if prefix is None else "%s: %s" % (prefix, item.name)
-            self.checks.append(CheckRecord(
-                name, "pass" if item.passed else "fail", item.witness))
-
-    def add(self, name, passed, witness=""):
-        self.checks.append(CheckRecord(name, "pass" if passed else "fail",
-                                       witness))
 
 
 @dataclass

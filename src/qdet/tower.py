@@ -25,8 +25,8 @@ from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
 from .algebra import NCPoly, TorusElement, eigenvalue_of, q_commute_scalar
 from .minors import Minor, minor_value
-from .linalg import CoefficientVector, component_basis, rank, span_membership
-from .report import CheckReport
+from .linalg import component_basis, poly_row, rank, span_membership
+from .report import SuiteReport
 from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, clear_denominators,
                       laurent_exact_div)
 
@@ -232,7 +232,7 @@ def check_h_actions(frame):
     they share a row or column index, and fixes it otherwise; (4) dually
     for row_swaps; (5) row_swap elements fix every col_swap minor.
     """
-    rep = CheckReport("h_actions", {"gamma": str(frame.minor)})
+    rep = SuiteReport("h_actions", {"gamma": str(frame.minor)})
     members = frame.family()
     cswaps = [mb for mb in members if mb.kind == "col_swap"]
     rswaps = [mb for mb in members if mb.kind == "row_swap"]
@@ -312,7 +312,7 @@ def _qmatrix_relation_check(rep, entries, label):
 
 def family_relations_check(frame):
     """Each family is a quantum matrix at parameter q^-1; kinds commute."""
-    rep = CheckReport("family_relations", {"gamma": str(frame.minor)})
+    rep = SuiteReport("family_relations", {"gamma": str(frame.minor)})
     members = frame.family()
     cmap = {(mb.i, mb.j): minor_value(mb.minor)
             for mb in members if mb.kind == "col_swap"}
@@ -359,7 +359,7 @@ def subalgebra_commutation_check(frame):
     variables, every coefficient of the shape (q - q^-1) * (-q)^e with an
     integer e >= 1.  The coefficients are solved for, not assumed.
     """
-    rep = CheckReport("subalgebra_commutation", {"gamma": str(frame.minor)})
+    rep = SuiteReport("subalgebra_commutation", {"gamma": str(frame.minor)})
     shape = frame.shape
     t = frame.size
     members = frame.family()
@@ -393,9 +393,9 @@ def subalgebra_commutation_check(frame):
                     continue
                 deg = lhs.degree()
                 basis = component_basis(shape, deg)
-                target = CoefficientVector.from_poly(lhs, basis)
-                span = [CoefficientVector.from_poly(p, basis) for _, p in lower]
-                combo = span_membership(target, span)
+                combo = span_membership(poly_row(lhs, basis),
+                                        [poly_row(p, basis) for _, p in lower],
+                                        len(basis))
                 if combo is None:
                     rep.add(name, False, "not in the span of lower members")
                     continue
@@ -520,7 +520,7 @@ def stage_monomials(stage, d):
 @dataclass
 class OreStepReport:
     stage: TowerStage
-    report: CheckReport
+    report: SuiteReport
     eigenvalues: list      # (label, h-eigenvalue as LaurentScalar)
     dims: list             # (degree, predicted, actual)
 
@@ -570,7 +570,7 @@ def ore_step_check(frame, stage_index, max_degree=None):
     if max_degree < x_ref.degree:
         raise StageOutOfRange("max_degree below the new generator's degree")
 
-    rep = CheckReport("ore_step",
+    rep = SuiteReport("ore_step",
                       {"gamma": str(frame.minor), "member": member.label,
                        "max_degree": max_degree})
     h = member_torus(frame, member)
@@ -581,7 +581,8 @@ def ore_step_check(frame, stage_index, max_degree=None):
                 "" if lam is not None else "not an h-eigenvector")
         eigen.append((g.label, lam))
 
-    # delta(a) = x*a - sigma(a)*x with sigma = h^-1
+    # delta(a) = x*a - sigma(a)*x with sigma = h^-1; per degree d, the
+    # previous stage's products and their rows, built once
     prior_products = {}
     for g, (_, lam) in zip(prior.generators, eigen):
         if lam is None:
@@ -597,19 +598,17 @@ def ore_step_check(frame, stage_index, max_degree=None):
             rep.add(name, True, "zero")
             continue
         d = g.degree + x_ref.degree
-        if d not in prior_products:
-            prior_products[d] = stage_monomials(prior, d)
         basis = component_basis(frame.shape, d)
-        target = CoefficientVector.from_poly(delta, basis)
-        span = [CoefficientVector.from_poly(p, basis)
-                for _, p in prior_products[d]]
-        combo = span_membership(target, span)
+        if d not in prior_products:
+            polys = [p for _, p in stage_monomials(prior, d)]
+            prior_products[d] = polys, [poly_row(p, basis) for p in polys]
+        polys, span = prior_products[d]
+        combo = span_membership(poly_row(delta, basis), span, len(basis))
         if combo is None:
             rep.add(name, False, "outside the previous stage")
             continue
         # recombine to double-check the witness
-        back, den = recombine_witness(
-            frame.shape, [p for _, p in prior_products[d]], combo)
+        back, den = recombine_witness(frame.shape, polys, combo)
         rep.add(name, back == delta.scale(den),
                 "witness over %d ordered products" % len(span))
 
@@ -619,8 +618,7 @@ def ore_step_check(frame, stage_index, max_degree=None):
     for d in range(max_degree + 1):
         monos = stage_monomials(stage, d)
         basis = component_basis(frame.shape, d)
-        vecs = [CoefficientVector.from_poly(p, basis) for _, p in monos]
-        actual = rank(vecs)
+        actual = rank(poly_row(p, basis) for _, p in monos)
         dims.append((d, predicted[d], actual))
         rep.add("dim degree %d" % d,
                 actual == predicted[d] == len(monos),
@@ -635,7 +633,7 @@ def gamma_normality_check(frame):
     Base variables commute on the nose; each family member mem satisfies
     gamma * mem = q * mem * gamma.
     """
-    rep = CheckReport("gamma_normality", {"gamma": str(frame.minor)})
+    rep = SuiteReport("gamma_normality", {"gamma": str(frame.minor)})
     gval = minor_value(frame.minor)
     for g in frame.base_generators():
         c = q_commute_scalar(gval, g.value)

@@ -187,7 +187,7 @@ def test_criterion_09_normality_scalars_exist_and_solve():
     ok = True
     for gamma in enumerate_minors(SHAPE33):
         rep = normality_check(gamma)
-        total += len(rep.items)
+        total += len(rep.checks)
         ok = ok and rep.passed
     ok = ok and total == 155
     g11 = Minor(SHAPE22, (1,), (1,))

@@ -17,10 +17,10 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          quotient_is_zero, regularity_check, spans_clear,
                          standard_monomial_count, standard_monomials,
                          tower_image_check, zero_divisor_check)
-from qdet.linalg import component_basis
+from qdet.linalg import Echelon, component_basis
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, RAT_ONE)
-from qdet.report import CheckReport
+from qdet.report import SuiteReport
 from qdet.suites import WorkbenchConfig, run_workbench
 
 
@@ -170,7 +170,7 @@ class TestNormalityScalars:
         assert rep.passed
         # every minor above gamma received a scalar
         above = [t for t in enumerate_minors(g1312.shape) if std_le(g1312, t)]
-        assert len(rep.items) == len(above)
+        assert len(rep.checks) == len(above)
 
     def test_failure_paths(self, monkeypatch, shape22):
         full = Minor(shape22, (1, 2), (1, 2))
@@ -179,17 +179,10 @@ class TestNormalityScalars:
             def __init__(self, verdict):
                 self.verdict = verdict
                 self.basis = component_basis(shape22, 4)
+                self.echelon = Echelon()
 
             def contains(self, p):
                 return self.verdict
-
-            @property
-            def echelon(self):
-                class E:
-                    @staticmethod
-                    def rows():
-                        return []
-                return E
 
         # everything collapses: tau*gamma already vanishes
         monkeypatch.setattr("qdet.factor.ideal_component",
@@ -218,12 +211,12 @@ class TestGeneratorImages:
     def test_base_variable_is_trivial(self, g1312):
         rep = generator_image_check(g1312, 1, 1)
         assert rep.passed
-        assert [item.name for item in rep.items] == ["base variable"]
+        assert [c.name for c in rep.checks] == ["base variable"]
 
     def test_column_expansion_case(self, g1312):
         rep = generator_image_check(g1312, 2, 3)
         assert rep.passed
-        names = [item.name for item in rep.items]
+        names = [c.name for c in rep.checks]
         assert names == ["expansion holds", "surviving minor[1,3|2,3]",
                          "surviving minor[1,3|1,3]", "head term",
                          "dead minor[1,2,3|1,2,3]", "head present",
@@ -232,7 +225,7 @@ class TestGeneratorImages:
     def test_row_expansion_case(self, g1312):
         rep = generator_image_check(g1312, 2, 1)
         assert rep.passed
-        assert any("head term" == item.name for item in rep.items)
+        assert any("head term" == c.name for c in rep.checks)
 
     def test_suites(self, g11, g1312):
         assert generator_image_suite(g11).passed
@@ -244,14 +237,14 @@ class TestGeneratorImageFailures:
         from qdet import factor as factor_mod
 
         def failing(gamma, r, s, guard=None):
-            rep = CheckReport("generator_image", {})
+            rep = SuiteReport("generator_image", {})
             rep.add("congruence", False, "forced")
             return rep
 
         monkeypatch.setattr(factor_mod, "generator_image_check", failing)
         rep = generator_image_suite(g11)
         assert not rep.passed
-        assert all(item.witness == "congruence" for item in rep.items)
+        assert all(c.witness == "congruence" for c in rep.checks)
 
 
 class TestRegularityAndDomain:
@@ -262,7 +255,7 @@ class TestRegularityAndDomain:
     def test_zero_divisors(self, g11, g1312):
         rep = zero_divisor_check(g11, 3)
         assert rep.passed
-        assert len(rep.items) > 0
+        assert len(rep.checks) > 0
         assert zero_divisor_check(g1312, 3).passed
 
     def test_tower_image(self, g1312, g11):

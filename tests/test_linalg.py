@@ -8,35 +8,65 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
-from qdet.linalg import (CoefficientVector, Echelon, LinearSolver,
-                         component_basis, poly_row, rank,
+from qdet.linalg import (Echelon, component_basis, poly_row, rank,
                          row_normalized, span_membership)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
-                          RAT_ONE, RAT_ZERO)
+                          RAT_ZERO, clear_denominators)
 
 
-def vec(p, basis):
-    return CoefficientVector.from_poly(p, basis)
+def monomial_rows(basis):
+    return [{i: ONE} for i in range(len(basis))]
 
 
-def monomial_vectors(basis):
-    out = []
-    for mono in basis.monomials:
-        out.append(CoefficientVector(basis, {basis.index[mono.exps]: RAT_ONE}))
-    return out
+def homogeneous_rows(rng, shape, degree, count):
+    """`count` random nonzero degree-`degree` rows over that component."""
+    basis = component_basis(shape, degree)
+    rows = []
+    while len(rows) < count:
+        p = random_poly(rng, shape, max_degree=degree)
+        p = p.homogeneous_components().get(degree)
+        if p is not None:
+            rows.append(poly_row(p, basis))
+    return rows
 
 
-def combine(vectors, coeffs):
+def combine(rows, coeffs):
+    """sum(c * row) over RationalScalar coefficients, zero entries dropped."""
     acc = {}
-    for c, v in zip(coeffs, vectors):
-        for i, entry in v.coeffs.items():
+    for c, row in zip(coeffs, rows):
+        for i, entry in row.items():
             s = acc.get(i, RAT_ZERO) + c * entry
             if s.is_zero:
                 acc.pop(i, None)
             else:
                 acc[i] = s
     return acc
+
+
+def as_rational(row):
+    return {i: RationalScalar.from_laurent(c) for i, c in row.items() if c}
+
+
+def gaussian_rank(rows):
+    """Rank by textbook elimination with division in Q(q).
+
+    The reference the fraction-free Echelon is compared against: rows
+    over RationalScalar, each reduced by the stored row at its leading
+    column until it vanishes or opens a new pivot.
+    """
+    pivots = {}
+    for row in rows:
+        row = as_rational(row)
+        while row:
+            col = min(row)
+            stored = pivots.get(col)
+            if stored is None:
+                pivots[col] = row
+                break
+            fac = row[col] / stored[col]
+            row = combine([row, stored], [ONE, -fac])
+    return len(pivots)
 
 
 class TestBases:
@@ -50,108 +80,71 @@ class TestBases:
         with pytest.raises(DegreeTooLarge):
             component_basis(shape33, 6, guard=10)
 
-    def test_vector_round_trip(self, rng, shape33):
-        basis = component_basis(shape33, 2)
-        for _ in range(10):
-            p = NCPoly.zero(shape33)
-            while p.is_zero:
-                p = random_poly(rng, shape33, max_degree=2)
-                p = p.homogeneous_components().get(2, NCPoly.zero(shape33))
-            v = vec(p, basis)
-            assert v.to_poly() == p
-            assert not v.is_zero
-            assert len(v.entries) == len(basis)
-
-    def test_degree_and_shape_guards(self, shape22, shape33):
-        basis = component_basis(shape22, 2)
-        with pytest.raises(BasisMismatch):
-            vec(NCPoly.generator(shape22, 1, 1), basis)
-        with pytest.raises(ShapeMismatch):
-            vec(NCPoly.generator(shape33, 1, 1), basis)
-
 
 class TestRank:
     def test_degree_two_example(self, shape22):
         basis = component_basis(shape22, 2)
-        monos = monomial_vectors(basis)
+        monos = monomial_rows(basis)
         assert rank(monos) == 10
-        dq = vec(minor_value(Minor(shape22, (1, 2), (1, 2))), basis)
+        dq = poly_row(minor_value(Minor(shape22, (1, 2), (1, 2))), basis)
         assert rank(monos + [dq]) == 10
         # drop the x[1,2]*x[2,1] basis line; the determinant restores it
-        kept = [v for v in monos
-                if v.coeffs != {basis.index[(0, 1, 1, 0)]: RAT_ONE}]
+        kept = [row for row in monos
+                if row != {basis.index[(0, 1, 1, 0)]: ONE}]
         assert rank(kept) == 9
         assert rank(kept + [dq]) == 10
 
-    def test_empty_and_zero(self, shape22):
-        basis = component_basis(shape22, 1)
+    def test_empty_and_zero(self):
         assert rank([]) == 0
-        assert rank([CoefficientVector(basis, {})]) == 0
+        assert rank([{}]) == 0
 
     def test_scaling_and_order_invariance(self, rng, shape33):
-        basis = component_basis(shape33, 2)
-        vs = []
-        while len(vs) < 6:
-            p = random_poly(rng, shape33, max_degree=2)
-            p = p.homogeneous_components().get(2)
-            if p is not None:
-                vs.append(vec(p, basis))
-        r = rank(vs)
-        scaled = [CoefficientVector(
-            basis, {i: c * RationalScalar.from_laurent(Q ** (k + 1))
-                    for i, c in v.coeffs.items()})
-            for k, v in enumerate(vs)]
+        rows = homogeneous_rows(rng, shape33, 2, 6)
+        r = rank(rows)
+        scaled = [{i: c * Q ** (k + 1) for i, c in row.items()}
+                  for k, row in enumerate(rows)]
         assert rank(scaled) == r
-        assert rank(list(reversed(vs))) == r
-        assert rank(vs + vs) == r
+        assert rank(list(reversed(rows))) == r
+        assert rank(rows + rows) == r
 
 
 class TestMembership:
     def test_witness_recombines(self, rng, shape33):
-        basis = component_basis(shape33, 2)
-        spanning = []
-        while len(spanning) < 5:
-            p = random_poly(rng, shape33, max_degree=2)
-            p = p.homogeneous_components().get(2)
-            if p is not None:
-                spanning.append(vec(p, basis))
-        coeffs = [RationalScalar.from_laurent(Q),
-                  RationalScalar(ONE, Q + 1),
-                  RAT_ZERO,
-                  RationalScalar.from_laurent(Q_INV - 1),
-                  RAT_ONE]
-        target = CoefficientVector(basis, combine(spanning, coeffs))
-        witness = span_membership(target, spanning)
+        width = len(component_basis(shape33, 2))
+        spanning = homogeneous_rows(rng, shape33, 2, 5)
+        coeffs = [Q, Q + 1, LaurentScalar(), Q_INV - 1, ONE]
+        target = {i: c.num for i, c in combine(spanning, coeffs).items()}
+        witness = span_membership(target, spanning, width)
         assert witness is not None
-        assert combine(spanning, witness) == target.coeffs
+        assert combine(spanning, witness) == as_rational(target)
 
     def test_nonmember(self, shape22):
         basis = component_basis(shape22, 2)
-        dq = vec(minor_value(Minor(shape22, (1, 2), (1, 2))), basis)
-        only = vec(normal_form(shape22, ((1, 1), (2, 2))), basis)
-        assert span_membership(dq, [only]) is None
+        dq = poly_row(minor_value(Minor(shape22, (1, 2), (1, 2))), basis)
+        only = poly_row(normal_form(shape22, ((1, 1), (2, 2))), basis)
+        assert span_membership(dq, [only], len(basis)) is None
 
     def test_zero_target(self, shape22):
         basis = component_basis(shape22, 1)
-        monos = monomial_vectors(basis)
-        zero = CoefficientVector(basis, {})
-        assert span_membership(zero, monos) == [RAT_ZERO] * 4
+        monos = monomial_rows(basis)
+        assert span_membership({}, monos, len(basis)) == [RAT_ZERO] * 4
 
     def test_pole_at_evaluation_point(self, shape22):
         # a witness with a pole at q = 2 is still found exactly
         basis = component_basis(shape22, 1)
         x11 = NCPoly.generator(shape22, 1, 1)
-        row = vec(x11.scale(Q - 2), basis)
-        target = vec(x11, basis)
-        assert span_membership(target, [row]) == [RationalScalar(ONE, Q - 2)]
+        row = poly_row(x11.scale(Q - 2), basis)
+        target = poly_row(x11, basis)
+        assert (span_membership(target, [row], len(basis))
+                == [RationalScalar(ONE, Q - 2)])
 
 
 class TestEchelonInternals:
     def test_residue_detects_membership(self, shape22):
         basis = component_basis(shape22, 2)
         ech = Echelon()
-        for mono in list(monomial_vectors(basis))[:4]:
-            assert ech.insert(mono._laurent_row())
+        for row in monomial_rows(basis)[:4]:
+            assert ech.insert(row)
         member = {0: Q, 3: ONE - Q}
         outside = {0: ONE, 5: ONE}
         assert not ech.residue(member)
@@ -167,22 +160,16 @@ _int_entries = st.dictionaries(
     max_size=3,
 ).map(LaurentScalar)
 
-_int_rows = st.lists(
-    st.dictionaries(st.integers(min_value=0, max_value=4), _int_entries,
-                    max_size=4),
-    max_size=7,
-)
+#: rows have their columns below _WIDTH; membership puts provenance above
+_WIDTH = 5
+
+_int_row = st.dictionaries(st.integers(min_value=0, max_value=_WIDTH - 1),
+                           _int_entries, max_size=4)
+
+_int_rows = st.lists(_int_row, max_size=7)
 
 
 class TestIntegerRows:
-    def test_poly_row_matches_the_coefficient_vector(self, rng, shape22):
-        basis = component_basis(shape22, 2)
-        for _ in range(10):
-            p = random_poly(rng, shape22, max_terms=4, max_degree=2)
-            p = p.homogeneous_components().get(2, NCPoly.zero(shape22))
-            assert poly_row(p, basis) == CoefficientVector.from_poly(
-                p, basis)._laurent_row()
-
     def test_poly_row_checks_shape_and_degree(self, shape22, shape33):
         basis = component_basis(shape22, 2)
         with pytest.raises(BasisMismatch):
@@ -216,14 +203,51 @@ class TestIntegerRows:
     @given(_int_rows)
     def test_echelon_rank_matches_the_rational_solver(self, rows):
         ech = Echelon()
-        solver = LinearSolver()
-        grew = 0
         for row in rows:
             ech.insert(row)
-            if solver.insert({k: RationalScalar.from_laurent(v)
-                              for k, v in row.items() if v}):
-                grew += 1
-        assert ech.rank == grew
+        assert ech.rank == gaussian_rank(rows)
         for stored in ech.rows():
             for v in stored.values():
                 assert all(type(c) is int for c in v.terms.values())
+
+
+class TestSpanMembership:
+    @settings(max_examples=200, deadline=None)
+    @given(_int_row, st.lists(_int_row, max_size=5))
+    def test_none_exactly_when_the_rank_grows(self, target, spanning):
+        witness = span_membership(target, spanning, _WIDTH)
+        grows = rank(spanning + [target]) > rank(spanning)
+        assert (witness is None) == grows
+        if witness is not None:
+            assert len(witness) == len(spanning)
+            assert combine(spanning, witness) == as_rational(target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_int_row, st.lists(_int_row, max_size=4),
+           st.lists(_int_row, max_size=3))
+    def test_with_a_base_span(self, target, spanning, base_rows):
+        base = Echelon()
+        for row in base_rows:
+            base.insert(row)
+        before = dict(base.pivots)
+        witness = span_membership(target, spanning, _WIDTH, base=base)
+        assert base.pivots == before
+        grows = (rank(base_rows + spanning + [target])
+                 > rank(base_rows + spanning))
+        assert (witness is None) == grows
+        if witness is not None:
+            # target * den - sum(num_i * s_i) lies in the base span
+            nums, den = clear_denominators(witness)
+            rest = combine([target] + spanning, [den] + [-n for n in nums])
+            assert all(c.den == ONE for c in rest.values())
+            assert not base.residue({i: c.num for i, c in rest.items()})
+
+    def test_base_members_cost_nothing(self, shape22):
+        basis = component_basis(shape22, 1)
+        x = [poly_row(NCPoly.generator(shape22, 1, j), basis) for j in (1, 2)]
+        base = Echelon()
+        base.insert(x[1])
+        target = {**x[0], **{k: c * Q for k, c in x[1].items()}}
+        assert span_membership(target, [x[0]], len(basis), base=base) == [
+            RationalScalar(ONE)]
+        assert span_membership(target, [x[0]], len(basis)) is None

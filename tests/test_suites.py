@@ -1,8 +1,10 @@
 """Workbench configuration, suite runner, JSON reports, and the CLI."""
 
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import sys
 import time
 
@@ -458,3 +460,24 @@ class TestCLI:
         # traceback
         rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
         assert rc in (0, 2)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                      "golden.json")
+
+
+class TestGoldenReports:
+    """Reports stay byte-identical to the digests recorded from the seed."""
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "3", "--n", "3", "--gamma", "1,3|1,2", "--max-degree", "3"],
+        ["--m", "3", "--n", "3", "--max-degree", "3"],
+    ])
+    def test_report_matches_the_seed_digest(self, args, tmp_path, capsys):
+        with open(GOLDEN, encoding="ascii") as fh:
+            want = json.load(fh)["digests"]["qdet verify " + " ".join(args)]
+        report = tmp_path / "report.json"
+        assert cli.main(["verify"] + args + ["--report", str(report)]) == 0
+        capsys.readouterr()
+        got = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert got == want["sha256"]

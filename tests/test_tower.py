@@ -250,17 +250,16 @@ class TestOreSteps:
         want = {0: [1, 4, 11, 24], 1: [1, 4, 12, 28], 2: [1, 4, 13, 32]}
         for idx in range(3):
             out = ore_step_check(frame1312, idx, max_degree=3)
-            assert out.passed, out.report.failures()
+            assert out.passed, out.report.failed
             assert [actual for _, _, actual in out.dims] == want[idx]
             assert [pred for _, pred, _ in out.dims] == want[idx]
             assert all(lam is not None for _, lam in out.eigenvalues)
 
     def test_row_swap_fixes_col_swaps(self, frame1312):
         out = ore_step_check(frame1312, 2, max_degree=2)
-        vanish = [item for item in out.report.items
-                  if item.name.endswith("vanishes")]
+        vanish = [c for c in out.report.checks if c.name.endswith("vanishes")]
         assert len(vanish) == 2
-        assert all(item.passed for item in vanish)
+        assert all(c.status == "pass" for c in vanish)
 
     def test_2x2_corner(self, shape22):
         fr = build_frame(Minor(shape22, (1,), (1,)))
@@ -301,18 +300,18 @@ class TestWitnessRecombination:
                                                        monkeypatch):
         real = tower_mod.span_membership
 
-        def skewed(target, span):
-            combo = real(target, span)
+        def skewed(target, span, width, base=None):
+            combo = real(target, span, width, base)
             if combo is None:
                 return None
             return [c * RationalScalar(Q, Q + 2) for c in combo]
 
         monkeypatch.setattr(tower_mod, "span_membership", skewed)
         out = ore_step_check(frame1312, 1, max_degree=2)
-        witnessed = [item for item in out.report.items
-                     if item.witness.startswith("witness over")]
+        witnessed = [c for c in out.report.checks
+                     if c.witness.startswith("witness over")]
         assert len(witnessed) == 2
-        assert not any(item.passed for item in witnessed)
+        assert not any(c.status == "pass" for c in witnessed)
 
 
 class TestGammaNormality:
