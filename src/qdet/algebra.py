@@ -204,16 +204,6 @@ def _nf_mono_gen(m, n, exps, gen):
     return _nf_word_raw(m, n, word)
 
 
-@lru_cache(maxsize=1 << 17)
-def _nf_gen_mono(m, n, gen, exps):
-    """Normal form of x[gen] * (ordered monomial); cached."""
-    word = [gen]
-    for idx, e in enumerate(exps):
-        if e:
-            word.extend([(idx // n + 1, idx % n + 1)] * e)
-    return _nf_word_raw(m, n, word)
-
-
 @lru_cache(maxsize=1 << 15)
 def _nf_concat(m, n, e1, e2):
     """Normal form of the product of two ordered monomials; cached."""
@@ -234,13 +224,6 @@ def _nf_concat(m, n, e1, e2):
                         nxt[exps2] = acc
             poly = nxt
     return tuple(poly.items())
-
-
-def rewriting_caches_clear():
-    """Drop the internal normal-form caches (mostly for memory tests)."""
-    _nf_mono_gen.cache_clear()
-    _nf_gen_mono.cache_clear()
-    _nf_concat.cache_clear()
 
 
 class NCPoly:
@@ -387,11 +370,6 @@ class NCPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    @property
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_components(self):
         """dict degree -> homogeneous NCPoly, over the nonzero components."""
         comps = {}
@@ -476,8 +454,9 @@ def graded_basis(shape, d):
     return out
 
 
-#: largest graded-component dimension that suite linear algebra or an
-#: expression power may reach before DegreeTooLarge
+#: largest dimension of an ideal component (checked in
+#: factor.ideal_component) or of the component an expression power
+#: reaches (parser) before DegreeTooLarge
 DIM_GUARD = 10000
 
 

@@ -4,9 +4,9 @@ Spans are stored as files named by a content hash of the defining data
 (shape, minor, degree, format version).  A file holds two lines of JSON:
 a header with the format, the key, the rank and the sha256 of the second
 line, then the encoded rows.  A file whose header, digest or row count
-does not match is a miss.  The cache directory comes from the
-QDET_CACHE environment variable when set, otherwise from set_cache_dir;
-with neither, caching is a no-op.
+does not match is a miss.  The cache directory is the one given to
+set_cache_dir (run_workbench passes --cache); without one, caching is a
+no-op.
 """
 
 import hashlib
@@ -20,17 +20,17 @@ from .scalars import LaurentScalar
 #: bump when the serialized layout changes
 FORMAT = 2
 
-_dir_override = None
+_dir = None
 
 
 def set_cache_dir(path):
-    """Directory used when QDET_CACHE is not set; None disables."""
-    global _dir_override
-    _dir_override = path
+    """Directory for stored spans; None disables."""
+    global _dir
+    _dir = path
 
 
 def cache_dir():
-    return os.environ.get("QDET_CACHE") or _dir_override
+    return _dir
 
 
 def _path_for(base, key):

@@ -11,9 +11,9 @@ as an option.
 
 verify exits 0 when every check passes, 1 when any check fails, and 2 on
 configuration or syntax problems.  Every check is exact and the suites
-run one after the other in this process.  The QDET_CACHE environment
-variable overrides --cache when both are present; a cache directory that
-cannot be written only makes the run uncached.
+run one after the other in this process.  --cache is the only source
+of a span cache directory; one that cannot be written only makes the run
+uncached.
 """
 
 import argparse

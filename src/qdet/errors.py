@@ -39,7 +39,7 @@ class BasisMismatch(WorkbenchError):
 
 
 class DegreeTooLarge(WorkbenchError):
-    """A graded component exceeds the configured size guard."""
+    """An input or a graded component exceeds a size guard."""
 
 
 class StageOutOfRange(WorkbenchError):

@@ -13,14 +13,19 @@ residues against these spans: equality in the quotient, Hilbert
 dimensions, the standard monomial basis, the normalizing scalar of a
 minor above gamma, regularity of gamma, and the rewriting of an ambient
 variable through gamma into base variables and family minors.
+
+ideal_component is the one way to a span, and it refuses a component of
+dimension above algebra.DIM_GUARD before any lookup or build.  That one
+test is the size guard of every check here that involves gamma.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cache as _disk
-from .errors import NoScalarFound, NotAboveGamma, ShapeMismatch
-from .algebra import NCPoly, graded_dim
+from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
+                     ShapeMismatch)
+from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      std_le)
@@ -29,11 +34,6 @@ from .linalg import (Echelon, component_basis, poly_row, rank,
 from .report import SuiteReport
 from .scalars import ONE
 from .tower import build_frame, stage_monomials, tower_stages
-
-
-def _row_to_poly(row, basis):
-    return NCPoly(basis.shape,
-                  {basis.monomials[i].exps: c for i, c in row.items()})
 
 
 # ----------------------------------------------------------------------
@@ -61,17 +61,11 @@ class IdealComponent:
             return True
         return not self.echelon.residue(poly_row(p, self.basis))
 
-    def reduce(self, p):
-        """A residue of p against the span; zero exactly on members.
-
-        The reduction is fraction-free, so a nonzero residue is only
-        determined up to a nonzero scalar.
-        """
-        row = self.echelon.residue(poly_row(p, self.basis))
-        return _row_to_poly(row, self.basis)
-
     def row_polys(self):
-        return [_row_to_poly(row, self.basis) for row in self.echelon.rows()]
+        monos = self.basis.monomials
+        return [NCPoly(self.basis.shape,
+                       {monos[i].exps: c for i, c in row.items()})
+                for row in self.echelon.rows()]
 
     def extended_rank(self, rows):
         """Rank of this span together with extra Laurent rows."""
@@ -98,17 +92,27 @@ def _excluded_by_degree(shape, rows, cols):
     return by
 
 
-def ideal_component(gamma, degree, guard=None):
-    """The degree-d component of I_gamma, cached per session and on disk."""
-    key = (gamma.shape.m, gamma.shape.n, gamma.rows, gamma.cols, degree)
+def ideal_component(gamma, degree):
+    """The degree-d component of I_gamma, cached per session and on disk.
+
+    Raises DegreeTooLarge before any lookup or build when the ambient
+    component has dimension above DIM_GUARD.
+    """
+    shape = gamma.shape
+    dim = graded_dim(shape, degree)
+    if dim > DIM_GUARD:
+        raise DegreeTooLarge(
+            "degree-%d component of %s has dimension %d (guard %d)"
+            % (degree, shape, dim, DIM_GUARD))
+    key = (shape.m, shape.n, gamma.rows, gamma.cols, degree)
     ech = _ECHELONS.get(key)
-    basis = component_basis(gamma.shape, degree, guard)
+    basis = component_basis(shape, degree)
     if ech is None:
-        ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, guard, key)
+        ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, key)
     return IdealComponent(gamma, degree, basis, ech)
 
 
-def _build_echelon(gamma, degree, basis, guard, key):
+def _build_echelon(gamma, degree, basis, key):
     cached = _disk.load_rows(("ideal",) + key)
     if cached is not None:
         ech = Echelon()
@@ -120,7 +124,7 @@ def _build_echelon(gamma, degree, basis, guard, key):
     shape = gamma.shape
     ech = Echelon()
     if degree > 0:
-        prev = ideal_component(gamma, degree - 1, guard)
+        prev = ideal_component(gamma, degree - 1)
         gens = [NCPoly.generator(shape, a, b) for a in range(1, shape.m + 1)
                 for b in range(1, shape.n + 1)]
         for p in prev.row_polys():
@@ -137,7 +141,7 @@ def _build_echelon(gamma, degree, basis, guard, key):
 # the quotient J_gamma
 
 
-def quotient_is_zero(gamma, p, guard=None):
+def quotient_is_zero(gamma, p):
     """Does p map to zero in J_gamma?  Works degree by degree."""
     if p.is_zero:
         return True
@@ -145,18 +149,18 @@ def quotient_is_zero(gamma, p, guard=None):
         raise ShapeMismatch("polynomial over %s, minor over %s"
                             % (p.shape, gamma.shape))
     for d, comp in sorted(p.homogeneous_components().items()):
-        if not ideal_component(gamma, d, guard).contains(comp):
+        if not ideal_component(gamma, d).contains(comp):
             return False
     return True
 
 
-def quotient_equal(gamma, a, b, guard=None):
-    return quotient_is_zero(gamma, a - b, guard)
+def quotient_equal(gamma, a, b):
+    return quotient_is_zero(gamma, a - b)
 
 
-def hilbert_function(gamma, max_degree, guard=None):
+def hilbert_function(gamma, max_degree):
     """Graded dimensions of J_gamma for degrees 0..max_degree."""
-    return [graded_dim(gamma.shape, d) - ideal_component(gamma, d, guard).rank
+    return [graded_dim(gamma.shape, d) - ideal_component(gamma, d).rank
             for d in range(max_degree + 1)]
 
 
@@ -220,7 +224,7 @@ def standard_monomial_count(shape, degree, floor=None):
     return len(standard_monomials(shape, degree, floor))
 
 
-def basis_check(shape, degree, gamma=None, guard=None):
+def basis_check(shape, degree, gamma=None):
     """Standard monomials of one degree form a basis.
 
     Without gamma: their values are independent and count the full graded
@@ -233,19 +237,19 @@ def basis_check(shape, degree, gamma=None, guard=None):
     if gamma is not None:
         params["gamma"] = str(gamma)
     rep = SuiteReport("standard_basis", params)
-    floor = gamma
-    stds = standard_monomials(shape, degree, floor)
+    # the ideal component comes first: its guard trips before any expansion
+    ic = None if gamma is None else ideal_component(gamma, degree)
+    basis = component_basis(shape, degree) if ic is None else ic.basis
+    stds = standard_monomials(shape, degree, gamma)
     ambient = graded_dim(shape, degree)
-    basis = component_basis(shape, degree, guard)
     rows = [poly_row(s.value(), basis) for s in stds]
-    if gamma is None:
+    if ic is None:
         r = rank(rows)
         rep.add("independent", r == len(stds),
                 "rank %d of %d monomials" % (r, len(stds)))
         rep.add("spanning", len(stds) == ambient,
                 "%d monomials, dimension %d" % (len(stds), ambient))
         return rep
-    ic = ideal_component(gamma, degree, guard)
     total = ic.extended_rank(rows)
     quotient_dim = ambient - ic.rank
     rep.add("independent mod ideal", total == ic.rank + len(stds),
@@ -255,10 +259,10 @@ def basis_check(shape, degree, gamma=None, guard=None):
     return rep
 
 
-def hilbert_check(gamma, max_degree, guard=None):
+def hilbert_check(gamma, max_degree):
     """Quotient dimensions equal standard monomial counts, degree by degree."""
     rep = SuiteReport("hilbert", {"gamma": str(gamma), "max_degree": max_degree})
-    dims = hilbert_function(gamma, max_degree, guard)
+    dims = hilbert_function(gamma, max_degree)
     for d in range(max_degree + 1):
         count = standard_monomial_count(gamma.shape, d, floor=gamma)
         rep.add("degree %d" % d, dims[d] == count,
@@ -270,7 +274,7 @@ def hilbert_check(gamma, max_degree, guard=None):
 # the normalizing scalar of a minor above gamma
 
 
-def normality_scalar(gamma, tau, guard=None):
+def normality_scalar(gamma, tau):
     """The unique nonzero c with gamma*tau - c*tau*gamma in I_gamma.
 
     Requires std_le(gamma, tau).  The scalar is solved for by one
@@ -286,7 +290,7 @@ def normality_scalar(gamma, tau, guard=None):
     u = minor_value(gamma) * minor_value(tau)
     v = minor_value(tau) * minor_value(gamma)
     degree = gamma.size + tau.size
-    ic = ideal_component(gamma, degree, guard)
+    ic = ideal_component(gamma, degree)
     basis = ic.basis
     if ic.contains(v):
         raise NoScalarFound("tau*gamma vanishes in the quotient for %s" % tau)
@@ -306,14 +310,14 @@ def normality_scalar(gamma, tau, guard=None):
     return c
 
 
-def normality_check(gamma, guard=None):
+def normality_check(gamma):
     """normality_scalar exists for every minor above gamma."""
     rep = SuiteReport("normality_scalars", {"gamma": str(gamma)})
     for tau in enumerate_minors(gamma.shape):
         if not std_le(gamma, tau):
             continue
         try:
-            c = normality_scalar(gamma, tau, guard)
+            c = normality_scalar(gamma, tau)
         except NoScalarFound as exc:
             rep.add("c for %s" % tau, False, str(exc))
             continue
@@ -325,7 +329,7 @@ def normality_check(gamma, guard=None):
 # rewriting an ambient variable through gamma
 
 
-def generator_image_check(gamma, r, s, guard=None):
+def generator_image_check(gamma, r, s):
     """x[r,s] * gamma is, modulo the ideal, a combination of terms whose
     minor factors are gamma itself or members of its swap family.
 
@@ -359,7 +363,7 @@ def generator_image_check(gamma, r, s, guard=None):
     rep.add("expansion holds", identity.holds, str(identity))
 
     degree = gamma.size + 1
-    ic = ideal_component(gamma, degree, guard)
+    ic = ideal_component(gamma, degree)
     surviving_sum = NCPoly.zero(shape)
     head_seen = False
     for coeff, factors in identity.terms:
@@ -386,13 +390,13 @@ def generator_image_check(gamma, r, s, guard=None):
     return rep
 
 
-def generator_image_suite(gamma, guard=None):
+def generator_image_suite(gamma):
     """generator_image_check over every ambient variable."""
     rep = SuiteReport("generator_images", {"gamma": str(gamma)})
     shape = gamma.shape
     for r in range(1, shape.m + 1):
         for s in range(1, shape.n + 1):
-            sub = generator_image_check(gamma, r, s, guard)
+            sub = generator_image_check(gamma, r, s)
             rep.add("x[%d,%d]" % (r, s), not sub.failed,
                     "; ".join(c.name for c in sub.failed))
     return rep
@@ -402,7 +406,7 @@ def generator_image_suite(gamma, guard=None):
 # regularity and zero divisors
 
 
-def regularity_check(gamma, max_degree, guard=None):
+def regularity_check(gamma, max_degree):
     """Left multiplication by gamma is injective on J_gamma.
 
     For each degree dp with gamma.size + dp <= max_degree, the span of
@@ -416,9 +420,9 @@ def regularity_check(gamma, max_degree, guard=None):
     gval = minor_value(gamma)
     for dp in range(0, max_degree - t + 1):
         total_deg = t + dp
-        ic = ideal_component(gamma, total_deg, guard)
-        j_dim = graded_dim(shape, dp) - ideal_component(gamma, dp, guard).rank
-        src = component_basis(shape, dp, guard)
+        ic = ideal_component(gamma, total_deg)
+        j_dim = graded_dim(shape, dp) - ideal_component(gamma, dp).rank
+        src = component_basis(shape, dp)
         rows = [poly_row(gval * NCPoly(shape, {mono.exps: ONE}), ic.basis)
                 for mono in src.monomials]
         grew = ic.extended_rank(rows) - ic.rank
@@ -427,7 +431,7 @@ def regularity_check(gamma, max_degree, guard=None):
     return rep
 
 
-def zero_divisor_check(gamma, max_degree, guard=None):
+def zero_divisor_check(gamma, max_degree):
     """Products of standard monomials stay nonzero in the quotient.
 
     Runs over all pairs of positive-degree standard monomials above gamma
@@ -441,7 +445,7 @@ def zero_divisor_check(gamma, max_degree, guard=None):
     values = {d: [s.value() for s in stds] for d, stds in by_degree.items()}
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
-            ic = ideal_component(gamma, da + db, guard)
+            ic = ideal_component(gamma, da + db)
             for a, aval in zip(by_degree[da], values[da]):
                 for b, bval in zip(by_degree[db], values[db]):
                     vanishes = ic.contains(aval * bval)
@@ -451,7 +455,7 @@ def zero_divisor_check(gamma, max_degree, guard=None):
     return rep
 
 
-def tower_image_check(gamma, max_degree, guard=None):
+def tower_image_check(gamma, max_degree):
     """The tower subalgebra embeds into J_gamma with its full dimensions.
 
     For each degree, the ordered products of the final tower stage add as
@@ -462,7 +466,7 @@ def tower_image_check(gamma, max_degree, guard=None):
     frame = build_frame(gamma)
     last = tower_stages(frame)[-1]
     for d in range(max_degree + 1):
-        ic = ideal_component(gamma, d, guard)
+        ic = ideal_component(gamma, d)
         rows = [poly_row(p, ic.basis) for _, p in stage_monomials(last, d)]
         own = rank(rows)
         grew = ic.extended_rank(rows) - ic.rank

@@ -20,8 +20,8 @@ row.  Leading position is the smallest column index.
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
-from .algebra import graded_basis, graded_dim
+from .errors import BasisMismatch, ShapeMismatch
+from .algebra import MatrixShape, graded_basis
 from .scalars import ONE, ZERO, RationalScalar, _laurent
 
 
@@ -30,11 +30,7 @@ class GradedBasis:
 
     __slots__ = ("shape", "degree", "monomials", "index")
 
-    def __init__(self, shape, degree, guard=None):
-        if guard is not None and graded_dim(shape, degree) > guard:
-            raise DegreeTooLarge(
-                "degree-%d component of %s has dimension %d (guard %d)"
-                % (degree, shape, graded_dim(shape, degree), guard))
+    def __init__(self, shape, degree):
         self.shape = shape
         self.degree = degree
         self.monomials = tuple(graded_basis(shape, degree))
@@ -52,13 +48,12 @@ class GradedBasis:
 
 
 @lru_cache(maxsize=256)
-def _basis_cached(m, n, degree, guard):
-    from .algebra import MatrixShape
-    return GradedBasis(MatrixShape(m, n), degree, guard)
+def _basis_cached(m, n, degree):
+    return GradedBasis(MatrixShape(m, n), degree)
 
 
-def component_basis(shape, degree, guard=None):
-    return _basis_cached(shape.m, shape.n, degree, guard)
+def component_basis(shape, degree):
+    return _basis_cached(shape.m, shape.n, degree)
 
 
 def poly_row(p, basis):

@@ -99,10 +99,6 @@ class LaurentScalar:
         c = _coerce_fraction(c)
         return cls({0: c}) if c else ZERO
 
-    @classmethod
-    def q_power(cls, k, coeff=1):
-        return cls({k: coeff})
-
     # ------------------------------------------------------------------
     # ring structure
 

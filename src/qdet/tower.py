@@ -30,7 +30,7 @@ from .report import SuiteReport
 from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, clear_denominators,
                       laurent_exact_div)
 
-#: refuse frames above this many ambient generators unless forced
+#: build_frame refuses shapes with more ambient generators than this
 SHAPE_GUARD = 25
 
 
@@ -141,14 +141,13 @@ class GenRef:
     minor: Minor
 
 
-def build_frame(gamma, force=False):
-    """Frame for a nonempty minor; large ambient shapes need force=True."""
+def build_frame(gamma):
+    """Frame for a nonempty minor of a shape within SHAPE_GUARD."""
     if gamma.is_empty:
         raise ZeroInput("a frame needs a nonempty minor")
-    if gamma.shape.ngens > SHAPE_GUARD and not force:
-        raise DegreeTooLarge(
-            "shape %s exceeds the %d-generator guard; pass force=True"
-            % (gamma.shape, SHAPE_GUARD))
+    if gamma.shape.ngens > SHAPE_GUARD:
+        raise DegreeTooLarge("shape %s exceeds the %d-generator guard"
+                             % (gamma.shape, SHAPE_GUARD))
     return Frame(gamma)
 
 

@@ -7,9 +7,10 @@ import os
 
 import pytest
 
-from qdet import cache
+from qdet import cache, factor
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
-from qdet.errors import NoScalarFound, NotAboveGamma, ShapeMismatch
+from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
+                         ShapeMismatch)
 from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
@@ -34,6 +35,14 @@ def g1312(shape33):
     return Minor(shape33, (1, 3), (1, 2))
 
 
+@pytest.fixture
+def span_dir(tmp_path):
+    """tmp_path as the span cache directory for one test."""
+    cache.set_cache_dir(str(tmp_path))
+    yield tmp_path
+    cache.set_cache_dir(None)
+
+
 class TestIdealComponents:
     def test_ranks_for_corner_variable(self, g11):
         assert [ideal_component(g11, d).rank for d in range(5)] == \
@@ -46,14 +55,40 @@ class TestIdealComponents:
         assert ic.contains(dq.scale(Q - 1))
         x11x22 = NCPoly.generator(shape22, 1, 1) * NCPoly.generator(shape22, 2, 2)
         assert not ic.contains(x11x22)
-        assert ic.reduce(dq).is_zero
-        assert not ic.reduce(x11x22).is_zero
 
     def test_row_polys_lie_in_the_ideal(self, g1312):
         ic = ideal_component(g1312, 3)
         assert ic.rank > 0
         for p in ic.row_polys():
             assert quotient_is_zero(g1312, p)
+
+
+class TestSizeGuard:
+    """ideal_component checks the component size, once, before any work."""
+
+    @pytest.fixture
+    def g2413(self):
+        return Minor(MatrixShape(5, 5), (2, 4), (1, 3))
+
+    def test_ideal_component_refuses_before_any_build(self, g2413):
+        spans_clear()
+        with pytest.raises(DegreeTooLarge, match=r"degree-4 component of 5x5 "
+                           r"has dimension 20475 \(guard 10000\)"):
+            ideal_component(g2413, 4)
+        assert not factor._ECHELONS
+
+    def test_basis_check_refuses_before_expanding(self, g2413, monkeypatch):
+        def expanded(*args):
+            raise AssertionError("standard monomials expanded")
+
+        monkeypatch.setattr(factor, "standard_monomials", expanded)
+        with pytest.raises(DegreeTooLarge, match=r"\(guard 10000\)"):
+            basis_check(g2413.shape, 4, g2413)
+
+    def test_one_basis_per_component(self, g1312):
+        for d in range(4):
+            assert (component_basis(g1312.shape, d)
+                    is ideal_component(g1312, d).basis)
 
 
 class TestQuotient:
@@ -234,14 +269,12 @@ class TestGeneratorImages:
 
 class TestGeneratorImageFailures:
     def test_failing_sub_check_is_reported_by_name(self, g11, monkeypatch):
-        from qdet import factor as factor_mod
-
-        def failing(gamma, r, s, guard=None):
+        def failing(gamma, r, s):
             rep = SuiteReport("generator_image", {})
             rep.add("congruence", False, "forced")
             return rep
 
-        monkeypatch.setattr(factor_mod, "generator_image_check", failing)
+        monkeypatch.setattr(factor, "generator_image_check", failing)
         rep = generator_image_suite(g11)
         assert not rep.passed
         assert all(c.witness == "congruence" for c in rep.checks)
@@ -265,8 +298,7 @@ class TestRegularityAndDomain:
 
 
 class TestDiskCache:
-    def test_row_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+    def test_row_round_trip(self, span_dir):
         rows = [{0: LaurentScalar({1: 1, -1: -1})},
                 {2: ONE, 5: LaurentScalar({-3: 1})}]
         key = ("test", 1, (2, 3))
@@ -274,12 +306,10 @@ class TestDiskCache:
         assert cache.load_rows(key) == rows
         assert cache.load_rows(("other",)) is None
 
-    def test_corrupt_and_mismatched_files_are_misses(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+    def test_corrupt_and_mismatched_files_are_misses(self, span_dir):
         key = ("test", 2)
         cache.store_rows(key, [{0: ONE}])
-        path = cache._path_for(str(tmp_path), key)
+        path = cache._path_for(str(span_dir), key)
         with open(path, "w", encoding="ascii") as fh:
             fh.write("{not json")
         assert cache.load_rows(key) is None
@@ -291,25 +321,23 @@ class TestDiskCache:
                                      '"format":99'))
         assert cache.load_rows(key) is None
 
-    def test_env_overrides_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QDET_CACHE", str(tmp_path / "env"))
-        cache.set_cache_dir(str(tmp_path / "set"))
-        try:
-            assert cache.cache_dir() == str(tmp_path / "env")
-            monkeypatch.delenv("QDET_CACHE")
-            assert cache.cache_dir() == str(tmp_path / "set")
-        finally:
-            cache.set_cache_dir(None)
-        assert cache.cache_dir() is None
-
-    def test_ideal_spans_persist_and_reload(self, tmp_path, monkeypatch,
-                                            shape22):
-        gamma = Minor(shape22, (1,), (1,))
+    def test_environment_variable_is_ignored(self, tmp_path, monkeypatch,
+                                             shape22):
         monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+        assert cache.cache_dir() is None
+        try:
+            spans_clear()
+            ideal_component(Minor(shape22, (1,), (1,)), 2)
+        finally:
+            spans_clear()
+        assert not list(tmp_path.iterdir())
+
+    def test_ideal_spans_persist_and_reload(self, span_dir, shape22):
+        gamma = Minor(shape22, (1,), (1,))
         try:
             spans_clear()
             want = ideal_component(gamma, 2).rank
-            files = list(tmp_path.glob("*.json"))
+            files = list(span_dir.glob("*.json"))
             assert files
             # poison the stored span to prove the reload path is taken
             key = ("ideal", 2, 2, (1,), (1,), 2)
@@ -317,7 +345,7 @@ class TestDiskCache:
             spans_clear()
             assert ideal_component(gamma, 2).rank == 3
         finally:
-            monkeypatch.delenv("QDET_CACHE")
+            cache.set_cache_dir(None)
             spans_clear()
         assert ideal_component(gamma, 2).rank == want == 1
 
@@ -369,14 +397,12 @@ class TestDiskCacheIntegrity:
             cache.set_cache_dir(None)
             spans_clear()
 
-    def test_missing_field_and_stale_rank_are_misses(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
+    def test_missing_field_and_stale_rank_are_misses(self, span_dir):
         key = ("test", 3)
         rows = [{0: ONE}, {1: Q}]
         cache.store_rows(key, rows)
         assert cache.load_rows(key) == rows
-        path = cache._path_for(str(tmp_path), key)
+        path = cache._path_for(str(span_dir), key)
         with open(path, "r", encoding="ascii") as fh:
             header, body = fh.read().splitlines()
         head = json.loads(header)
@@ -392,10 +418,8 @@ class TestDiskCacheIntegrity:
             fh.write(json.dumps(head) + "\n" + short + "\n")
         assert cache.load_rows(key) is None
 
-    def test_dependent_stored_rows_are_rebuilt(self, tmp_path, monkeypatch,
-                                               shape22):
+    def test_dependent_stored_rows_are_rebuilt(self, span_dir, shape22):
         gamma = Minor(shape22, (1,), (1,))
-        monkeypatch.setenv("QDET_CACHE", str(tmp_path))
         try:
             spans_clear()
             # header and digest are consistent, but the second row is
@@ -406,5 +430,4 @@ class TestDiskCacheIntegrity:
             assert ideal_component(gamma, 2).contains(minor_value(
                 Minor(shape22, (1, 2), (1, 2))))
         finally:
-            monkeypatch.delenv("QDET_CACHE")
             spans_clear()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
-from qdet.errors import BasisMismatch, DegreeTooLarge, ShapeMismatch
+from qdet.errors import BasisMismatch, ShapeMismatch
 from qdet.linalg import (Echelon, component_basis, poly_row, rank,
                          row_normalized, span_membership)
 from qdet.minors import Minor, minor_value
@@ -75,10 +75,6 @@ class TestBases:
         assert len(basis) == graded_dim(shape22, 3) == 20
         for mono in basis.monomials:
             assert basis.monomials[basis.index[mono.exps]] == mono
-
-    def test_guard(self, shape33):
-        with pytest.raises(DegreeTooLarge):
-            component_basis(shape33, 6, guard=10)
 
 
 class TestRank:

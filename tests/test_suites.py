@@ -180,11 +180,9 @@ class TestRunWorkbench:
         finally:
             disk.set_cache_dir(None)
 
-    def test_run_without_cache_clears_an_earlier_directory(self, tmp_path,
-                                                          monkeypatch):
+    def test_run_without_cache_clears_an_earlier_directory(self, tmp_path):
         from qdet import cache as disk
         from qdet.factor import spans_clear
-        monkeypatch.delenv("QDET_CACHE", raising=False)
         target = tmp_path / "spans"
         try:
             spans_clear()
@@ -307,6 +305,13 @@ class TestCLI:
         assert rc == 2
         assert "size-8 guard" in capsys.readouterr().err
 
+    def test_counts_pass_above_the_shape_guard(self, capsys):
+        # 36 generators: the counts are closed formulas, no frame is guarded
+        rc = cli.main(["verify", "--m", "6", "--n", "6", "--suites", "counts",
+                       "--max-degree", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "pass 925 / fail 0"
+
     def test_verify_passes_and_writes_report(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc = cli.main(["verify", "--m", "2", "--n", "2",
@@ -379,11 +384,9 @@ class TestCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
-    def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path,
-                                               monkeypatch, sub):
+    def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path, sub):
         from qdet import cache as disk
         from qdet.factor import spans_clear
-        monkeypatch.delenv("QDET_CACHE", raising=False)
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
         try:

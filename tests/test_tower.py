@@ -11,7 +11,7 @@ from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet import tower as tower_mod
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV, QHAT,
                           minus_q_power)
-from qdet.tower import (build_frame, check_h_actions, enumerate_family,
+from qdet.tower import (Frame, build_frame, check_h_actions, enumerate_family,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
                         stage_monomials, stage_series_dims,
@@ -30,8 +30,8 @@ class TestFrame:
         big = MatrixShape(6, 6)
         with pytest.raises(DegreeTooLarge):
             build_frame(Minor(big, (1,), (1,)))
-        forced = build_frame(Minor(big, (1,), (1,)), force=True)
-        assert len(forced.family()) == 10
+        direct = Frame(Minor(big, (1,), (1,)))
+        assert len(direct.family()) == 10
 
     def test_complements_and_added_indices(self, frame1312):
         assert frame1312.row_complement == (2,)
