@@ -80,10 +80,6 @@ class Monomial:
         self._hash = None
 
     @classmethod
-    def one(cls, shape):
-        return cls(shape, (0,) * shape.ngens)
-
-    @classmethod
     def from_word(cls, shape, word):
         exps = [0] * shape.ngens
         for (i, j) in word:
@@ -104,14 +100,6 @@ class Monomial:
                 rows[i - 1] += e
                 cols[j - 1] += e
         return tuple(rows), tuple(cols)
-
-    def word(self):
-        """The monomial spelled out as a tuple of (i, j) letters, in order."""
-        out = []
-        for idx, e in enumerate(self.exps):
-            if e:
-                out.extend([self.shape.gen_at(idx)] * e)
-        return tuple(out)
 
     def __mul__(self, other):
         if not isinstance(other, Monomial):
@@ -388,9 +376,6 @@ class NCPoly:
                 return None
         return seen
 
-    def monomials(self):
-        return [Monomial(self.shape, e) for e in sorted(self.terms, reverse=True)]
-
     def coeff(self, mono):
         key = mono.exps if isinstance(mono, Monomial) else tuple(mono)
         return self.terms.get(key, ZERO)
@@ -527,10 +512,6 @@ class TorusElement:
         return "TorusElement(alphas=[%s], betas=[%s])" % (
             ", ".join(str(a) for a in self.alphas),
             ", ".join(str(b) for b in self.betas))
-
-
-def torus_act(h, p):
-    return h.act(p)
 
 
 def eigenvalue_of(h, p):

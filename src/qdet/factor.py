@@ -29,10 +29,9 @@ from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      std_le)
-from .linalg import (Echelon, component_basis, poly_row, rank,
-                     span_membership)
+from .linalg import Echelon, Span, component_basis, poly_row, rank
 from .report import SuiteReport
-from .scalars import ONE
+from .scalars import ONE, RationalScalar
 from .tower import build_frame, stage_monomials, tower_stages
 
 
@@ -69,8 +68,7 @@ class IdealComponent:
 
     def extended_rank(self, rows):
         """Rank of this span together with extra Laurent rows."""
-        ext = Echelon()
-        ext.pivots = dict(self.echelon.pivots)
+        ext = self.echelon.copy()
         for row in rows:
             ext.insert(row)
         return ext.rank
@@ -154,10 +152,6 @@ def quotient_is_zero(gamma, p):
     return True
 
 
-def quotient_equal(gamma, a, b):
-    return quotient_is_zero(gamma, a - b)
-
-
 def hilbert_function(gamma, max_degree):
     """Graded dimensions of J_gamma for degrees 0..max_degree."""
     return [graded_dim(gamma.shape, d) - ideal_component(gamma, d).rank
@@ -200,23 +194,28 @@ def standard_monomials(shape, degree, floor=None):
     """
     pool = [mn for mn in enumerate_minors(shape)
             if floor is None or std_le(floor, mn)]
+    if degree == 0:
+        return [StandardMonomial(shape, ())]
     out = []
     chain = []
-
-    def rec(prev, remaining):
-        if remaining == 0:
-            out.append(StandardMonomial(shape, tuple(chain)))
-            return
-        for mn in pool:
-            if mn.size > remaining:
+    remaining = degree
+    # one pool iterator per open chain position, so depth costs no frames
+    stack = [iter(pool)]
+    while stack:
+        for mn in stack[-1]:
+            if mn.size > remaining or (chain and not std_le(chain[-1], mn)):
                 continue
-            if prev is not None and not std_le(prev, mn):
+            if mn.size == remaining:
+                out.append(StandardMonomial(shape, tuple(chain) + (mn,)))
                 continue
             chain.append(mn)
-            rec(mn, remaining - mn.size)
-            chain.pop()
-
-    rec(None, degree)
+            remaining -= mn.size
+            stack.append(iter(pool))
+            break
+        else:
+            stack.pop()
+            if chain:
+                remaining += chain.pop().size
     return out
 
 
@@ -278,10 +277,11 @@ def normality_scalar(gamma, tau):
     """The unique nonzero c with gamma*tau - c*tau*gamma in I_gamma.
 
     Requires std_le(gamma, tau).  The scalar is solved for by one
-    fraction-free reduction of gamma*tau against tau*gamma on top of the
-    ideal span, with c read off the provenance columns as num/den (see
-    linalg.span_membership); then the claimed congruence is re-verified by
-    an independent reduction against the ideal span alone.
+    fraction-free reduction of gamma*tau against a Span of tau*gamma on
+    top of the ideal echelon, which gives c as Laurent num/den off the
+    provenance columns; then den*gamma*tau - num*tau*gamma is re-verified
+    to lie in the ideal span alone, by an independent reduction.  c is
+    returned as RationalScalar(num, den), the form that gets printed.
     """
     if gamma.shape != tau.shape:
         raise ShapeMismatch("minors over %s and %s" % (gamma.shape, tau.shape))
@@ -294,17 +294,17 @@ def normality_scalar(gamma, tau):
     basis = ic.basis
     if ic.contains(v):
         raise NoScalarFound("tau*gamma vanishes in the quotient for %s" % tau)
-    combo = span_membership(poly_row(u, basis), [poly_row(v, basis)],
-                            len(basis), base=ic.echelon)
-    if combo is None:
+    witness = Span([poly_row(v, basis)], len(basis),
+                   base=ic.echelon).express(poly_row(u, basis))
+    if witness is None:
         raise NoScalarFound("gamma*tau is not congruent to a multiple of "
                             "tau*gamma for %s" % tau)
-    c, = combo
-    if c.is_zero:
+    (num,), den = witness
+    if num.is_zero:
         raise NoScalarFound("congruence holds only with a zero scalar for %s"
                             % tau)
-    residual = u.scale(c.den) - v.scale(c.num)
-    if not ic.contains(residual):
+    c = RationalScalar(num, den)
+    if not ic.contains(u.scale(den) - v.scale(num)):
         raise NoScalarFound("solved scalar %s fails re-verification for %s"
                             % (c, tau))
     return c

@@ -8,9 +8,10 @@ Z[q, q^-1] with int coefficients (a Fraction only when a caller hands in
 a non-integral one), a combined row is rescaled by its q-shift and its
 integer (or rational) content only, and nothing is ever divided.  Rank
 and span membership are decided this way, over Q(q) itself; q is never
-evaluated at a point.  Explicit solution coefficients are read off
-provenance columns carried through the same elimination (see
-span_membership), so a RationalScalar is only ever an output.
+evaluated at a point.  Explicit coefficients are read off provenance
+columns carried through the same elimination (see Span): a witness is a
+list of Laurent numerators over one Laurent denominator, never a
+fraction.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
@@ -22,7 +23,7 @@ from math import gcd, lcm
 
 from .errors import BasisMismatch, ShapeMismatch
 from .algebra import MatrixShape, graded_basis
-from .scalars import ONE, ZERO, RationalScalar, _laurent
+from .scalars import ONE, ZERO, _laurent
 
 
 class GradedBasis:
@@ -181,6 +182,12 @@ class Echelon:
         """Stored rows, by pivot column."""
         return [self.pivots[c] for c in sorted(self.pivots)]
 
+    def copy(self):
+        """The same pivots in a new echelon; rows are shared, never mutated."""
+        ech = Echelon()
+        ech.pivots = dict(self.pivots)
+        return ech
+
 
 def rank(rows):
     """Rank of Laurent rows, by fraction-free elimination over Q[q, q^-1]."""
@@ -190,33 +197,41 @@ def rank(rows):
     return ech.rank
 
 
-def span_membership(target, spanning, width, base=None):
-    """Write the Laurent row `target` as a combination of `spanning` rows.
+class Span:
+    """The span of fixed Laurent rows, eliminated once, expressing targets.
 
-    All rows live in the columns below `width`.  With an Echelon `base`,
-    any member of its span may be added to the combination for free, and
-    only the spanning rows get coefficients.
-
-    Provenance columns follow the basis columns: spanning row i carries a
-    1 at column width + i and the target a 1 at width + len(spanning).
-    Every row the elimination makes is a combination of these augmented
-    rows and of base rows, which carry no provenance.  When the target's
-    basis columns reduce away, its residue is lam * target - sum mu_i * s_i
-    minus a base member, with zero basis part, so the coefficient of s_i
-    is mu_i / lam = -res[width + i] / res[width + len(spanning)].  No
-    stored row has the target's column, so lam stays nonzero.
-
-    Returns a list of RationalScalars aligned with `spanning`, or None when
-    the target lies outside the span.
+    All rows live in the columns below `width`.  Provenance columns follow
+    the basis columns: spanning row i is inserted with a 1 at column
+    width + i, on top of a copy of the Echelon `base` when one is given
+    (base rows carry no provenance, so any member of the base span joins
+    a combination for free).  `express` reduces a target carrying a 1 at
+    width + len(spanning) without inserting it, so one Span serves any
+    number of targets and its pivots never change.
     """
-    n = len(spanning)
-    ech = Echelon()
-    if base is not None:
-        ech.pivots = dict(base.pivots)
-    for i, row in enumerate(spanning):
-        ech.insert({**row, width + i: ONE})
-    res = ech.residue({**target, width + n: ONE})
-    if min(res) < width:
-        return None
-    lam = res[width + n]
-    return [RationalScalar(-res.get(width + i, ZERO), lam) for i in range(n)]
+
+    __slots__ = ("width", "size", "echelon")
+
+    def __init__(self, spanning, width, base=None):
+        self.width = width
+        self.size = len(spanning)
+        self.echelon = Echelon() if base is None else base.copy()
+        for i, row in enumerate(spanning):
+            self.echelon.insert({**row, width + i: ONE})
+
+    def express(self, target):
+        """Write the Laurent row `target` over the spanning rows.
+
+        Returns (nums, den), LaurentScalars with den nonzero and
+        den * target - sum(nums[i] * spanning[i]) in the base span (zero
+        without a base), or None when the target lies outside the span.
+        Every row the elimination makes combines augmented rows and base
+        rows, so once the target's basis columns reduce away its residue
+        is that difference (up to a base member) in provenance form:
+        nums[i] is minus its entry at width + i and den its entry at
+        width + len(spanning), a column no stored row has.
+        """
+        width, n = self.width, self.size
+        res = self.echelon.residue({**target, width + n: ONE})
+        if min(res) < width:
+            return None
+        return [-res.get(width + i, ZERO) for i in range(n)], res[width + n]

@@ -4,8 +4,9 @@ rationals, and the fraction field built on top of them.
 Every identity the workbench certifies is checked with q transcendental,
 so a verified identity holds under any specialization of q except the
 finitely many poles excluded per value.  LaurentScalar is the workhorse
-(all structure constants of the algebra live in Z[q, q^-1]); the
-RationalScalar field only appears where elimination has to divide.
+(all structure constants of the algebra live in Z[q, q^-1]); elimination
+never divides, and a RationalScalar is built only where a solved scalar
+is printed or returned.
 
 Coefficients are Python ints whenever they are integral, and a
 `fractions.Fraction` only when they are not (parser rationals, unit
@@ -365,20 +366,6 @@ def _poly_gcd(a, b):
     return a
 
 
-def laurent_exact_div(a, g):
-    """Divide a by g in Q[q, q^-1]; raises if the division is not exact."""
-    if not g.terms:
-        raise ZeroDivisionError("division by the zero scalar")
-    if not a.terms:
-        return ZERO
-    pa, sa = _to_poly(a)
-    pg, sg = _to_poly(g)
-    quot, rem = _poly_divmod(pa, pg)
-    if rem:
-        raise ValueError("not an exact division: (%s) / (%s)" % (a, g))
-    return _from_poly(quot, sa - sg)
-
-
 class RationalScalar:
     """Element of Q(q) as a reduced fraction of Laurent polynomials.
 
@@ -521,27 +508,6 @@ def _as_rational(x):
     if isinstance(x, (int, Fraction)):
         return RationalScalar.from_laurent(LaurentScalar.from_rational(x))
     return NotImplemented
-
-
-def clear_denominators(values):
-    """RationalScalars over one common denominator.
-
-    Returns (nums, den): LaurentScalars with nums[i] == values[i] * den
-    exactly, where den is the product of the distinct denominators.
-    """
-    values = list(values)
-    dens = {v.den for v in values if v.den != ONE}
-    den = ONE
-    for d in dens:
-        den = den * d
-    nums = []
-    for v in values:
-        num = v.num
-        for d in dens:
-            if d != v.den:
-                num = num * d
-        nums.append(num)
-    return nums, den
 
 
 RAT_ZERO = RationalScalar.from_laurent(ZERO)

@@ -25,10 +25,10 @@ from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
 from .algebra import NCPoly, TorusElement, eigenvalue_of, q_commute_scalar
 from .minors import Minor, minor_value
-from .linalg import component_basis, poly_row, rank, span_membership
+from .linalg import Span, component_basis, poly_row, rank
 from .report import SuiteReport
-from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, clear_denominators,
-                      laurent_exact_div)
+from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, RationalScalar,
+                      minus_q_power)
 
 #: build_frame refuses shapes with more ambient generators than this
 SHAPE_GUARD = 25
@@ -149,10 +149,6 @@ def build_frame(gamma):
         raise DegreeTooLarge("shape %s exceeds the %d-generator guard"
                              % (gamma.shape, SHAPE_GUARD))
     return Frame(gamma)
-
-
-def enumerate_family(frame):
-    return list(frame.family())
 
 
 def member_ref(frame, member):
@@ -327,20 +323,16 @@ def family_relations_check(frame):
     return rep
 
 
-def _coeff_is_qhat_times_minus_q_power(lam):
-    """Check lam == (q - q^-1) * (-q)^e for some integer e >= 1; return e."""
-    if lam.is_zero:
+def _qhat_minus_q_exponent(num, den):
+    """The e >= 1 with num == den * (q - q^-1) * (-q)^e, or None.
+
+    Decided by one multiplication: the top exponents fix the only
+    candidate e, and no division is needed.
+    """
+    if num.is_zero:
         return None
-    if lam.den != ONE:
-        return None
-    try:
-        ratio = laurent_exact_div(lam.num, QHAT)
-    except ValueError:
-        return None
-    if not ratio.is_single_term:
-        return None
-    e, c = ratio.single_term()
-    if e >= 1 and c == (1 if e % 2 == 0 else -1):
+    e = num.max_exp - den.max_exp - 1
+    if e >= 1 and num == den * QHAT * minus_q_power(e):
         return e
     return None
 
@@ -392,20 +384,20 @@ def subalgebra_commutation_check(frame):
                     continue
                 deg = lhs.degree()
                 basis = component_basis(shape, deg)
-                combo = span_membership(poly_row(lhs, basis),
-                                        [poly_row(p, basis) for _, p in lower],
-                                        len(basis))
-                if combo is None:
+                witness = Span([poly_row(p, basis) for _, p in lower],
+                               len(basis)).express(poly_row(lhs, basis))
+                if witness is None:
                     rep.add(name, False, "not in the span of lower members")
                     continue
+                nums, den = witness
                 ok = True
                 parts = []
-                for (key, _), lam in zip(lower, combo):
-                    if lam.is_zero:
+                for (key, _), num in zip(lower, nums):
+                    if num.is_zero:
                         continue
-                    e = _coeff_is_qhat_times_minus_q_power(lam)
-                    parts.append("%s[%d,%d]: %s" % (key[0], key[1], key[2], lam))
-                    if e is None:
+                    parts.append("%s[%d,%d]: %s" % (key[0], key[1], key[2],
+                                                    RationalScalar(num, den)))
+                    if _qhat_minus_q_exponent(num, den) is None:
                         ok = False
                 rep.add(name, ok, "; ".join(parts))
     return rep
@@ -528,20 +520,6 @@ class OreStepReport:
         return self.report.passed
 
 
-def recombine_witness(shape, polys, coeffs):
-    """sum(c * p) over a common denominator, as (numerator, denominator).
-
-    coeffs are RationalScalars aligned with polys; the result satisfies
-    sum(c * p) * denominator == numerator exactly.
-    """
-    nums, den = clear_denominators(coeffs)
-    back = NCPoly.zero(shape)
-    for p, num in zip(polys, nums):
-        if not num.is_zero:
-            back = back + p.scale(num)
-    return back, den
-
-
 def ore_step_check(frame, stage_index, max_degree=None):
     """Certify one tower extension as a skew polynomial step.
 
@@ -549,8 +527,10 @@ def ore_step_check(frame, stage_index, max_degree=None):
     eigenvector of the member's torus element h, so conjugation data is
     the diagonal automorphism sigma = h^-1; (b) for each earlier generator
     a, the twisted derivation delta(a) = x*a - sigma(a)*x lies in the
-    previous stage, witnessed by explicit coefficients over its ordered
-    products (and vanishes exactly when a is a col_swap and x a row_swap);
+    previous stage, witnessed by Laurent numerators over one denominator
+    against its ordered products and recombined exactly (and vanishes
+    exactly when a is a col_swap and x a row_swap); the products of each
+    degree form one Span, eliminated once for every target of that degree;
     (c) graded dimensions of the new stage match the generating series
     prod 1/(1 - z^deg) up to max_degree, certifying the ordered products
     stay independent.
@@ -581,7 +561,7 @@ def ore_step_check(frame, stage_index, max_degree=None):
         eigen.append((g.label, lam))
 
     # delta(a) = x*a - sigma(a)*x with sigma = h^-1; per degree d, the
-    # previous stage's products and their rows, built once
+    # previous stage's products and their Span, built once
     prior_products = {}
     for g, (_, lam) in zip(prior.generators, eigen):
         if lam is None:
@@ -600,16 +580,21 @@ def ore_step_check(frame, stage_index, max_degree=None):
         basis = component_basis(frame.shape, d)
         if d not in prior_products:
             polys = [p for _, p in stage_monomials(prior, d)]
-            prior_products[d] = polys, [poly_row(p, basis) for p in polys]
+            prior_products[d] = polys, Span([poly_row(p, basis) for p in polys],
+                                            len(basis))
         polys, span = prior_products[d]
-        combo = span_membership(poly_row(delta, basis), span, len(basis))
-        if combo is None:
+        witness = span.express(poly_row(delta, basis))
+        if witness is None:
             rep.add(name, False, "outside the previous stage")
             continue
         # recombine to double-check the witness
-        back, den = recombine_witness(frame.shape, polys, combo)
+        nums, den = witness
+        back = NCPoly.zero(frame.shape)
+        for p, num in zip(polys, nums):
+            if not num.is_zero:
+                back = back + p.scale(num)
         rep.add(name, back == delta.scale(den),
-                "witness over %d ordered products" % len(span))
+                "witness over %d ordered products" % len(polys))
 
     weights = [g.degree for g in stage.generators]
     predicted = stage_series_dims(weights, max_degree)

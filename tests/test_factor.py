@@ -14,8 +14,7 @@ from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
 from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
-                         normality_check, normality_scalar, quotient_equal,
-                         quotient_is_zero, regularity_check, spans_clear,
+                         normality_check, normality_scalar, quotient_is_zero, regularity_check, spans_clear,
                          standard_monomial_count, standard_monomials,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis
@@ -95,7 +94,8 @@ class TestQuotient:
     def test_relations_modulo_corner(self, g11, shape22):
         x = lambda i, j: NCPoly.generator(shape22, i, j)
         assert quotient_is_zero(g11, NCPoly.zero(shape22))
-        assert quotient_equal(g11, x(1, 1) * x(2, 2), (x(1, 2) * x(2, 1)).scale(Q))
+        assert quotient_is_zero(g11, x(1, 1) * x(2, 2)
+                                - (x(1, 2) * x(2, 1)).scale(Q))
         assert not quotient_is_zero(g11, x(1, 1))
         # mixed degrees are handled component by component
         dq = minor_value(Minor(shape22, (1, 2), (1, 2)))
@@ -162,6 +162,35 @@ class TestStandardMonomials:
         for s in standard_monomials(shape33, 3):
             for a, b in zip(s.factors, s.factors[1:]):
                 assert std_le(a, b)
+
+    def test_order_is_depth_first_in_pool_order(self, shape22, shape33, g11,
+                                                g1312):
+        def recursive(shape, degree, floor):
+            pool = [mn for mn in enumerate_minors(shape)
+                    if floor is None or std_le(floor, mn)]
+
+            def rec(chain, remaining):
+                if remaining == 0:
+                    yield chain
+                    return
+                for mn in pool:
+                    if mn.size <= remaining and (not chain
+                                                 or std_le(chain[-1], mn)):
+                        yield from rec(chain + (mn,), remaining - mn.size)
+
+            return list(rec((), degree))
+
+        for shape, degree, floor in [(shape22, 4, None), (shape22, 3, g11),
+                                     (shape33, 3, None), (shape33, 3, g1312),
+                                     (shape22, 0, None), (shape22, -1, None)]:
+            got = [s.factors for s in standard_monomials(shape, degree, floor)]
+            assert got == recursive(shape, degree, floor)
+
+    def test_long_chains_need_no_recursion(self):
+        shape = MatrixShape(1, 1)
+        chains = standard_monomials(shape, 1500)
+        assert len(chains) == 1
+        assert chains[0].factors == (Minor(shape, (1,), (1,)),) * 1500
 
 
 class TestBasisChecks:

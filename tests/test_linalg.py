@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.linalg import (Echelon, component_basis, poly_row, rank,
-                         row_normalized, span_membership)
+from qdet.linalg import (Echelon, Span, component_basis, poly_row, rank,
+                         row_normalized)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
-                          RAT_ZERO, clear_denominators)
+                          RAT_ZERO, ZERO)
 
 
 def monomial_rows(basis):
@@ -46,6 +46,31 @@ def combine(rows, coeffs):
 
 def as_rational(row):
     return {i: RationalScalar.from_laurent(c) for i, c in row.items() if c}
+
+
+def laurent_combine(rows, coeffs):
+    """sum(c * row) over LaurentScalar coefficients, zero entries dropped."""
+    acc = {}
+    for c, row in zip(coeffs, rows):
+        for i, entry in row.items():
+            s = acc.get(i, ZERO) + c * entry
+            if s.is_zero:
+                acc.pop(i, None)
+            else:
+                acc[i] = s
+    return acc
+
+
+def express(target, spanning, width, base=None):
+    return Span(spanning, width, base).express(target)
+
+
+def recombines(witness, target, spanning):
+    """den * target == sum(nums[i] * spanning[i]) exactly, with den != 0."""
+    nums, den = witness
+    return (not den.is_zero and len(nums) == len(spanning)
+            and laurent_combine([target], [den])
+            == laurent_combine(spanning, nums))
 
 
 def gaussian_rank(rows):
@@ -109,21 +134,22 @@ class TestMembership:
         width = len(component_basis(shape33, 2))
         spanning = homogeneous_rows(rng, shape33, 2, 5)
         coeffs = [Q, Q + 1, LaurentScalar(), Q_INV - 1, ONE]
-        target = {i: c.num for i, c in combine(spanning, coeffs).items()}
-        witness = span_membership(target, spanning, width)
+        target = laurent_combine(spanning, coeffs)
+        witness = express(target, spanning, width)
         assert witness is not None
-        assert combine(spanning, witness) == as_rational(target)
+        assert recombines(witness, target, spanning)
 
     def test_nonmember(self, shape22):
         basis = component_basis(shape22, 2)
         dq = poly_row(minor_value(Minor(shape22, (1, 2), (1, 2))), basis)
         only = poly_row(normal_form(shape22, ((1, 1), (2, 2))), basis)
-        assert span_membership(dq, [only], len(basis)) is None
+        assert express(dq, [only], len(basis)) is None
 
     def test_zero_target(self, shape22):
         basis = component_basis(shape22, 1)
         monos = monomial_rows(basis)
-        assert span_membership({}, monos, len(basis)) == [RAT_ZERO] * 4
+        nums, den = express({}, monos, len(basis))
+        assert nums == [ZERO] * 4 and not den.is_zero
 
     def test_pole_at_evaluation_point(self, shape22):
         # a witness with a pole at q = 2 is still found exactly
@@ -131,8 +157,9 @@ class TestMembership:
         x11 = NCPoly.generator(shape22, 1, 1)
         row = poly_row(x11.scale(Q - 2), basis)
         target = poly_row(x11, basis)
-        assert (span_membership(target, [row], len(basis))
-                == [RationalScalar(ONE, Q - 2)])
+        (num,), den = express(target, [row], len(basis))
+        assert num * (Q - 2) == den
+        assert RationalScalar(num, den) == RationalScalar(ONE, Q - 2)
 
 
 class TestEchelonInternals:
@@ -211,12 +238,11 @@ class TestSpanMembership:
     @settings(max_examples=200, deadline=None)
     @given(_int_row, st.lists(_int_row, max_size=5))
     def test_none_exactly_when_the_rank_grows(self, target, spanning):
-        witness = span_membership(target, spanning, _WIDTH)
+        witness = express(target, spanning, _WIDTH)
         grows = rank(spanning + [target]) > rank(spanning)
         assert (witness is None) == grows
         if witness is not None:
-            assert len(witness) == len(spanning)
-            assert combine(spanning, witness) == as_rational(target)
+            assert recombines(witness, target, spanning)
 
     @settings(max_examples=200, deadline=None)
     @given(_int_row, st.lists(_int_row, max_size=4),
@@ -226,17 +252,18 @@ class TestSpanMembership:
         for row in base_rows:
             base.insert(row)
         before = dict(base.pivots)
-        witness = span_membership(target, spanning, _WIDTH, base=base)
+        witness = express(target, spanning, _WIDTH, base=base)
         assert base.pivots == before
         grows = (rank(base_rows + spanning + [target])
                  > rank(base_rows + spanning))
         assert (witness is None) == grows
         if witness is not None:
-            # target * den - sum(num_i * s_i) lies in the base span
-            nums, den = clear_denominators(witness)
-            rest = combine([target] + spanning, [den] + [-n for n in nums])
-            assert all(c.den == ONE for c in rest.values())
-            assert not base.residue({i: c.num for i, c in rest.items()})
+            # den * target - sum(nums_i * s_i) lies in the base span
+            nums, den = witness
+            assert not den.is_zero and len(nums) == len(spanning)
+            rest = laurent_combine([target] + spanning,
+                                   [den] + [-n for n in nums])
+            assert not base.residue(rest)
 
     def test_base_members_cost_nothing(self, shape22):
         basis = component_basis(shape22, 1)
@@ -244,6 +271,31 @@ class TestSpanMembership:
         base = Echelon()
         base.insert(x[1])
         target = {**x[0], **{k: c * Q for k, c in x[1].items()}}
-        assert span_membership(target, [x[0]], len(basis), base=base) == [
-            RationalScalar(ONE)]
-        assert span_membership(target, [x[0]], len(basis)) is None
+        (num,), den = express(target, [x[0]], len(basis), base=base)
+        assert num == den and not den.is_zero
+        assert express(target, [x[0]], len(basis)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_int_row, max_size=4), st.lists(_int_row, max_size=5),
+           st.lists(_int_row, max_size=3))
+    def test_one_span_serves_every_target(self, spanning, targets, base_rows):
+        base = Echelon()
+        for row in base_rows:
+            base.insert(row)
+        shared = Span(spanning, _WIDTH, base)
+        pivots = dict(shared.echelon.pivots)
+        for target in targets:
+            assert (shared.express(target)
+                    == express(target, spanning, _WIDTH, base))
+            assert shared.echelon.pivots == pivots
+
+
+class TestEchelonCopy:
+    def test_copy_is_independent(self, shape22):
+        basis = component_basis(shape22, 1)
+        ech = Echelon()
+        ech.insert(monomial_rows(basis)[0])
+        dup = ech.copy()
+        assert dup.pivots == ech.pivots
+        assert dup.insert(monomial_rows(basis)[1])
+        assert (ech.rank, dup.rank) == (1, 2)

@@ -312,6 +312,13 @@ class TestCLI:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "pass 925 / fail 0"
 
+    def test_counts_reach_high_degree(self, capsys):
+        # a 1x1 chain has one factor per degree; enumeration is not recursive
+        rc = cli.main(["verify", "--m", "1", "--n", "1", "--suites", "counts",
+                       "--max-degree", "1200"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "pass 1202 / fail 0"
+
     def test_verify_passes_and_writes_report(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc = cli.main(["verify", "--m", "2", "--n", "2",

@@ -8,10 +8,9 @@ from qdet.algebra import MatrixShape, NCPoly, TorusElement, eigenvalue_of
 from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
                          ZeroInput)
 from qdet.minors import Minor, enumerate_minors, minor_value
-from qdet import tower as tower_mod
-from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV, QHAT,
-                          minus_q_power)
-from qdet.tower import (Frame, build_frame, check_h_actions, enumerate_family,
+from qdet import linalg, tower as tower_mod
+from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
+from qdet.tower import (Frame, build_frame, check_h_actions,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
                         stage_monomials, stage_series_dims,
@@ -40,7 +39,7 @@ class TestFrame:
         assert frame1312.added_row(1) == 2
 
     def test_family_order(self, frame1312, shape33):
-        fam = enumerate_family(frame1312)
+        fam = list(frame1312.family())
         assert [mb.label for mb in fam] == \
             ["col_swap[1,1]", "col_swap[1,2]", "row_swap[1,1]"]
         assert [mb.minor for mb in fam] == [
@@ -149,6 +148,24 @@ class TestSubalgebraCommutation:
             x1 = NCPoly.generator(shape33, a, 1)
             lhs = x2 * mem - (mem * x2).scale(Q)
             assert lhs == (lower * x1).scale(QHAT * minus_q_power(1))
+
+    def test_qhat_minus_q_exponent_multiplies_out(self):
+        dens = (ONE, Q + 2, LaurentScalar({2: 3, -1: -1}))
+        for den in dens:
+            for e in (1, 2, 3):
+                num = den * QHAT * minus_q_power(e)
+                assert tower_mod._qhat_minus_q_exponent(num, den) == e
+                # the wrong sign of (-q)^e
+                assert tower_mod._qhat_minus_q_exponent(-num, den) is None
+            assert tower_mod._qhat_minus_q_exponent(den * QHAT, den) is None
+            assert tower_mod._qhat_minus_q_exponent(LaurentScalar(),
+                                                    den) is None
+        # (q - q^-1) * (-q) over q + 1 is not a Laurent polynomial
+        assert tower_mod._qhat_minus_q_exponent(QHAT * minus_q_power(1),
+                                                Q + 1) is None
+        # e = 0 is refused even when the quotient is exact
+        assert tower_mod._qhat_minus_q_exponent(QHAT * (Q + 1),
+                                                Q + 1) is None
 
     def test_untouched_variables_commute(self, frame1312, shape33):
         mem = minor_value(Minor(shape33, (1, 3), (1, 3)))
@@ -277,41 +294,43 @@ class TestOreSteps:
 
 
 class TestWitnessRecombination:
-    def test_common_denominator(self, shape22):
-        x11 = NCPoly.generator(shape22, 1, 1)
-        x12 = NCPoly.generator(shape22, 1, 2)
-        # x11 / (q + 1) + q x11 / (q + 1) == x11, a witness with a denominator
-        coeffs = [RationalScalar(ONE, Q + 1), RationalScalar(Q, Q + 1),
-                  RationalScalar(ONE, Q - 1) * 0]
-        back, den = tower_mod.recombine_witness(shape22, [x11, x11, x12],
-                                                coeffs)
-        assert den == Q + 1
-        assert back == x11.scale(den)
-
-    def test_distinct_denominators(self, shape22):
-        x11 = NCPoly.generator(shape22, 1, 1)
-        x12 = NCPoly.generator(shape22, 1, 2)
-        coeffs = [RationalScalar(ONE, Q + 1), RationalScalar(Q, Q - 1)]
-        back, den = tower_mod.recombine_witness(shape22, [x11, x12], coeffs)
-        assert den == (Q + 1) * (Q - 1)
-        assert back == x11.scale(Q - 1) + x12.scale(Q * (Q + 1))
-
     def test_rational_witness_fails_instead_of_raising(self, frame1312,
                                                        monkeypatch):
-        real = tower_mod.span_membership
+        real = linalg.Span.express
 
-        def skewed(target, span, width, base=None):
-            combo = real(target, span, width, base)
-            if combo is None:
+        def skewed(self, target):
+            witness = real(self, target)
+            if witness is None:
                 return None
-            return [c * RationalScalar(Q, Q + 2) for c in combo]
+            nums, den = witness
+            # the true coefficients times q / (q + 2): a wrong witness
+            return [n * Q for n in nums], den * (Q + 2)
 
-        monkeypatch.setattr(tower_mod, "span_membership", skewed)
+        monkeypatch.setattr(linalg.Span, "express", skewed)
         out = ore_step_check(frame1312, 1, max_degree=2)
         witnessed = [c for c in out.report.checks
                      if c.witness.startswith("witness over")]
         assert len(witnessed) == 2
         assert not any(c.status == "pass" for c in witnessed)
+
+    def test_one_span_per_degree(self, shape33, monkeypatch):
+        built = []
+
+        class CountingSpan(linalg.Span):
+            def __init__(self, spanning, width, base=None):
+                built.append(width)
+                super().__init__(spanning, width, base)
+
+        monkeypatch.setattr(tower_mod, "Span", CountingSpan)
+        frame = build_frame(Minor(shape33, (2, 3), (1, 2)))
+        last = len(frame.family()) - 1
+        out = ore_step_check(frame, last, max_degree=3)
+        assert out.passed, out.report.failed
+        witnessed = [c for c in out.report.checks
+                     if c.witness.startswith("witness over")]
+        assert len(witnessed) > len(built) >= 1
+        # one width per degree: no degree's span is built twice
+        assert len(set(built)) == len(built)
 
 
 class TestGammaNormality:
