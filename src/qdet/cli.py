@@ -10,16 +10,19 @@ An expression that starts with '-' goes after '--', or argparse reads it
 as an option.
 
 verify exits 0 when every check passes, 1 when any check fails, and 2 on
-configuration or syntax problems.  Every check is exact and the suites
-run one after the other in this process.  --cache is the only source
-of a span cache directory; one that cannot be written only makes the run
-uncached.
+configuration or syntax problems, an unusable --report path among them
+(a directory, or a path in a missing one, is refused before any suite
+runs).  Every check is exact and the suites run one after the other in
+this process.  --cache is the only source of a span cache directory; one
+that cannot be written only makes the run uncached.
 """
 
 import argparse
+import os
 import sys
 
-from .errors import DegreeTooLarge, ExprSyntaxError, WorkbenchError
+from .errors import (ConfigError, DegreeTooLarge, ExprSyntaxError,
+                     WorkbenchError)
 from .algebra import MatrixShape, render_poly
 from .minors import Minor, minor_value
 from .parser import parse_expression, parse_index_pair
@@ -66,6 +69,11 @@ def _cmd_verify(args):
         m=args.m, n=args.n, gamma=gamma, max_degree=args.max_degree,
         suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()),
         cache=args.cache)
+    if args.report:
+        folder = os.path.dirname(args.report) or "."
+        if os.path.isdir(args.report) or not os.path.isdir(folder):
+            raise ConfigError("cannot write the report to %s: not a file in "
+                              "an existing directory" % args.report)
     run = run_workbench(config)
     shown = 0
     for suite in run.suites:
@@ -81,8 +89,12 @@ def _cmd_verify(args):
         print("  ... %d more failures" % (shown - FAIL_PRINT_CAP))
     print(run.summary_line())
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            emit_report(run, fh)
+        try:
+            with open(args.report, "w", encoding="ascii") as fh:
+                emit_report(run, fh)
+        except OSError as exc:
+            raise ConfigError("cannot write the report to %s: %s"
+                              % (args.report, exc.strerror)) from None
         print("report written to %s" % args.report)
     return 0 if run.ok else 1
 

@@ -440,14 +440,15 @@ def zero_divisor_check(gamma, max_degree):
     rep = SuiteReport("zero_divisors", {"gamma": str(gamma),
                                         "max_degree": max_degree})
     shape = gamma.shape
-    by_degree = {d: standard_monomials(shape, d, floor=gamma)
-                 for d in range(1, max_degree)}
-    values = {d: [s.value() for s in stds] for d, stds in by_degree.items()}
+    # (name, value) per standard monomial, each rendered once
+    named = {d: [(str(s), s.value())
+                 for s in standard_monomials(shape, d, floor=gamma)]
+             for d in range(1, max_degree)}
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
             ic = ideal_component(gamma, da + db)
-            for a, aval in zip(by_degree[da], values[da]):
-                for b, bval in zip(by_degree[db], values[db]):
+            for a, aval in named[da]:
+                for b, bval in named[db]:
                     vanishes = ic.contains(aval * bval)
                     rep.add("%s * %s" % (a, b), not vanishes,
                             "product vanishes in the quotient"

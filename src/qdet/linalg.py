@@ -198,25 +198,39 @@ def rank(rows):
 
 
 class Span:
-    """The span of fixed Laurent rows, eliminated once, expressing targets.
+    """The span of Laurent rows, each eliminated once, expressing targets.
 
     All rows live in the columns below `width`.  Provenance columns follow
-    the basis columns: spanning row i is inserted with a 1 at column
-    width + i, on top of a copy of the Echelon `base` when one is given
-    (base rows carry no provenance, so any member of the base span joins
-    a combination for free).  `express` reduces a target carrying a 1 at
-    width + len(spanning) without inserting it, so one Span serves any
-    number of targets and its pivots never change.
+    the basis columns: the i-th spanning row is inserted with a 1 at
+    column width + i, on top of a copy of the Echelon `base` when one is
+    given (base rows carry no provenance, so any member of the base span
+    joins a combination for free).  `add` eliminates only the new row.
+    `express` reduces a target carrying a 1 at width + size without
+    inserting it, so targets never change the pivots.
     """
 
     __slots__ = ("width", "size", "echelon")
 
     def __init__(self, spanning, width, base=None):
         self.width = width
-        self.size = len(spanning)
+        self.size = 0
         self.echelon = Echelon() if base is None else base.copy()
-        for i, row in enumerate(spanning):
-            self.echelon.insert({**row, width + i: ONE})
+        for row in spanning:
+            self.add(row)
+
+    def add(self, row):
+        """Append a spanning row, tagged at the next provenance column."""
+        self.echelon.insert({**row, self.width + self.size: ONE})
+        self.size += 1
+
+    @property
+    def rank(self):
+        """Rank of the spanning rows and the base: the pivots below width.
+
+        A dependent row's residue is stored at a provenance pivot.
+        """
+        width = self.width
+        return sum(1 for col in self.echelon.pivots if col < width)
 
     def express(self, target):
         """Write the Laurent row `target` over the spanning rows.
@@ -228,7 +242,7 @@ class Span:
         rows, so once the target's basis columns reduce away its residue
         is that difference (up to a base member) in provenance form:
         nums[i] is minus its entry at width + i and den its entry at
-        width + len(spanning), a column no stored row has.
+        width + size, a column no stored row has.
         """
         width, n = self.width, self.size
         res = self.echelon.residue({**target, width + n: ONE})

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from . import cache as _disk
-from .errors import ConfigError, DegreeTooLarge, WorkbenchError
+from .errors import ConfigError, DegreeTooLarge, EmptyMinor, WorkbenchError
 from .algebra import MatrixShape, NCPoly, graded_basis, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
@@ -83,7 +83,8 @@ class WorkbenchConfig:
                                   % ", ".join(sorted(needed)))
         else:
             try:
-                self.gamma_minor()
+                if self.gamma_minor().is_empty:
+                    raise EmptyMinor("the minor is empty")
             except WorkbenchError as exc:
                 raise ConfigError("bad gamma: %s" % exc) from None
         return self
@@ -339,9 +340,8 @@ def _suite_ore_tower(config):
     frame = _frame(config)
     rep = SuiteReport("ore-tower", {"gamma": str(frame.minor),
                                     "max_degree": config.max_degree})
-    degree = max(config.max_degree, frame.size)
-    for idx in range(len(frame.family())):
-        step = ore_step_check(frame, idx, max_degree=degree)
+    steps = ore_step_check(frame, max(config.max_degree, frame.size))
+    for idx, step in enumerate(steps):
         rep.absorb(step.report, prefix="stage %d" % idx)
     rep.add("generator count", True,
             "%d" % generator_count(frame))

@@ -12,10 +12,12 @@ from gamma in a single index:
 
 Members are ordered with all column swaps before all row swaps and
 lexicographically by (i, j) inside each kind.  Adjoining them one at a
-time yields a chain of subalgebras; each step is certified as a skew
-polynomial extension in ore_step_check: the new generator normalizes the
-previous stage through the inverse of an explicit torus element, and the
-twisted derivation lands inside the previous stage.
+time yields a chain of subalgebras.  ore_step_check walks the chain once
+and certifies every step as a skew polynomial extension: the new
+generator normalizes the previous stage through the inverse of an
+explicit torus element, and the twisted derivation lands inside the
+previous stage.  One growing Span per degree carries the ordered
+products from stage to stage, so each product is eliminated once.
 """
 
 from dataclasses import dataclass
@@ -25,13 +27,15 @@ from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
 from .algebra import NCPoly, TorusElement, eigenvalue_of, q_commute_scalar
 from .minors import Minor, minor_value
-from .linalg import Span, component_basis, poly_row, rank
+from .linalg import Span, component_basis, poly_row
 from .report import SuiteReport
 from .scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, RationalScalar,
                       minus_q_power)
 
 #: build_frame refuses shapes with more ambient generators than this
 SHAPE_GUARD = 25
+
+_Q_INV2 = LaurentScalar({-2: 1})
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,16 @@ class FamilyMember:
 
     def __str__(self):
         return "%s=%s" % (self.label, self.minor)
+
+
+def _swaps(indices, complement):
+    """(i, j, swapped) for each swap of indices[j-1] for the i-th largest
+    complement index, defined when that index is the larger one."""
+    for i in range(1, len(complement) + 1):
+        added = complement[len(complement) - i]
+        for j, removed in enumerate(indices, 1):
+            if removed < added:
+                yield i, j, tuple(sorted(set(indices) - {removed} | {added}))
 
 
 class Frame:
@@ -91,22 +105,10 @@ class Frame:
         """All defined members, column swaps first, lex inside each kind."""
         if self._members is not None:
             return self._members
-        members = []
-        t = self.size
-        for i in range(1, len(self.col_complement) + 1):
-            added = self.added_col(i)
-            for j in range(1, t + 1):
-                if self.cols[j - 1] < added:
-                    cols = tuple(sorted(set(self.cols) - {self.cols[j - 1]} | {added}))
-                    members.append(("col_swap", i, j,
-                                    Minor(self.shape, self.rows, cols)))
-        for i in range(1, len(self.row_complement) + 1):
-            added = self.added_row(i)
-            for j in range(1, t + 1):
-                if self.rows[j - 1] < added:
-                    rows = tuple(sorted(set(self.rows) - {self.rows[j - 1]} | {added}))
-                    members.append(("row_swap", i, j,
-                                    Minor(self.shape, rows, self.cols)))
+        members = [("col_swap", i, j, Minor(self.shape, self.rows, cols))
+                   for i, j, cols in _swaps(self.cols, self.col_complement)]
+        members += [("row_swap", i, j, Minor(self.shape, rows, self.cols))
+                    for i, j, rows in _swaps(self.rows, self.row_complement)]
         self._members = tuple(FamilyMember(kind, i, j, mn, pos)
                               for pos, (kind, i, j, mn) in enumerate(members))
         return self._members
@@ -124,8 +126,7 @@ class Frame:
         for a in self.rows:
             for b in self.cols:
                 out.append(GenRef("x[%d,%d]" % (a, b), 1,
-                                  NCPoly.generator(self.shape, a, b),
-                                  Minor(self.shape, (a,), (b,))))
+                                  NCPoly.generator(self.shape, a, b)))
         return out
 
     def __str__(self):
@@ -138,7 +139,6 @@ class GenRef:
     label: str
     degree: int
     value: NCPoly
-    minor: Minor
 
 
 def build_frame(gamma):
@@ -149,11 +149,6 @@ def build_frame(gamma):
         raise DegreeTooLarge("shape %s exceeds the %d-generator guard"
                              % (gamma.shape, SHAPE_GUARD))
     return Frame(gamma)
-
-
-def member_ref(frame, member):
-    return GenRef(member.label, frame.size, minor_value(member.minor),
-                  member.minor)
 
 
 def generator_count(frame):
@@ -176,45 +171,28 @@ def generator_count(frame):
 # torus elements
 
 
+def _torus_entries(count, kept, added=None, removed=None):
+    """Entries for indices 1..count: q^-2 at `added`, q at `removed`, 1 at
+    the other indices in `kept` and q^-1 outside it."""
+    return tuple(_Q_INV2 if s == added else Q if s == removed
+                 else ONE if s in kept else Q_INV
+                 for s in range(1, count + 1))
+
+
 def member_torus(frame, member):
     """The torus element whose inverse twists the member's Ore step."""
     shape = frame.shape
-    A = set(frame.rows)
-    B = set(frame.cols)
-    one = ONE
-    qq = Q
-    qi = Q_INV
-    qi2 = LaurentScalar({-2: 1})
     if member.kind == "col_swap":
-        added = frame.added_col(member.i)
-        removed = frame.cols[member.j - 1]
-        alphas = tuple(one if s in A else qi for s in range(1, shape.m + 1))
-        betas = []
-        for s in range(1, shape.n + 1):
-            if s == added:
-                betas.append(qi2)
-            elif s == removed:
-                betas.append(qq)
-            elif s in B:
-                betas.append(one)
-            else:
-                betas.append(qi)
-        return TorusElement(shape, alphas, tuple(betas))
+        return TorusElement(shape, _torus_entries(shape.m, frame.rows),
+                            _torus_entries(shape.n, frame.cols,
+                                           frame.added_col(member.i),
+                                           frame.cols[member.j - 1]))
     if member.kind == "row_swap":
-        added = frame.added_row(member.i)
-        removed = frame.rows[member.j - 1]
-        alphas = []
-        for s in range(1, shape.m + 1):
-            if s == added:
-                alphas.append(qi2)
-            elif s == removed:
-                alphas.append(qq)
-            elif s in A:
-                alphas.append(one)
-            else:
-                alphas.append(qi)
-        betas = tuple(one if s in B else qi for s in range(1, shape.n + 1))
-        return TorusElement(shape, tuple(alphas), betas)
+        return TorusElement(shape,
+                            _torus_entries(shape.m, frame.rows,
+                                           frame.added_row(member.i),
+                                           frame.rows[member.j - 1]),
+                            _torus_entries(shape.n, frame.cols))
     raise UndefinedMember("unknown member kind %r" % member.kind)
 
 
@@ -241,35 +219,22 @@ def check_h_actions(frame):
 
     for mb in members:
         h = member_torus(frame, mb)
-        removed_col = frame.cols[mb.j - 1] if mb.kind == "col_swap" else None
-        removed_row = frame.rows[mb.j - 1] if mb.kind == "row_swap" else None
+        col = mb.kind == "col_swap"
+        same_kind, clause = (cswaps, 1) if col else (rswaps, 2)
+        removed = (frame.cols if col else frame.rows)[mb.j - 1]
         for a in frame.rows:
             for b in frame.cols:
-                x = NCPoly.generator(frame.shape, a, b)
-                if mb.kind == "col_swap":
-                    scalar = Q if b == removed_col else ONE
-                    clause = "1"
-                else:
-                    scalar = Q if a == removed_row else ONE
-                    clause = "2"
-                expect(h, x, scalar,
-                       "clause%s:%s on x[%d,%d]" % (clause, mb.label, a, b))
-        if mb.kind == "col_swap":
-            for other in cswaps:
-                if other.position >= mb.position:
-                    continue
-                same = other.i == mb.i or other.j == mb.j
-                scalar = Q_INV if same else ONE
-                expect(h, values[other], scalar,
-                       "clause3:%s on %s" % (mb.label, other.label))
-        else:
-            for other in rswaps:
-                if other.position >= mb.position:
-                    continue
-                same = other.i == mb.i or other.j == mb.j
-                scalar = Q_INV if same else ONE
-                expect(h, values[other], scalar,
-                       "clause4:%s on %s" % (mb.label, other.label))
+                scalar = Q if (b if col else a) == removed else ONE
+                expect(h, NCPoly.generator(frame.shape, a, b), scalar,
+                       "clause%d:%s on x[%d,%d]" % (clause, mb.label, a, b))
+        for other in same_kind:
+            if other.position >= mb.position:
+                continue
+            same = other.i == mb.i or other.j == mb.j
+            scalar = Q_INV if same else ONE
+            expect(h, values[other], scalar,
+                   "clause%d:%s on %s" % (clause + 2, mb.label, other.label))
+        if not col:
             for other in cswaps:
                 expect(h, values[other], ONE,
                        "clause5:%s on %s" % (mb.label, other.label))
@@ -419,11 +384,11 @@ class TowerStage:
 def tower_stages(frame):
     """The base stage followed by one stage per family member."""
     gens = frame.base_generators()
-    stages = [TowerStage(frame, -1, list(gens), None)]
+    stages = [TowerStage(frame, -1, gens, None)]
     for mb in frame.family():
-        ref = member_ref(frame, mb)
+        ref = GenRef(mb.label, frame.size, minor_value(mb.minor))
         gens = gens + [ref]
-        stages.append(TowerStage(frame, mb.position, list(gens), ref))
+        stages.append(TowerStage(frame, mb.position, gens, ref))
     return stages
 
 
@@ -520,95 +485,101 @@ class OreStepReport:
         return self.report.passed
 
 
-def ore_step_check(frame, stage_index, max_degree=None):
-    """Certify one tower extension as a skew polynomial step.
+def ore_step_check(frame, max_degree):
+    """Certify every tower extension as a skew polynomial step.
 
-    For the member at stage_index: (a) every earlier generator is an exact
-    eigenvector of the member's torus element h, so conjugation data is
-    the diagonal automorphism sigma = h^-1; (b) for each earlier generator
-    a, the twisted derivation delta(a) = x*a - sigma(a)*x lies in the
-    previous stage, witnessed by Laurent numerators over one denominator
-    against its ordered products and recombined exactly (and vanishes
-    exactly when a is a col_swap and x a row_swap); the products of each
-    degree form one Span, eliminated once for every target of that degree;
-    (c) graded dimensions of the new stage match the generating series
-    prod 1/(1 - z^deg) up to max_degree, certifying the ordered products
-    stay independent.
+    Walks the tower once and returns one OreStepReport per family member,
+    in family order.  For the member x of each stage: (a) every earlier
+    generator is an exact eigenvector of the member's torus element h, so
+    conjugation data is the diagonal automorphism sigma = h^-1; (b) for
+    each earlier generator a, the twisted derivation
+    delta(a) = x*a - sigma(a)*x lies in the previous stage, witnessed by
+    Laurent numerators over one denominator against its ordered products
+    and recombined exactly (and vanishes exactly when a is a col_swap and
+    x a row_swap); (c) graded dimensions of the new stage match the
+    generating series prod 1/(1 - z^deg) up to max_degree, certifying the
+    ordered products stay independent.
+
+    A stage adds to its degree's Span only its new products, those with a
+    positive exponent on x, once a check needs them: (b) runs while the
+    Span holds exactly the previous stage's products, (c) reads its rank.
     """
-    members = frame.family()
-    if not (0 <= stage_index < len(members)):
-        raise StageOutOfRange("stage %d outside 0..%d"
-                              % (stage_index, len(members) - 1))
-    member = members[stage_index]
-    stages = tower_stages(frame)
-    prior = stages[stage_index]       # stage with index - 1 == stage_index - 1
-    stage = stages[stage_index + 1]
-    x_ref = stage.newest
-    if max_degree is None:
-        max_degree = x_ref.degree + 2
-    if max_degree < x_ref.degree:
+    if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
+    stages = tower_stages(frame)
+    # degree -> [basis, Span, its products in order, stages it covers]
+    spans = {}
 
-    rep = SuiteReport("ore_step",
-                      {"gamma": str(frame.minor), "member": member.label,
-                       "max_degree": max_degree})
-    h = member_torus(frame, member)
-    eigen = []
-    for g in prior.generators:
-        lam = eigenvalue_of(h, g.value)
-        rep.add("eigenvector %s" % g.label, lam is not None,
-                "" if lam is not None else "not an h-eigenvector")
-        eigen.append((g.label, lam))
+    def span_at(k, d):
+        """The degree-d Span over the products of stages[k]."""
+        if d not in spans:
+            basis = component_basis(frame.shape, d)
+            spans[d] = [basis, Span([], len(basis)), [], 0]
+        basis, span, polys, covered = spans[d]
+        for stage in stages[covered:k + 1]:
+            for exps, p in stage_monomials(stage, d):
+                if stage.newest is None or exps[-1]:
+                    span.add(poly_row(p, basis))
+                    polys.append(p)
+        spans[d][3] = k + 1
+        return basis, span, polys
 
-    # delta(a) = x*a - sigma(a)*x with sigma = h^-1; per degree d, the
-    # previous stage's products and their Span, built once
-    prior_products = {}
-    for g, (_, lam) in zip(prior.generators, eigen):
-        if lam is None:
-            continue
-        sigma_a = g.value.scale(lam.unit_inverse())
-        delta = x_ref.value * g.value - sigma_a * x_ref.value
-        name = "delta(%s)" % g.label
-        if member.kind == "row_swap" and g.label.startswith("col_swap"):
-            rep.add(name + " vanishes", delta.is_zero,
-                    "" if delta.is_zero else "row_swap does not fix col_swap")
-            continue
-        if delta.is_zero:
-            rep.add(name, True, "zero")
-            continue
-        d = g.degree + x_ref.degree
-        basis = component_basis(frame.shape, d)
-        if d not in prior_products:
-            polys = [p for _, p in stage_monomials(prior, d)]
-            prior_products[d] = polys, Span([poly_row(p, basis) for p in polys],
-                                            len(basis))
-        polys, span = prior_products[d]
-        witness = span.express(poly_row(delta, basis))
-        if witness is None:
-            rep.add(name, False, "outside the previous stage")
-            continue
-        # recombine to double-check the witness
-        nums, den = witness
-        back = NCPoly.zero(frame.shape)
-        for p, num in zip(polys, nums):
-            if not num.is_zero:
-                back = back + p.scale(num)
-        rep.add(name, back == delta.scale(den),
-                "witness over %d ordered products" % len(polys))
+    steps = []
+    for k, member in enumerate(frame.family()):
+        prior, stage = stages[k], stages[k + 1]
+        x_ref = stage.newest
+        rep = SuiteReport("ore_step",
+                          {"gamma": str(frame.minor), "member": member.label,
+                           "max_degree": max_degree})
+        h = member_torus(frame, member)
+        eigen = []
+        for g in prior.generators:
+            lam = eigenvalue_of(h, g.value)
+            rep.add("eigenvector %s" % g.label, lam is not None,
+                    "" if lam is not None else "not an h-eigenvector")
+            eigen.append((g.label, lam))
 
-    weights = [g.degree for g in stage.generators]
-    predicted = stage_series_dims(weights, max_degree)
-    dims = []
-    for d in range(max_degree + 1):
-        monos = stage_monomials(stage, d)
-        basis = component_basis(frame.shape, d)
-        actual = rank(poly_row(p, basis) for _, p in monos)
-        dims.append((d, predicted[d], actual))
-        rep.add("dim degree %d" % d,
-                actual == predicted[d] == len(monos),
-                "predicted %d, rank %d, products %d"
-                % (predicted[d], actual, len(monos)))
-    return OreStepReport(stage, rep, eigen, dims)
+        # delta(a) = x*a - sigma(a)*x with sigma = h^-1
+        for g, (_, lam) in zip(prior.generators, eigen):
+            if lam is None:
+                continue
+            sigma_a = g.value.scale(lam.unit_inverse())
+            delta = x_ref.value * g.value - sigma_a * x_ref.value
+            name = "delta(%s)" % g.label
+            if member.kind == "row_swap" and g.label.startswith("col_swap"):
+                rep.add(name + " vanishes", delta.is_zero,
+                        "" if delta.is_zero else "row_swap does not fix col_swap")
+                continue
+            if delta.is_zero:
+                rep.add(name, True, "zero")
+                continue
+            basis, span, polys = span_at(k, g.degree + x_ref.degree)
+            witness = span.express(poly_row(delta, basis))
+            if witness is None:
+                rep.add(name, False, "outside the previous stage")
+                continue
+            # recombine to double-check the witness
+            nums, den = witness
+            back = NCPoly.zero(frame.shape)
+            for p, num in zip(polys, nums):
+                if not num.is_zero:
+                    back = back + p.scale(num)
+            rep.add(name, back == delta.scale(den),
+                    "witness over %d ordered products" % len(polys))
+
+        predicted = stage_series_dims([g.degree for g in stage.generators],
+                                      max_degree)
+        dims = []
+        for d in range(max_degree + 1):
+            _, span, polys = span_at(k + 1, d)
+            actual = span.rank
+            dims.append((d, predicted[d], actual))
+            rep.add("dim degree %d" % d,
+                    actual == predicted[d] == len(polys),
+                    "predicted %d, rank %d, products %d"
+                    % (predicted[d], actual, len(polys)))
+        steps.append(OreStepReport(stage, rep, eigen, dims))
+    return steps
 
 
 def gamma_normality_check(frame):

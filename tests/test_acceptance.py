@@ -141,9 +141,9 @@ def test_criterion_06_ore_tower_stages_match_predicted_dimensions():
         1: [1, 4, 12, 28, 58],
         2: [1, 4, 13, 32, 71],
     }
-    ok = True
-    for idx in range(3):
-        step = ore_step_check(frame, idx, max_degree=4)
+    steps = ore_step_check(frame, max_degree=4)
+    ok = len(steps) == 3
+    for idx, step in enumerate(steps):
         ok = ok and step.passed
         ok = ok and [p for _, p, _ in step.dims] == expected[idx]
         ok = ok and [a for _, _, a in step.dims] == expected[idx]

@@ -265,6 +265,28 @@ class TestSpanMembership:
                                    [den] + [-n for n in nums])
             assert not base.residue(rest)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_int_row, max_size=6), st.lists(_int_row, max_size=3))
+    def test_grown_row_by_row(self, rows, targets):
+        span = Span([], _WIDTH)
+        for i, row in enumerate(rows):
+            span.add(row)
+            grown = rows[:i + 1]
+            assert span.size == len(grown)
+            assert span.rank == rank(grown)
+            for target in targets:
+                witness = span.express(target)
+                assert (witness is None) == (rank(grown + [target])
+                                             > rank(grown))
+                if witness is not None:
+                    assert recombines(witness, target, grown)
+
+    def test_dependent_rows_add_no_rank(self):
+        row = {0: ONE, 2: Q}
+        span = Span([row, {}, {k: c * Q for k, c in row.items()}], _WIDTH)
+        assert (span.size, span.rank) == (3, 1)
+        assert span.rank < span.echelon.rank
+
     def test_base_members_cost_nothing(self, shape22):
         basis = component_basis(shape22, 1)
         x = [poly_row(NCPoly.generator(shape22, 1, j), basis) for j in (1, 2)]

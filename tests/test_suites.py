@@ -67,6 +67,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bad gamma"):
             WorkbenchConfig(m=2, n=2, gamma=((1, 2), (1,))).validate()
 
+    def test_empty_gamma(self):
+        with pytest.raises(ConfigError, match="bad gamma: the minor is empty"):
+            WorkbenchConfig(m=2, n=2, gamma=((), ()),
+                            suites=("pbw",)).validate()
+
 
 class TestSuiteList:
 
@@ -349,6 +354,45 @@ class TestCLI:
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", "1,2"])
         assert rc == 2
         assert "syntax error at position" in capsys.readouterr().err
+
+    def test_verify_empty_gamma_runs_nothing(self, capsys, monkeypatch):
+        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
+            ("must not run", False, "")]))
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", "|"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad gamma: the minor is empty\n"
+
+    @pytest.mark.parametrize("where", ["dir", "missing/out.json"],
+                             ids=["directory", "below-missing-directory"])
+    def test_unwritable_report_path(self, capsys, monkeypatch, tmp_path,
+                                    where):
+        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
+            ("must not run", False, "")]))
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / where)
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw",
+                       "--report", path])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the report to %s:" % path)
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "missing")
+
+    def test_report_write_failure_is_a_config_error(self, capsys,
+                                                    monkeypatch, tmp_path):
+        def refuse(run, fh):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "emit_report", refuse)
+        path = str(tmp_path / "out.json")
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw",
+                       "--max-degree", "1", "--report", path])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write the report to %s: Permission denied\n" % path)
 
     def test_verify_missing_gamma(self, capsys):
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "torus"])

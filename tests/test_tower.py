@@ -265,32 +265,44 @@ class TestProductMemo:
 class TestOreSteps:
     def test_full_tower_dims(self, frame1312):
         want = {0: [1, 4, 11, 24], 1: [1, 4, 12, 28], 2: [1, 4, 13, 32]}
-        for idx in range(3):
-            out = ore_step_check(frame1312, idx, max_degree=3)
+        steps = ore_step_check(frame1312, max_degree=3)
+        assert len(steps) == 3
+        for idx, out in enumerate(steps):
             assert out.passed, out.report.failed
             assert [actual for _, _, actual in out.dims] == want[idx]
             assert [pred for _, pred, _ in out.dims] == want[idx]
             assert all(lam is not None for _, lam in out.eigenvalues)
 
     def test_row_swap_fixes_col_swaps(self, frame1312):
-        out = ore_step_check(frame1312, 2, max_degree=2)
+        out = ore_step_check(frame1312, max_degree=2)[2]
         vanish = [c for c in out.report.checks if c.name.endswith("vanishes")]
         assert len(vanish) == 2
         assert all(c.status == "pass" for c in vanish)
 
     def test_2x2_corner(self, shape22):
         fr = build_frame(Minor(shape22, (1,), (1,)))
-        for idx in range(2):
-            out = ore_step_check(fr, idx, max_degree=3)
+        steps = ore_step_check(fr, max_degree=3)
+        assert len(steps) == 2
+        for out in steps:
             assert out.passed
 
     def test_stage_bounds(self, frame1312):
         with pytest.raises(StageOutOfRange):
-            ore_step_check(frame1312, 3)
-        with pytest.raises(StageOutOfRange):
-            ore_step_check(frame1312, -1)
-        with pytest.raises(StageOutOfRange):
-            ore_step_check(frame1312, 2, max_degree=1)
+            ore_step_check(frame1312, max_degree=1)
+
+    def test_dims_match_a_rank_from_scratch(self, shape33):
+        """The walk's dims equal linalg.rank over each stage's products."""
+        frames = [build_frame(mn) for mn in enumerate_minors(shape33)]
+        frames.append(build_frame(Minor(MatrixShape(4, 4), (2, 4), (1, 3))))
+        for fr in frames:
+            steps = ore_step_check(fr, max_degree=4)
+            assert len(steps) == len(fr.family())
+            for out in steps:
+                for d, _, actual in out.dims:
+                    basis = linalg.component_basis(fr.shape, d)
+                    want = linalg.rank(linalg.poly_row(p, basis)
+                                       for _, p in stage_monomials(out.stage, d))
+                    assert actual == want, (fr, out.stage.index, d)
 
 
 class TestWitnessRecombination:
@@ -307,7 +319,7 @@ class TestWitnessRecombination:
             return [n * Q for n in nums], den * (Q + 2)
 
         monkeypatch.setattr(linalg.Span, "express", skewed)
-        out = ore_step_check(frame1312, 1, max_degree=2)
+        out = ore_step_check(frame1312, max_degree=2)[1]
         witnessed = [c for c in out.report.checks
                      if c.witness.startswith("witness over")]
         assert len(witnessed) == 2
@@ -322,15 +334,21 @@ class TestWitnessRecombination:
                 super().__init__(spanning, width, base)
 
         monkeypatch.setattr(tower_mod, "Span", CountingSpan)
-        frame = build_frame(Minor(shape33, (2, 3), (1, 2)))
-        last = len(frame.family()) - 1
-        out = ore_step_check(frame, last, max_degree=3)
-        assert out.passed, out.report.failed
-        witnessed = [c for c in out.report.checks
+        frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
+        steps = ore_step_check(frame, max_degree=3)
+        assert len(steps) == len(frame.family()) > 1
+        assert all(out.passed for out in steps)
+        witnessed = [c for out in steps for c in out.report.checks
                      if c.witness.startswith("witness over")]
-        assert len(witnessed) > len(built) >= 1
-        # one width per degree: no degree's span is built twice
+        # degree-3 targets in two stages, over 24 and then 32 products:
+        # the same Span grew between them
+        assert sorted({c.witness for c in witnessed}) == [
+            "witness over 24 ordered products",
+            "witness over 32 ordered products"]
+        # one width per degree: no degree's span is built twice in the walk
+        widths = [len(linalg.component_basis(shape33, d)) for d in range(5)]
         assert len(set(built)) == len(built)
+        assert set(widths[:4]) <= set(built) <= set(widths)
 
 
 class TestGammaNormality:

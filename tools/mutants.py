@@ -40,8 +40,12 @@ MUTANTS = (
      "_MINUS_QHAT = QHAT"),
     ("provenance-shift", "spanning row i tagged at column width + i + 1",
      "src/qdet/linalg.py",
-     "self.echelon.insert({**row, width + i: ONE})",
-     "self.echelon.insert({**row, width + i + 1: ONE})"),
+     "self.echelon.insert({**row, self.width + self.size: ONE})",
+     "self.echelon.insert({**row, self.width + self.size + 1: ONE})"),
+    ("rank-provenance", "Span.rank counts provenance pivots",
+     "src/qdet/linalg.py",
+     "return sum(1 for col in self.echelon.pivots if col < width)",
+     "return len(self.echelon.pivots)"),
     ("nums-sign", "Span.express returns -nums",
      "src/qdet/linalg.py",
      "[-res.get(width + i, ZERO) for i in range(n)]",
@@ -59,6 +63,10 @@ MUTANTS = (
      "src/qdet/tower.py",
      "if e >= 1 and num == den * QHAT * minus_q_power(e):",
      "if e >= 0 and num == den * QHAT * minus_q_power(e):"),
+    ("skip-new-products", "the walk skips the newest generator's products",
+     "src/qdet/tower.py",
+     "if stage.newest is None or exps[-1]:",
+     "if stage.newest is None:"),
     ("skip-recombination", "ore_step_check trusts its witness unchecked",
      "src/qdet/tower.py",
      "rep.add(name, back == delta.scale(den),",
