@@ -11,10 +11,10 @@ as an option.
 
 verify exits 0 when every check passes, 1 when any check fails, and 2 on
 configuration or syntax problems, an unusable --report path among them
-(a directory, or a path in a missing one, is refused before any suite
-runs).  Every check is exact and the suites run one after the other in
-this process.  --cache is the only source of a span cache directory; one
-that cannot be written only makes the run uncached.
+(an empty path, a directory, or a path in a missing one, is refused
+before any suite runs).  Every check is exact and the suites run one
+after the other in this process.  --cache is the only source of a span
+cache directory; one that cannot be written only makes the run uncached.
 """
 
 import argparse
@@ -69,9 +69,10 @@ def _cmd_verify(args):
         m=args.m, n=args.n, gamma=gamma, max_degree=args.max_degree,
         suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()),
         cache=args.cache)
-    if args.report:
+    if args.report is not None:
         folder = os.path.dirname(args.report) or "."
-        if os.path.isdir(args.report) or not os.path.isdir(folder):
+        if (not args.report or os.path.isdir(args.report)
+                or not os.path.isdir(folder)):
             raise ConfigError("cannot write the report to %s: not a file in "
                               "an existing directory" % args.report)
     run = run_workbench(config)
@@ -88,7 +89,7 @@ def _cmd_verify(args):
     if shown > FAIL_PRINT_CAP:
         print("  ... %d more failures" % (shown - FAIL_PRINT_CAP))
     print(run.summary_line())
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="ascii") as fh:
                 emit_report(run, fh)

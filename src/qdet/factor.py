@@ -32,7 +32,7 @@ from .minors import (Minor, enumerate_minors, excluded_minors,
 from .linalg import Echelon, Span, component_basis, poly_row, rank
 from .report import SuiteReport
 from .scalars import ONE, RationalScalar
-from .tower import build_frame, stage_monomials, tower_stages
+from .tower import build_frame, stage_monomials
 
 
 # ----------------------------------------------------------------------
@@ -465,10 +465,10 @@ def tower_image_check(gamma, max_degree):
     rep = SuiteReport("tower_image", {"gamma": str(gamma),
                                       "max_degree": max_degree})
     frame = build_frame(gamma)
-    last = tower_stages(frame)[-1]
+    top = len(frame.generators())
     for d in range(max_degree + 1):
         ic = ideal_component(gamma, d)
-        rows = [poly_row(p, ic.basis) for _, p in stage_monomials(last, d)]
+        rows = [poly_row(p, ic.basis) for p in stage_monomials(frame, top, d)]
         own = rank(rows)
         grew = ic.extended_rank(rows) - ic.rank
         rep.add("degree %d" % d, grew == own,

@@ -11,17 +11,19 @@ from gamma in a single index:
   i-th largest row outside A; defined when that row exceeds a_j.
 
 Members are ordered with all column swaps before all row swaps and
-lexicographically by (i, j) inside each kind.  Adjoining them one at a
-time yields a chain of subalgebras.  ore_step_check walks the chain once
-and certifies every step as a skew polynomial extension: the new
-generator normalizes the previous stage through the inverse of an
+lexicographically by (i, j) inside each kind.  The tower generators are
+the base variables followed by the members, and stage k is generated by
+the first k of them, so adjoining the members one at a time yields a
+chain of subalgebras.  The ordered products of stage k in degree d form
+one list, and stage k-1's list is its prefix.  ore_step_check walks the
+chain once and certifies every step as a skew polynomial extension: the
+new generator normalizes the previous stage through the inverse of an
 explicit torus element, and the twisted derivation lands inside the
-previous stage.  One growing Span per degree carries the ordered
-products from stage to stage, so each product is eliminated once.
+previous stage.  One growing Span per degree takes each stage's new
+products from the end of its list, so each product is eliminated once.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
@@ -67,14 +69,15 @@ def _swaps(indices, complement):
 class Frame:
     """A minor together with the index bookkeeping its tower needs.
 
-    Two lazy caches live on the frame and die with it: the family
-    (`_members`) and the ordered tower products (`_products`, filled by
-    stage_monomials).  A suite builds one frame per call, so neither
+    Three lazy caches live on the frame and die with it: the family
+    (`_members`), the tower generators (`_generators`) and the ordered
+    products of each stage and degree (`_products`, filled by
+    stage_monomials).  A suite builds one frame per call, so none
     outlives the suite.
     """
 
     __slots__ = ("shape", "minor", "rows", "cols", "row_complement",
-                 "col_complement", "_members", "_products")
+                 "col_complement", "_members", "_generators", "_products")
 
     def __init__(self, minor):
         self.shape = minor.shape
@@ -86,6 +89,7 @@ class Frame:
         self.col_complement = tuple(c for c in range(1, self.shape.n + 1)
                                     if c not in minor.cols)
         self._members = None
+        self._generators = None
         self._products = {}
 
     @property
@@ -120,14 +124,17 @@ class Frame:
         raise UndefinedMember("%s[%d,%d] is not defined for %s"
                               % (kind, i, j, self.minor))
 
-    def base_generators(self):
-        """The t*t grid variables spanning the base subalgebra."""
-        out = []
-        for a in self.rows:
-            for b in self.cols:
-                out.append(GenRef("x[%d,%d]" % (a, b), 1,
-                                  NCPoly.generator(self.shape, a, b)))
-        return out
+    def generators(self):
+        """The tower generators, built once: the t*t base variables x[a,b]
+        (row-major over rows x cols), then one per family member."""
+        if self._generators is None:
+            gens = [GenRef("x[%d,%d]" % (a, b), 1,
+                           NCPoly.generator(self.shape, a, b))
+                    for a in self.rows for b in self.cols]
+            gens += [GenRef(mb.label, self.size, minor_value(mb.minor))
+                     for mb in self.family()]
+            self._generators = tuple(gens)
+        return self._generators
 
     def __str__(self):
         return "frame(%s in %s)" % (self.minor, self.shape)
@@ -372,26 +379,6 @@ def subalgebra_commutation_check(frame):
 # tower stages and Ore-type certificates
 
 
-@dataclass
-class TowerStage:
-    """Generators of the tower after adjoining the first `index + 1` members."""
-    frame: Frame
-    index: int            # -1 for the base stage
-    generators: list      # GenRef, base variables first, members in order
-    newest: Optional[GenRef]
-
-
-def tower_stages(frame):
-    """The base stage followed by one stage per family member."""
-    gens = frame.base_generators()
-    stages = [TowerStage(frame, -1, gens, None)]
-    for mb in frame.family():
-        ref = GenRef(mb.label, frame.size, minor_value(mb.minor))
-        gens = gens + [ref]
-        stages.append(TowerStage(frame, mb.position, gens, ref))
-    return stages
-
-
 def stage_series_dims(weights, dmax):
     """Coefficients of prod 1/(1 - z^w) up to degree dmax."""
     dims = [0] * (dmax + 1)
@@ -402,80 +389,38 @@ def stage_series_dims(weights, dmax):
     return dims
 
 
-def _weighted_exponents(weights, total):
-    """All exponent tuples with sum(e_i * w_i) == total, lex order."""
-    out = []
+def stage_monomials(frame, k, d):
+    """Ordered products of the first k tower generators in degree d.
 
-    def rec(idx, remaining, prefix):
-        if idx == len(weights) - 1:
-            if remaining % weights[idx] == 0:
-                out.append(prefix + (remaining // weights[idx],))
-            return
-        w = weights[idx]
-        for e in range(remaining // w, -1, -1):
-            rec(idx + 1, remaining - e * w, prefix + (e,))
+    The list L(k, d) obeys L(0, 0) = [1], L(0, d) = [] for d > 0 and
 
-    if weights:
-        rec(0, total, ())
-    elif total == 0:
-        out.append(())
-    return out
+        L(k, d) = L(k-1, d) + [p * g_k for p in L(k, d - deg g_k)],
 
-
-def _strip(exps):
-    """exps without its trailing zeros."""
-    end = len(exps)
-    while end and not exps[end - 1]:
-        end -= 1
-    return exps[:end]
-
-
-def _ordered_product(frame, gens, key):
-    """g_0^e_0 * ... * g_k^e_k for a stripped exponent key, memoised.
-
-    A key with a nonzero prefix is (product of the prefix) * g_k^e_k; a
-    pure power is g_k^(e-1) * g_k, so every entry costs one multiplication.
+    so a product costs one multiplication by a generator, and L(k-1, d)
+    is a prefix of L(k, d) holding the same objects.  Lists are memoised
+    on the frame under (k, d); the degrees of one residue class are
+    filled bottom-up, so the recursion depth is at most k whatever d is.
+    The returned list and its polynomials are shared and must not be
+    mutated.
     """
-    prod = frame._products.get(key)
-    if prod is not None:
-        return prod
-    if not key:
-        prod = NCPoly.one(frame.shape)
-    else:
-        k = len(key) - 1
-        e = key[k]
-        head = _strip(key[:k])
-        if head:
-            prod = (_ordered_product(frame, gens, head)
-                    * _ordered_product(frame, gens, (0,) * k + (e,)))
-        elif e == 1:
-            prod = gens[k].value
+    products = frame._products
+    if (k, d) not in products:
+        if k == 0:
+            products[(k, d)] = [NCPoly.one(frame.shape)] if d == 0 else []
         else:
-            prod = (_ordered_product(frame, gens, (0,) * k + (e - 1,))
-                    * gens[k].value)
-    frame._products[key] = prod
-    return prod
-
-
-def stage_monomials(stage, d):
-    """Ordered products of stage generators of total degree d.
-
-    Returns (exps, product) pairs in _weighted_exponents order.  Products
-    are memoised on the stage's frame under exps stripped of trailing
-    zeros: stage k+1 extends stage k's generators, so one key names the
-    same product at every stage, and a degree-d product reuses its
-    lower-degree prefix.  The stage must come from tower_stages of its
-    frame; the returned polynomials are shared and must not be mutated.
-    """
-    gens = stage.generators
-    weights = [g.degree for g in gens]
-    return [(exps, _ordered_product(stage.frame, gens, _strip(exps)))
-            for exps in _weighted_exponents(weights, d)]
+            g = frame.generators()[k - 1]
+            for e in range(d % g.degree, d + 1, g.degree):
+                if (k, e) in products:
+                    continue
+                lower = products[(k, e - g.degree)] if e >= g.degree else []
+                products[(k, e)] = (stage_monomials(frame, k - 1, e)
+                                    + [p * g.value for p in lower])
+    return products[(k, d)]
 
 
 @dataclass
 class OreStepReport:
-    stage: TowerStage
+    member: FamilyMember
     report: SuiteReport
     eigenvalues: list      # (label, h-eigenvalue as LaurentScalar)
     dims: list             # (degree, predicted, actual)
@@ -500,47 +445,47 @@ def ore_step_check(frame, max_degree):
     generating series prod 1/(1 - z^deg) up to max_degree, certifying the
     ordered products stay independent.
 
-    A stage adds to its degree's Span only its new products, those with a
-    positive exponent on x, once a check needs them: (b) runs while the
-    Span holds exactly the previous stage's products, (c) reads its rank.
+    Stage k is generated by the first k tower generators.  Its degree-d
+    Span grows by the tail of stage_monomials(frame, k, d) beyond the
+    products it already holds, once a check needs them: (b) runs while
+    the Span holds exactly the previous stage's products, (c) reads its
+    rank.
     """
     if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
-    stages = tower_stages(frame)
-    # degree -> [basis, Span, its products in order, stages it covers]
+    gens = frame.generators()
+    base = frame.size ** 2
+    # degree -> (basis, Span over a prefix of that degree's products)
     spans = {}
 
     def span_at(k, d):
-        """The degree-d Span over the products of stages[k]."""
+        """(basis, Span, products) of stage k in degree d."""
         if d not in spans:
             basis = component_basis(frame.shape, d)
-            spans[d] = [basis, Span([], len(basis)), [], 0]
-        basis, span, polys, covered = spans[d]
-        for stage in stages[covered:k + 1]:
-            for exps, p in stage_monomials(stage, d):
-                if stage.newest is None or exps[-1]:
-                    span.add(poly_row(p, basis))
-                    polys.append(p)
-        spans[d][3] = k + 1
-        return basis, span, polys
+            spans[d] = (basis, Span([], len(basis)))
+        basis, span = spans[d]
+        products = stage_monomials(frame, k, d)
+        for p in products[span.size:]:
+            span.add(poly_row(p, basis))
+        return basis, span, products
 
     steps = []
-    for k, member in enumerate(frame.family()):
-        prior, stage = stages[k], stages[k + 1]
-        x_ref = stage.newest
+    for member in frame.family():
+        k = base + member.position
+        prior, x_ref = gens[:k], gens[k]
         rep = SuiteReport("ore_step",
                           {"gamma": str(frame.minor), "member": member.label,
                            "max_degree": max_degree})
         h = member_torus(frame, member)
         eigen = []
-        for g in prior.generators:
+        for g in prior:
             lam = eigenvalue_of(h, g.value)
             rep.add("eigenvector %s" % g.label, lam is not None,
                     "" if lam is not None else "not an h-eigenvector")
             eigen.append((g.label, lam))
 
         # delta(a) = x*a - sigma(a)*x with sigma = h^-1
-        for g, (_, lam) in zip(prior.generators, eigen):
+        for g, (_, lam) in zip(prior, eigen):
             if lam is None:
                 continue
             sigma_a = g.value.scale(lam.unit_inverse())
@@ -567,7 +512,7 @@ def ore_step_check(frame, max_degree):
             rep.add(name, back == delta.scale(den),
                     "witness over %d ordered products" % len(polys))
 
-        predicted = stage_series_dims([g.degree for g in stage.generators],
+        predicted = stage_series_dims([g.degree for g in gens[:k + 1]],
                                       max_degree)
         dims = []
         for d in range(max_degree + 1):
@@ -578,7 +523,7 @@ def ore_step_check(frame, max_degree):
                     actual == predicted[d] == len(polys),
                     "predicted %d, rank %d, products %d"
                     % (predicted[d], actual, len(polys)))
-        steps.append(OreStepReport(stage, rep, eigen, dims))
+        steps.append(OreStepReport(member, rep, eigen, dims))
     return steps
 
 
@@ -590,12 +535,10 @@ def gamma_normality_check(frame):
     """
     rep = SuiteReport("gamma_normality", {"gamma": str(frame.minor)})
     gval = minor_value(frame.minor)
-    for g in frame.base_generators():
+    base = frame.size ** 2
+    for k, g in enumerate(frame.generators()):
         c = q_commute_scalar(gval, g.value)
-        ok = c is not None and c.num == ONE and c.den == ONE
+        want = ONE if k < base else Q
+        ok = c is not None and c.den == ONE and c.num == want
         rep.add("gamma vs %s" % g.label, ok, "scalar %s" % c)
-    for mb in frame.family():
-        c = q_commute_scalar(gval, minor_value(mb.minor))
-        ok = c is not None and c.den == ONE and c.num == Q
-        rep.add("gamma vs %s" % mb.label, ok, "scalar %s" % c)
     return rep

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 
 import pytest
@@ -364,14 +365,15 @@ class TestCLI:
         assert out == ""
         assert err == "error: bad gamma: the minor is empty\n"
 
-    @pytest.mark.parametrize("where", ["dir", "missing/out.json"],
-                             ids=["directory", "below-missing-directory"])
+    @pytest.mark.parametrize("where", ["dir", "missing/out.json", None],
+                             ids=["directory", "below-missing-directory",
+                                  "empty"])
     def test_unwritable_report_path(self, capsys, monkeypatch, tmp_path,
                                     where):
         monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
             ("must not run", False, "")]))
         (tmp_path / "dir").mkdir()
-        path = str(tmp_path / where)
+        path = "" if where is None else str(tmp_path / where)
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw",
                        "--report", path])
         assert rc == 2
@@ -514,6 +516,32 @@ class TestCLI:
         # traceback
         rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
         assert rc in (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           gamma=st.none() | st.sampled_from(["1|1", "1,2|2,3", "1,3|1,2"])
+           | st.text("0123,|- x", max_size=8),
+           max_degree=st.integers(-1, 2),
+           suites=st.lists(st.sampled_from(SUITE_NAMES
+                                           + ("all", "zzz", "", " pbw")),
+                           max_size=3).map(",".join),
+           report=st.sampled_from([None, "", "out.json", "dir",
+                                   "dir/out.json", "missing/out.json"]))
+    def test_verify_flags_fuzz(self, shape, gamma, max_degree, suites,
+                               report):
+        # any flags give a verdict (0 or 1) or a reported error (2), never
+        # a traceback
+        argv = ["verify", "--m", str(shape[0]), "--n", str(shape[1]),
+                "--max-degree", str(max_degree), "--suites", suites]
+        if gamma is not None:
+            argv += ["--gamma", gamma]
+        with tempfile.TemporaryDirectory() as tmp:
+            os.mkdir(os.path.join(tmp, "dir"))
+            if report is not None:
+                argv += ["--report", os.path.join(tmp, report) if report
+                         else ""]
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2)
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",

@@ -1,5 +1,6 @@
 """Tower frames, swap families, torus data, and Ore-type certificates."""
 
+import collections
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from qdet.tower import (Frame, build_frame, check_h_actions,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
                         stage_monomials, stage_series_dims,
-                        subalgebra_commutation_check, tower_stages)
+                        subalgebra_commutation_check)
 
 
 @pytest.fixture
@@ -56,9 +57,11 @@ class TestFrame:
             frame1312.member("col_swap", 2, 1)
 
     def test_base_generators(self, frame1312):
-        labels = [g.label for g in frame1312.base_generators()]
-        assert labels == ["x[1,1]", "x[1,2]", "x[3,1]", "x[3,2]"]
-        assert all(g.degree == 1 for g in frame1312.base_generators())
+        base = frame1312.generators()[:4]
+        assert [g.label for g in base] == ["x[1,1]", "x[1,2]", "x[3,1]",
+                                           "x[3,2]"]
+        assert all(g.degree == 1 for g in base)
+        assert frame1312.generators() is frame1312.generators()
 
     def test_generator_count(self, frame1312, shape33, shape34):
         assert generator_count(frame1312) == 7
@@ -182,13 +185,14 @@ def brute_weighted_count(weights, d):
 
 class TestStages:
     def test_stage_layout(self, frame1312):
-        stages = tower_stages(frame1312)
-        assert len(stages) == 4
-        assert stages[0].index == -1 and stages[0].newest is None
-        assert len(stages[0].generators) == 4
-        assert len(stages[-1].generators) == 7
-        assert stages[1].newest.label == "col_swap[1,1]"
-        assert stages[3].newest.degree == 2
+        gens = frame1312.generators()
+        assert len(gens) == generator_count(frame1312) == 7
+        assert [g.label for g in gens[4:]] == [
+            mb.label for mb in frame1312.family()]
+        assert gens[4].label == "col_swap[1,1]"
+        assert [g.degree for g in gens] == [1, 1, 1, 1, 2, 2, 2]
+        assert all(g.value == minor_value(mb.minor)
+                   for g, mb in zip(gens[4:], frame1312.family()))
 
     def test_series_dims_against_brute_force(self):
         for weights in ((1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2),
@@ -203,63 +207,89 @@ class TestStages:
         assert stage_series_dims((1, 1, 1, 1, 2, 2, 2), 4) == [1, 4, 13, 32, 71]
 
     def test_stage_monomials(self, frame1312):
-        stages = tower_stages(frame1312)
-        monos = stage_monomials(stages[1], 2)
+        monos = stage_monomials(frame1312, 5, 2)
         assert len(monos) == 11
-        for exps, p in monos:
-            assert len(exps) == 5
-            assert sum(e * g.degree for e, g in
-                       zip(exps, stages[1].generators)) == 2
+        assert len(set(monos)) == 11
+        for p in monos:
             assert not p.is_zero
+            assert p.degree() == 2
 
 
-def naive_stage_monomials(stage, d):
-    """Each ordered product rebuilt left to right from 1, no sharing."""
-    weights = [g.degree for g in stage.generators]
+def naive_stage_monomials(frame, k, d):
+    """Every ordered product of the first k generators in degree d, each
+    multiplied left to right from 1, no sharing.
+
+    An ordered product is a nondecreasing word in the generator indices;
+    every such word of at most d letters is tried and kept when its
+    degrees sum to d.
+    """
+    gens = frame.generators()[:k]
     out = []
-    for exps in tower_mod._weighted_exponents(weights, d):
-        prod = NCPoly.one(stage.frame.shape)
-        for g, e in zip(stage.generators, exps):
-            for _ in range(e):
-                prod = prod * g.value
-        out.append((exps, prod))
+    for length in range(d + 1):
+        for word in itertools.combinations_with_replacement(range(k), length):
+            if sum(gens[i].degree for i in word) != d:
+                continue
+            prod = NCPoly.one(frame.shape)
+            for i in word:
+                prod = prod * gens[i].value
+            out.append(prod)
     return out
+
+
+def product_frames(shape33):
+    frames = [build_frame(mn) for mn in enumerate_minors(shape33)]
+    frames.append(build_frame(Minor(MatrixShape(4, 4), (2, 4), (1, 3))))
+    return frames
 
 
 class TestProductMemo:
     def test_memo_matches_naive_products(self, shape33):
-        frames = [build_frame(mn) for mn in enumerate_minors(shape33)]
-        frames.append(build_frame(Minor(MatrixShape(4, 4), (2, 4), (1, 3))))
-        for fr in frames:
-            for stage in tower_stages(fr):
-                for d in range(5):
-                    got = stage_monomials(stage, d)
-                    want = naive_stage_monomials(stage, d)
-                    assert [e for e, _ in got] == [e for e, _ in want]
-                    assert got == want, (fr, stage.index, d)
+        for fr in product_frames(shape33):
+            # descending degrees: the memo must not rely on call order
+            for k in range(len(fr.generators()) + 1):
+                for d in range(4, -1, -1):
+                    got = collections.Counter(stage_monomials(fr, k, d))
+                    want = collections.Counter(naive_stage_monomials(fr, k, d))
+                    assert got == want, (fr, k, d)
+
+    def test_list_lengths_match_the_series(self, shape33):
+        for fr in product_frames(shape33):
+            weights = [g.degree for g in fr.generators()]
+            for k in range(len(weights) + 1):
+                dims = stage_series_dims(weights[:k], 4)
+                assert [len(stage_monomials(fr, k, d))
+                        for d in range(5)] == dims, (fr, k)
 
     def test_second_call_returns_the_same_objects(self, frame1312):
-        stages = tower_stages(frame1312)
-        first = stage_monomials(stages[-1], 3)
-        again = stage_monomials(tower_stages(frame1312)[-1], 3)
-        assert len(first) == len(again)
-        assert all(p is r for (_, p), (_, r) in zip(first, again))
+        first = stage_monomials(frame1312, 7, 3)
+        again = stage_monomials(frame1312, 7, 3)
+        assert len(first) == 32
+        assert all(p is r for p, r in zip(first, again))
 
-    def test_products_are_shared_across_stages(self, frame1312):
-        stages = tower_stages(frame1312)
-        short = dict(stage_monomials(stages[0], 2))
-        for exps, p in stage_monomials(stages[-1], 2):
-            head, tail = exps[:4], exps[4:]
-            if not any(tail):
-                assert short[head] is p
+    def test_products_are_shared_across_stages(self, shape33):
+        # L(k-1, d) is a prefix of L(k, d), holding the same objects
+        for fr in product_frames(shape33):
+            for k in range(1, len(fr.generators()) + 1):
+                for d in range(5):
+                    short = stage_monomials(fr, k - 1, d)
+                    head = stage_monomials(fr, k, d)[:len(short)]
+                    assert len(head) == len(short)
+                    assert all(p is r for p, r in zip(short, head)), (fr, k, d)
 
     def test_fresh_frame_starts_empty(self, shape33):
         gamma = Minor(shape33, (1, 3), (1, 2))
         used = build_frame(gamma)
         assert used._products == {}
-        stage_monomials(tower_stages(used)[-1], 2)
+        stage_monomials(used, 7, 2)
         assert used._products
         assert build_frame(gamma)._products == {}
+
+    def test_recursion_depth_does_not_grow_with_the_degree(self):
+        # a degree above the default recursion limit of 1000, asked first
+        fr = build_frame(Minor(MatrixShape(1, 1), (1,), (1,)))
+        x = NCPoly.generator(fr.shape, 1, 1)
+        top = stage_monomials(fr, 1, 1200)
+        assert top == [stage_monomials(fr, 1, 1199)[0] * x]
 
 
 class TestOreSteps:
@@ -292,17 +322,16 @@ class TestOreSteps:
 
     def test_dims_match_a_rank_from_scratch(self, shape33):
         """The walk's dims equal linalg.rank over each stage's products."""
-        frames = [build_frame(mn) for mn in enumerate_minors(shape33)]
-        frames.append(build_frame(Minor(MatrixShape(4, 4), (2, 4), (1, 3))))
-        for fr in frames:
+        for fr in product_frames(shape33):
             steps = ore_step_check(fr, max_degree=4)
             assert len(steps) == len(fr.family())
             for out in steps:
+                k = fr.size ** 2 + out.member.position + 1
                 for d, _, actual in out.dims:
                     basis = linalg.component_basis(fr.shape, d)
                     want = linalg.rank(linalg.poly_row(p, basis)
-                                       for _, p in stage_monomials(out.stage, d))
-                    assert actual == want, (fr, out.stage.index, d)
+                                       for p in stage_monomials(fr, k, d))
+                    assert actual == want, (fr, out.member.label, d)
 
 
 class TestWitnessRecombination:

@@ -65,8 +65,12 @@ MUTANTS = (
      "if e >= 0 and num == den * QHAT * minus_q_power(e):"),
     ("skip-new-products", "the walk skips the newest generator's products",
      "src/qdet/tower.py",
-     "if stage.newest is None or exps[-1]:",
-     "if stage.newest is None:"),
+     "products = stage_monomials(frame, k, d)",
+     "products = stage_monomials(frame, min(k, base), d)"),
+    ("no-higher-powers", "the product recursion never squares a generator",
+     "src/qdet/tower.py",
+     "lower = products[(k, e - g.degree)] if e >= g.degree else []",
+     "lower = products[(k - 1, e - g.degree)] if e >= g.degree else []"),
     ("skip-recombination", "ore_step_check trusts its witness unchecked",
      "src/qdet/tower.py",
      "rep.add(name, back == delta.scale(den),",
