@@ -8,7 +8,10 @@ degree by degree, as
 
     I_d = x * I_{d-1} + I_{d-1} * x + (new generators of degree d)
 
-and kept in a fraction-free echelon.  Everything downstream reduces to
+and kept in a fraction-free echelon.  The products with a generator are
+taken in column space: each echelon row of I_{d-1} goes through the
+left and right generator tables of linalg.action_tables, so no row is
+turned back into a polynomial.  Everything downstream reduces to
 residues against these spans: equality in the quotient, Hilbert
 dimensions, the standard monomial basis, the normalizing scalar of a
 minor above gamma, regularity of gamma, and the rewriting of an ambient
@@ -29,7 +32,8 @@ from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      std_le)
-from .linalg import Echelon, Span, component_basis, poly_row, rank
+from .linalg import (Echelon, Span, action_tables, apply_table,
+                     component_basis, poly_row, rank)
 from .report import SuiteReport
 from .scalars import ONE, RationalScalar
 from .tower import build_frame, stage_monomials
@@ -59,12 +63,6 @@ class IdealComponent:
         if p.is_zero:
             return True
         return not self.echelon.residue(poly_row(p, self.basis))
-
-    def row_polys(self):
-        monos = self.basis.monomials
-        return [NCPoly(self.basis.shape,
-                       {monos[i].exps: c for i, c in row.items()})
-                for row in self.echelon.rows()]
 
     def extended_rank(self, rows):
         """Rank of this span together with extra Laurent rows."""
@@ -123,12 +121,11 @@ def _build_echelon(gamma, degree, basis, key):
     ech = Echelon()
     if degree > 0:
         prev = ideal_component(gamma, degree - 1)
-        gens = [NCPoly.generator(shape, a, b) for a in range(1, shape.m + 1)
-                for b in range(1, shape.n + 1)]
-        for p in prev.row_polys():
-            for g in gens:
-                ech.insert(poly_row(g * p, basis))
-                ech.insert(poly_row(p * g, basis))
+        tables = list(zip(*action_tables(shape, degree)))
+        for row in prev.echelon.rows():
+            for left, right in tables:
+                ech.insert(apply_table(left, row))
+                ech.insert(apply_table(right, row))
     for mn in _excluded_by_degree(shape, gamma.rows, gamma.cols).get(degree, ()):
         ech.insert(poly_row(minor_value(mn), basis))
     _disk.store_rows(("ideal",) + key, ech.rows())
@@ -173,8 +170,10 @@ class StandardMonomial:
         return sum(f.size for f in self.factors)
 
     def value(self):
-        p = NCPoly.one(self.shape)
-        for f in self.factors:
+        if not self.factors:
+            return NCPoly.one(self.shape)
+        p = minor_value(self.factors[0])
+        for f in self.factors[1:]:
             p = p * minor_value(f)
         return p
 

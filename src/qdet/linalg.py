@@ -15,14 +15,20 @@ fraction.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
-row.  Leading position is the smallest column index.
+row.  An incoming row equal to the stored one at its pivot, both
+normalized, is dependent and is dropped without a combination.  Leading
+position is the smallest column index.
+
+Multiplication by a generator is a linear map from one graded component
+to the next; `action_tables` holds it column by column, so a product
+with a generator is taken on Laurent rows without an NCPoly.
 """
 
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import BasisMismatch, ShapeMismatch
-from .algebra import MatrixShape, graded_basis
+from .algebra import MatrixShape, _nf_mono_gen, graded_basis
 from .scalars import ONE, ZERO, _laurent
 
 
@@ -55,6 +61,58 @@ def _basis_cached(m, n, degree):
 
 def component_basis(shape, degree):
     return _basis_cached(shape.m, shape.n, degree)
+
+
+@lru_cache(maxsize=64)
+def action_tables(shape, degree):
+    """Left and right multiplication by each generator, column by column.
+
+    Returns (left, right): left[g][i] is x_g * b_i and right[g][i] is
+    b_i * x_g, where b_i is the i-th monomial of component_basis(shape,
+    degree - 1) and g the generator index (lex order), each as a tuple of
+    (column, LaurentScalar) over component_basis(shape, degree).  The
+    right table comes from the cached word rewriting; the left one from
+    the left table one degree lower by associativity, so no whole word is
+    rewritten from the left.  Memoised per shape and degree.
+    """
+    m, n = shape.m, shape.n
+    src = component_basis(shape, degree - 1).monomials
+    index = component_basis(shape, degree).index
+    right = tuple(tuple(tuple((index[e], c) for e, c in
+                              _nf_mono_gen(m, n, mono.exps, gen))
+                        for mono in src)
+                  for gen in shape.gens())
+    if degree == 1:
+        # x_g * 1 = 1 * x_g
+        return right, right
+    lower = action_tables(shape, degree - 1)[0]
+    lower_index = component_basis(shape, degree - 2).index
+    peeled = []
+    for mono in src:
+        exps = list(mono.exps)
+        last = max(i for i, e in enumerate(exps) if e)
+        exps[last] -= 1
+        peeled.append((lower_index[tuple(exps)], right[last]))
+    # x_g * x^e = (x_g * x^e') * x_l, with x_l the last letter of x^e
+    left = tuple(tuple(tuple((j, v) for j, v in
+                             apply_table(times_last, dict(lower_g[head])).items()
+                             if v)
+                       for head, times_last in peeled)
+                 for lower_g in lower)
+    return left, right
+
+
+def apply_table(table, row):
+    """The image of a Laurent row under one generator table, as a row.
+
+    An entry that cancels stays as a zero scalar; Echelon.insert drops it.
+    """
+    out = {}
+    for i, c in row.items():
+        for j, t in table[i]:
+            acc = out.get(j)
+            out[j] = c * t if acc is None else acc + c * t
+    return out
 
 
 def poly_row(p, basis):
@@ -160,6 +218,8 @@ class Echelon:
                 self.pivots[col] = row
                 row = stored
                 continue
+            if row == stored:
+                return False
             row = _combine(row, stored, col)
         return False
 

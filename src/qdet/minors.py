@@ -177,13 +177,22 @@ class MinorIdentity:
                     raise ShapeMismatch("identity factor over the wrong shape")
 
     def evaluate(self):
-        out = NCPoly.zero(self.shape)
+        out = {}
         for c, fs in self.terms:
-            prod = NCPoly.one(self.shape)
-            for f in fs:
-                prod = prod * minor_value(f)
-            out = out + prod.scale(c)
-        return out
+            if not fs:
+                prod = NCPoly.one(self.shape)
+            else:
+                prod = minor_value(fs[0])
+                for f in fs[1:]:
+                    prod = prod * minor_value(f)
+            for e, v in prod.terms.items():
+                acc = out.get(e)
+                acc = v * c if acc is None else acc + v * c
+                if acc.is_zero:
+                    out.pop(e, None)
+                else:
+                    out[e] = acc
+        return NCPoly(self.shape, out)
 
     @property
     def holds(self):

@@ -17,7 +17,7 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          normality_check, normality_scalar, quotient_is_zero, regularity_check, spans_clear,
                          standard_monomial_count, standard_monomials,
                          tower_image_check, zero_divisor_check)
-from qdet.linalg import Echelon, component_basis
+from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, RAT_ONE)
 from qdet.report import SuiteReport
@@ -58,8 +58,57 @@ class TestIdealComponents:
     def test_row_polys_lie_in_the_ideal(self, g1312):
         ic = ideal_component(g1312, 3)
         assert ic.rank > 0
-        for p in ic.row_polys():
-            assert quotient_is_zero(g1312, p)
+        for row in ic.echelon.rows():
+            assert quotient_is_zero(g1312, row_poly(ic.basis, row))
+
+
+def row_poly(basis, row):
+    """A Laurent row over a component basis as the NCPoly it stands for."""
+    monos = basis.monomials
+    return NCPoly(basis.shape, {monos[i].exps: c for i, c in row.items()})
+
+
+def reference_echelons(gamma, max_degree):
+    """The ideal echelons of degrees 0..max_degree, built on polynomials.
+
+    The reference the column-space build is compared against: every row
+    of the previous degree is turned back into an NCPoly, multiplied by
+    each generator on both sides and mapped to a row by poly_row, in the
+    same order, followed by the excluded minors of the degree.
+    """
+    shape = gamma.shape
+    gens = [NCPoly.generator(shape, a, b) for a, b in shape.gens()]
+    excluded = [mn for mn in enumerate_minors(shape) if not std_le(gamma, mn)]
+    out = []
+    for d in range(max_degree + 1):
+        basis = component_basis(shape, d)
+        ech = Echelon()
+        if d:
+            prev = component_basis(shape, d - 1)
+            for p in [row_poly(prev, row) for row in out[-1].rows()]:
+                for g in gens:
+                    ech.insert(poly_row(g * p, basis))
+                    ech.insert(poly_row(p * g, basis))
+        for mn in excluded:
+            if mn.size == d:
+                ech.insert(poly_row(minor_value(mn), basis))
+        out.append(ech)
+    return out
+
+
+class TestColumnSpaceBuild:
+    """ideal_component builds on rows what the polynomial route builds."""
+
+    @pytest.mark.parametrize("gamma", enumerate_minors(MatrixShape(3, 3)),
+                             ids=str)
+    def test_every_3x3_minor_through_degree_4(self, gamma):
+        for d, ref in enumerate(reference_echelons(gamma, 4)):
+            assert ideal_component(gamma, d).echelon.pivots == ref.pivots
+
+    def test_4x4_2413_through_degree_3(self):
+        gamma = Minor(MatrixShape(4, 4), (2, 4), (1, 3))
+        for d, ref in enumerate(reference_echelons(gamma, 3)):
+            assert ideal_component(gamma, d).echelon.pivots == ref.pivots
 
 
 class TestSizeGuard:

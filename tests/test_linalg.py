@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.linalg import (Echelon, Span, component_basis, poly_row, rank,
-                         row_normalized)
+from qdet.linalg import (Echelon, Span, _combine, action_tables,
+                         component_basis, poly_row, rank, row_normalized)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
                           RAT_ZERO, ZERO)
@@ -321,3 +321,73 @@ class TestEchelonCopy:
         assert dup.pivots == ech.pivots
         assert dup.insert(monomial_rows(basis)[1])
         assert (ech.rank, dup.rank) == (1, 2)
+
+
+class TestActionTables:
+    """Each table entry is the NCPoly product it stands for."""
+
+    @pytest.mark.parametrize("m, n, top", [(3, 3, 4), (4, 4, 3), (2, 3, 5)])
+    def test_entries_are_the_products(self, m, n, top):
+        shape = MatrixShape(m, n)
+        gens = [NCPoly.generator(shape, a, b) for a, b in shape.gens()]
+        for d in range(1, top + 1):
+            left, right = action_tables(shape, d)
+            src = component_basis(shape, d - 1)
+            dst = component_basis(shape, d)
+            assert len(left) == len(right) == len(gens)
+            for g, x in enumerate(gens):
+                assert len(left[g]) == len(right[g]) == len(src)
+                for i, mono in enumerate(src.monomials):
+                    b = NCPoly(shape, {mono.exps: ONE})
+                    assert dict(left[g][i]) == poly_row(x * b, dst)
+                    assert dict(right[g][i]) == poly_row(b * x, dst)
+
+
+def insert_without_shortcut(pivots, row):
+    """Echelon.insert with no equal-row shortcut, on a pivots dict.
+
+    The reference for the shortcut: an equal row is always reduced to
+    zero by a full combination.
+    """
+    row = row_normalized({k: v for k, v in row.items() if not v.is_zero})
+    while row:
+        col = min(row)
+        stored = pivots.get(col)
+        if stored is None:
+            pivots[col] = row
+            return True
+        if len(row[col].terms) < len(stored[col].terms):
+            pivots[col] = row
+            row = stored
+            continue
+        row = _combine(row, stored, col)
+    return False
+
+
+#: a fresh row, or a repeat of an earlier one scaled by sign * q^k
+_repeat = st.tuples(st.integers(min_value=0, max_value=7),
+                    st.sampled_from([1, -1]),
+                    st.integers(min_value=-2, max_value=2))
+_insert_steps = st.lists(st.one_of(_int_row, _repeat), max_size=10)
+
+
+class TestEqualRowShortcut:
+    @settings(max_examples=300, deadline=None)
+    @given(_insert_steps)
+    @example([{0: ONE + Q, 2: Q_INV}, (0, -1, 1), (0, 1, 0)])
+    def test_same_answers_and_pivots_as_without_it(self, steps):
+        ech = Echelon()
+        reference = {}
+        seen = []
+        for step in steps:
+            if isinstance(step, tuple):
+                if not seen:
+                    continue
+                i, sign, k = step
+                unit = LaurentScalar({k: sign})
+                row = {c: v * unit for c, v in seen[i % len(seen)].items()}
+            else:
+                row = step
+            seen.append(row)
+            assert ech.insert(row) == insert_without_shortcut(reference, row)
+            assert ech.pivots == reference
