@@ -214,6 +214,17 @@ def _nf_concat(m, n, e1, e2):
     return tuple(poly.items())
 
 
+def _add_terms(out, terms):
+    """Add a terms dict into `out` in place, dropping what cancels."""
+    for e, c in terms.items():
+        acc = out.get(e)
+        acc = c if acc is None else acc + c
+        if acc.is_zero:
+            out.pop(e, None)
+        else:
+            out[e] = acc
+
+
 class NCPoly:
     """Noncommutative polynomial in PBW normal form.
 
@@ -267,13 +278,7 @@ class NCPoly:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = acc
+        _add_terms(out, other.terms)
         r = NCPoly.__new__(NCPoly)
         r.shape = self.shape
         r.terms = out

@@ -9,13 +9,14 @@ degree by degree, as
     I_d = x * I_{d-1} + I_{d-1} * x + (new generators of degree d)
 
 and kept in a fraction-free echelon.  The products with a generator are
-taken in column space: each echelon row of I_{d-1} goes through the
-left and right generator tables of linalg.action_tables, so no row is
-turned back into a polynomial.  Everything downstream reduces to
-residues against these spans: equality in the quotient, Hilbert
-dimensions, the standard monomial basis, the normalizing scalar of a
-minor above gamma, regularity of gamma, and the rewriting of an ambient
-variable through gamma into base variables and family minors.
+taken in column space: each echelon row of I_{d-1} goes through
+linalg.generator_products, whose generator images are built only for
+the columns those rows touch, so no row is turned back into a
+polynomial.  Everything downstream reduces to residues against these
+spans: equality in the quotient, Hilbert dimensions, the standard
+monomial basis, the normalizing scalar of a minor above gamma,
+regularity of gamma, and the rewriting of an ambient variable through
+gamma into base variables and family minors.
 
 ideal_component is the one way to a span, and it refuses a component of
 dimension above algebra.DIM_GUARD before any lookup or build.  That one
@@ -31,9 +32,9 @@ from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
 from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
-                     std_le)
-from .linalg import (Echelon, Span, action_tables, apply_table,
-                     component_basis, poly_row, rank)
+                     minors_product, std_le)
+from .linalg import (Echelon, Span, component_basis, generator_products,
+                     poly_row, rank)
 from .report import SuiteReport
 from .scalars import ONE, RationalScalar
 from .tower import build_frame, stage_monomials
@@ -121,11 +122,9 @@ def _build_echelon(gamma, degree, basis, key):
     ech = Echelon()
     if degree > 0:
         prev = ideal_component(gamma, degree - 1)
-        tables = list(zip(*action_tables(shape, degree)))
         for row in prev.echelon.rows():
-            for left, right in tables:
-                ech.insert(apply_table(left, row))
-                ech.insert(apply_table(right, row))
+            for product in generator_products(shape, degree, row):
+                ech.insert(product)
     for mn in _excluded_by_degree(shape, gamma.rows, gamma.cols).get(degree, ()):
         ech.insert(poly_row(minor_value(mn), basis))
     _disk.store_rows(("ideal",) + key, ech.rows())
@@ -170,12 +169,7 @@ class StandardMonomial:
         return sum(f.size for f in self.factors)
 
     def value(self):
-        if not self.factors:
-            return NCPoly.one(self.shape)
-        p = minor_value(self.factors[0])
-        for f in self.factors[1:]:
-            p = p * minor_value(f)
-        return p
+        return minors_product(self.shape, self.factors)
 
     def __str__(self):
         if not self.factors:

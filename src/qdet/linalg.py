@@ -20,8 +20,9 @@ normalized, is dependent and is dropped without a combination.  Leading
 position is the smallest column index.
 
 Multiplication by a generator is a linear map from one graded component
-to the next; `action_tables` holds it column by column, so a product
-with a generator is taken on Laurent rows without an NCPoly.
+to the next; `generator_images` holds it column by column, so
+`generator_products` takes a product with a generator on Laurent rows
+without an NCPoly.
 """
 
 from functools import lru_cache
@@ -63,56 +64,62 @@ def component_basis(shape, degree):
     return _basis_cached(shape.m, shape.n, degree)
 
 
-@lru_cache(maxsize=64)
-def action_tables(shape, degree):
-    """Left and right multiplication by each generator, column by column.
+@lru_cache(maxsize=1 << 16)
+def generator_images(shape, degree, col):
+    """x_g * b and b * x_g for every generator x_g, as rows.
 
-    Returns (left, right): left[g][i] is x_g * b_i and right[g][i] is
-    b_i * x_g, where b_i is the i-th monomial of component_basis(shape,
-    degree - 1) and g the generator index (lex order), each as a tuple of
-    (column, LaurentScalar) over component_basis(shape, degree).  The
-    right table comes from the cached word rewriting; the left one from
-    the left table one degree lower by associativity, so no whole word is
-    rewritten from the left.  Memoised per shape and degree.
+    b is monomial `col` of component_basis(shape, degree - 1).  Returns
+    (left, right): left[g] is x_g * b and right[g] is b * x_g, g in lex
+    order, each a tuple of (column, LaurentScalar) over
+    component_basis(shape, degree).  The right images come from the
+    cached word rewriting; the left ones by associativity from the left
+    images of b's head (b without its last letter) one degree lower.
+    Memoised per column, so only the columns a product touches, and
+    their heads, are ever built.
     """
     m, n = shape.m, shape.n
     src = component_basis(shape, degree - 1).monomials
     index = component_basis(shape, degree).index
-    right = tuple(tuple(tuple((index[e], c) for e, c in
-                              _nf_mono_gen(m, n, mono.exps, gen))
-                        for mono in src)
-                  for gen in shape.gens())
+    exps = src[col].exps
+    right = tuple(tuple((index[e], c) for e, c in _nf_mono_gen(m, n, exps, x))
+                  for x in shape.gens())
     if degree == 1:
         # x_g * 1 = 1 * x_g
         return right, right
-    lower = action_tables(shape, degree - 1)[0]
-    lower_index = component_basis(shape, degree - 2).index
-    peeled = []
-    for mono in src:
-        exps = list(mono.exps)
-        last = max(i for i, e in enumerate(exps) if e)
-        exps[last] -= 1
-        peeled.append((lower_index[tuple(exps)], right[last]))
-    # x_g * x^e = (x_g * x^e') * x_l, with x_l the last letter of x^e
-    left = tuple(tuple(tuple((j, v) for j, v in
-                             apply_table(times_last, dict(lower_g[head])).items()
-                             if v)
-                       for head, times_last in peeled)
-                 for lower_g in lower)
-    return left, right
+    # x_g * x^e = (x_g * x^h) * x_l, with x_l the last letter of x^e
+    last = max(k for k, e in enumerate(exps) if e)
+    head = list(exps)
+    head[last] -= 1
+    head = component_basis(shape, degree - 2).index[tuple(head)]
+    x_l = shape.gen_at(last)
+    left = []
+    for image in generator_images(shape, degree - 1, head)[0]:
+        out = {}
+        for j, c in image:
+            for e, t in _nf_mono_gen(m, n, src[j].exps, x_l):
+                k = index[e]
+                acc = out.get(k)
+                out[k] = c * t if acc is None else acc + c * t
+        left.append(tuple((k, v) for k, v in out.items() if v))
+    return tuple(left), right
 
 
-def apply_table(table, row):
-    """The image of a Laurent row under one generator table, as a row.
+def generator_products(shape, degree, row):
+    """x_g * row, then row * x_g, for each generator x_g in lex order.
 
-    An entry that cancels stays as a zero scalar; Echelon.insert drops it.
+    row is a Laurent row over component_basis(shape, degree - 1); the
+    2 * ngens products are rows over component_basis(shape, degree).  An
+    entry that cancels stays as a zero scalar; Echelon.insert drops it.
     """
-    out = {}
-    for i, c in row.items():
-        for j, t in table[i]:
-            acc = out.get(j)
-            out[j] = c * t if acc is None else acc + c * t
-    return out
+    images = [(c, generator_images(shape, degree, i)) for i, c in row.items()]
+    for g in range(shape.ngens):
+        for side in (0, 1):
+            out = {}
+            for c, image in images:
+                for j, t in image[side][g]:
+                    acc = out.get(j)
+                    out[j] = c * t if acc is None else acc + c * t
+            yield out
 
 
 def poly_row(p, basis):

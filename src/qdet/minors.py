@@ -14,11 +14,12 @@ The standard order puts *larger* minors lower: [I|J] <= [K|L] iff
 """
 
 import itertools
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 from .errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
                      OverlapError, ShapeMismatch, SizeMismatch)
-from .algebra import MatrixShape, NCPoly
+from .algebra import MatrixShape, NCPoly, _add_terms
 from .scalars import minus_q_power
 
 #: largest minor size minor_value expands (size 8 has 40320 terms)
@@ -125,6 +126,13 @@ def minor_value(minor, method="perm_sum"):
                                minor.rows, minor.cols, method)
 
 
+def minors_product(shape, factors):
+    """The product of the minors' values, left to right; 1 for none."""
+    if not factors:
+        return NCPoly.one(shape)
+    return reduce(operator.mul, map(minor_value, factors))
+
+
 def std_le(a, b):
     """The standard order: a <= b with larger minors lower."""
     if a.is_empty or b.is_empty:
@@ -179,19 +187,7 @@ class MinorIdentity:
     def evaluate(self):
         out = {}
         for c, fs in self.terms:
-            if not fs:
-                prod = NCPoly.one(self.shape)
-            else:
-                prod = minor_value(fs[0])
-                for f in fs[1:]:
-                    prod = prod * minor_value(f)
-            for e, v in prod.terms.items():
-                acc = out.get(e)
-                acc = v * c if acc is None else acc + v * c
-                if acc.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
+            _add_terms(out, minors_product(self.shape, fs).scale(c).terms)
         return NCPoly(self.shape, out)
 
     @property

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
 from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.linalg import (Echelon, Span, _combine, action_tables,
-                         component_basis, poly_row, rank, row_normalized)
+from qdet.linalg import (Echelon, Span, _combine, component_basis,
+                         generator_images, generator_products, poly_row,
+                         rank, row_normalized)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV,
                           RAT_ZERO, ZERO)
@@ -323,24 +324,36 @@ class TestEchelonCopy:
         assert (ech.rank, dup.rank) == (1, 2)
 
 
-class TestActionTables:
-    """Each table entry is the NCPoly product it stands for."""
+class TestGeneratorImages:
+    """Each generator image is the NCPoly product it stands for."""
 
     @pytest.mark.parametrize("m, n, top", [(3, 3, 4), (4, 4, 3), (2, 3, 5)])
-    def test_entries_are_the_products(self, m, n, top):
+    def test_images_are_the_products(self, m, n, top):
         shape = MatrixShape(m, n)
         gens = [NCPoly.generator(shape, a, b) for a, b in shape.gens()]
         for d in range(1, top + 1):
-            left, right = action_tables(shape, d)
-            src = component_basis(shape, d - 1)
             dst = component_basis(shape, d)
-            assert len(left) == len(right) == len(gens)
-            for g, x in enumerate(gens):
-                assert len(left[g]) == len(right[g]) == len(src)
-                for i, mono in enumerate(src.monomials):
-                    b = NCPoly(shape, {mono.exps: ONE})
-                    assert dict(left[g][i]) == poly_row(x * b, dst)
-                    assert dict(right[g][i]) == poly_row(b * x, dst)
+            for i, mono in enumerate(component_basis(shape, d - 1).monomials):
+                left, right = generator_images(shape, d, i)
+                assert len(left) == len(right) == len(gens)
+                b = NCPoly(shape, {mono.exps: ONE})
+                for g, x in enumerate(gens):
+                    assert dict(left[g]) == poly_row(x * b, dst)
+                    assert dict(right[g]) == poly_row(b * x, dst)
+
+    def test_products_of_a_row(self):
+        shape = MatrixShape(3, 3)
+        src = component_basis(shape, 2)
+        dst = component_basis(shape, 3)
+        p = (minor_value(Minor(shape, (1, 2), (1, 3)))
+             + minor_value(Minor(shape, (2, 3), (2, 3))).scale(Q))
+        products = list(generator_products(shape, 3, poly_row(p, src)))
+        expected = []
+        for a, b in shape.gens():
+            x = NCPoly.generator(shape, a, b)
+            expected += [poly_row(x * p, dst), poly_row(p * x, dst)]
+        assert [{j: v for j, v in row.items() if v} for row in products] \
+            == expected
 
 
 def insert_without_shortcut(pivots, row):

@@ -55,14 +55,14 @@ MUTANTS = (
      "        res = self.echelon.residue({**target, width + n: ONE})\n",
      "        res = self.echelon.residue({**target, width + n: ONE})\n"
      "        self.echelon.insert({**target, width + n: ONE})\n"),
-    ("left-is-right", "the left generator table is the right one",
+    ("left-is-right", "the left generator images are the right ones",
      "src/qdet/linalg.py",
-     "    return left, right\n",
+     "    return tuple(left), right\n",
      "    return right, right\n"),
-    ("compose-first-letter", "the left table peels the first letter off",
+    ("compose-first-letter", "the left images peel the first letter off",
      "src/qdet/linalg.py",
-     "last = max(i for i, e in enumerate(exps) if e)",
-     "last = min(i for i, e in enumerate(exps) if e)"),
+     "last = max(k for k, e in enumerate(exps) if e)",
+     "last = min(k for k, e in enumerate(exps) if e)"),
     ("equal-row-grows", "an equal row is stored and counted as new",
      "src/qdet/linalg.py",
      "            if row == stored:\n                return False\n",
