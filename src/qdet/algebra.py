@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
-from .scalars import (LaurentScalar, RationalScalar, ZERO, ONE, Q_INV, QHAT,
-                      render_laurent)
+from .scalars import LaurentScalar, ZERO, ONE, Q_INV, QHAT, render_laurent
 
 
 class MatrixShape:
@@ -531,31 +530,6 @@ def eigenvalue_of(h, p):
         elif lam != w:
             return None
     return lam
-
-
-# ----------------------------------------------------------------------
-# commutation up to scalar
-
-
-def q_commute_scalar(a, b):
-    """The scalar c with a*b = c * b*a, as a RationalScalar, or None.
-
-    Both inputs must be nonzero.  When it exists, c is unique because the
-    algebra is a domain.
-    """
-    if a.is_zero or b.is_zero:
-        raise ZeroInput("q_commute_scalar needs nonzero operands")
-    ab = a * b
-    ba = b * a
-    e0 = min(ba.terms)
-    num = ab.terms.get(e0)
-    if num is None:
-        return None
-    den = ba.terms[e0]
-    # check ab * den == ba * num exactly
-    if ab.scale(den) == ba.scale(num):
-        return RationalScalar(num, den)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,8 @@ class NotAboveGamma(WorkbenchError):
 
 
 class NoScalarFound(WorkbenchError):
-    """No (unique nonzero) commutation scalar exists; the claim fails."""
+    """A normality scalar fails: tau*gamma vanishes in the quotient, or
+    the predicted c does not give gamma*tau = c*tau*gamma there."""
 
 
 class PoleAtSpecialization(WorkbenchError):

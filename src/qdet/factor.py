@@ -14,9 +14,12 @@ linalg.generator_products, whose generator images are built only for
 the columns those rows touch, so no row is turned back into a
 polynomial.  Everything downstream reduces to residues against these
 spans: equality in the quotient, Hilbert dimensions, the standard
-monomial basis, the normalizing scalar of a minor above gamma,
-regularity of gamma, and the rewriting of an ambient variable through
-gamma into base variables and family minors.
+monomial basis, regularity of gamma, and the rewriting of an ambient
+variable through gamma into base variables and family minors.
+
+The normalizing scalar of a minor tau above gamma is predicted in closed
+form, q^(|K - I| + |L - J|) for gamma = (I|J) and tau = (K|L) (set
+differences), and proved by one membership test in the ideal component.
 
 ideal_component is the one way to a span, and it refuses a component of
 dimension above algebra.DIM_GUARD before any lookup or build.  That one
@@ -33,10 +36,10 @@ from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import (Minor, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      minors_product, std_le)
-from .linalg import (Echelon, Span, component_basis, generator_products,
-                     poly_row, rank)
+from .linalg import (Echelon, component_basis, generator_products, poly_row,
+                     rank)
 from .report import SuiteReport
-from .scalars import ONE, RationalScalar
+from .scalars import ONE, LaurentScalar
 from .tower import build_frame, stage_monomials
 
 
@@ -47,11 +50,9 @@ from .tower import build_frame, stage_monomials
 class IdealComponent:
     """The degree-d piece of I_gamma as a fraction-free echelon."""
 
-    __slots__ = ("gamma", "degree", "basis", "echelon")
+    __slots__ = ("basis", "echelon")
 
-    def __init__(self, gamma, degree, basis, echelon):
-        self.gamma = gamma
-        self.degree = degree
+    def __init__(self, basis, echelon):
         self.basis = basis
         self.echelon = echelon
 
@@ -106,7 +107,7 @@ def ideal_component(gamma, degree):
     basis = component_basis(shape, degree)
     if ech is None:
         ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, key)
-    return IdealComponent(gamma, degree, basis, ech)
+    return IdealComponent(basis, ech)
 
 
 def _build_echelon(gamma, degree, basis, key):
@@ -267,14 +268,15 @@ def hilbert_check(gamma, max_degree):
 
 
 def normality_scalar(gamma, tau):
-    """The unique nonzero c with gamma*tau - c*tau*gamma in I_gamma.
+    """The unique c with gamma*tau - c*tau*gamma in I_gamma, a power of q.
 
-    Requires std_le(gamma, tau).  The scalar is solved for by one
-    fraction-free reduction of gamma*tau against a Span of tau*gamma on
-    top of the ideal echelon, which gives c as Laurent num/den off the
-    provenance columns; then den*gamma*tau - num*tau*gamma is re-verified
-    to lie in the ideal span alone, by an independent reduction.  c is
-    returned as RationalScalar(num, den), the form that gets printed.
+    Requires std_le(gamma, tau).  For gamma = (I|J) and tau = (K|L) the
+    scalar is c = q^(|K - I| + |L - J|), with set differences: in J_gamma,
+    gamma*x[i,j] = q^([i not in I] + [j not in J]) x[i,j]*gamma for every
+    generator above gamma, and every PBW term of tau uses the rows K and
+    the columns L once each.  The prediction is proved, not trusted: c is
+    returned only when gamma*tau - c*tau*gamma lies in the ideal
+    component, and tau*gamma does not, which makes c unique.
     """
     if gamma.shape != tau.shape:
         raise ShapeMismatch("minors over %s and %s" % (gamma.shape, tau.shape))
@@ -282,24 +284,15 @@ def normality_scalar(gamma, tau):
         raise NotAboveGamma("%s is not above %s" % (tau, gamma))
     u = minor_value(gamma) * minor_value(tau)
     v = minor_value(tau) * minor_value(gamma)
-    degree = gamma.size + tau.size
-    ic = ideal_component(gamma, degree)
-    basis = ic.basis
+    ic = ideal_component(gamma, gamma.size + tau.size)
     if ic.contains(v):
         raise NoScalarFound("tau*gamma vanishes in the quotient for %s" % tau)
-    witness = Span([poly_row(v, basis)], len(basis),
-                   base=ic.echelon).express(poly_row(u, basis))
-    if witness is None:
-        raise NoScalarFound("gamma*tau is not congruent to a multiple of "
-                            "tau*gamma for %s" % tau)
-    (num,), den = witness
-    if num.is_zero:
-        raise NoScalarFound("congruence holds only with a zero scalar for %s"
-                            % tau)
-    c = RationalScalar(num, den)
-    if not ic.contains(u.scale(den) - v.scale(num)):
-        raise NoScalarFound("solved scalar %s fails re-verification for %s"
-                            % (c, tau))
+    exponent = (len(set(tau.rows) - set(gamma.rows))
+                + len(set(tau.cols) - set(gamma.cols)))
+    c = LaurentScalar({exponent: 1})
+    if not ic.contains(u - v.scale(c)):
+        raise NoScalarFound("gamma*tau is not congruent to %s times "
+                            "tau*gamma for %s" % (c, tau))
     return c
 
 

@@ -269,19 +269,17 @@ class Span:
 
     All rows live in the columns below `width`.  Provenance columns follow
     the basis columns: the i-th spanning row is inserted with a 1 at
-    column width + i, on top of a copy of the Echelon `base` when one is
-    given (base rows carry no provenance, so any member of the base span
-    joins a combination for free).  `add` eliminates only the new row.
-    `express` reduces a target carrying a 1 at width + size without
-    inserting it, so targets never change the pivots.
+    column width + i.  `add` eliminates only the new row.  `express`
+    reduces a target carrying a 1 at width + size without inserting it,
+    so targets never change the pivots.
     """
 
     __slots__ = ("width", "size", "echelon")
 
-    def __init__(self, spanning, width, base=None):
+    def __init__(self, spanning, width):
         self.width = width
         self.size = 0
-        self.echelon = Echelon() if base is None else base.copy()
+        self.echelon = Echelon()
         for row in spanning:
             self.add(row)
 
@@ -292,7 +290,7 @@ class Span:
 
     @property
     def rank(self):
-        """Rank of the spanning rows and the base: the pivots below width.
+        """Rank of the spanning rows: the pivots below width.
 
         A dependent row's residue is stored at a provenance pivot.
         """
@@ -303,13 +301,12 @@ class Span:
         """Write the Laurent row `target` over the spanning rows.
 
         Returns (nums, den), LaurentScalars with den nonzero and
-        den * target - sum(nums[i] * spanning[i]) in the base span (zero
-        without a base), or None when the target lies outside the span.
-        Every row the elimination makes combines augmented rows and base
-        rows, so once the target's basis columns reduce away its residue
-        is that difference (up to a base member) in provenance form:
-        nums[i] is minus its entry at width + i and den its entry at
-        width + size, a column no stored row has.
+        den * target == sum(nums[i] * spanning[i]), or None when the
+        target lies outside the span.  Every row the elimination makes
+        combines augmented rows, so once the target's basis columns
+        reduce away, its residue records the combination: nums[i] is
+        minus its entry at width + i and den its entry at width + size,
+        a column no stored row has.
         """
         width, n = self.width, self.size
         res = self.echelon.residue({**target, width + n: ONE})

@@ -5,8 +5,9 @@ Every identity the workbench certifies is checked with q transcendental,
 so a verified identity holds under any specialization of q except the
 finitely many poles excluded per value.  LaurentScalar is the workhorse
 (all structure constants of the algebra live in Z[q, q^-1]); elimination
-never divides, and a RationalScalar is built only where a solved scalar
-is printed or returned.
+never divides, and a RationalScalar is built only to print the
+straightening coefficients that tower.subalgebra_commutation_check
+solves for.
 
 Coefficients are Python ints whenever they are integral, and a
 `fractions.Fraction` only when they are not (parser rationals, unit

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
-from .algebra import NCPoly, TorusElement, eigenvalue_of, q_commute_scalar
+from .algebra import NCPoly, TorusElement, eigenvalue_of
 from .minors import Minor, minor_value
 from .linalg import Span, component_basis, poly_row
 from .report import SuiteReport
@@ -537,8 +537,8 @@ def gamma_normality_check(frame):
     gval = minor_value(frame.minor)
     base = frame.size ** 2
     for k, g in enumerate(frame.generators()):
-        c = q_commute_scalar(gval, g.value)
         want = ONE if k < base else Q
-        ok = c is not None and c.den == ONE and c.num == want
-        rep.add("gamma vs %s" % g.label, ok, "scalar %s" % c)
+        ok = gval * g.value == (g.value * gval).scale(want)
+        rep.add("gamma vs %s" % g.label, ok,
+                "scalar %s" % want if ok else "expected scalar %s" % want)
     return rep

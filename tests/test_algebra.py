@@ -9,11 +9,10 @@ import pytest
 from conftest import naive_normal_form, random_poly, random_word
 from qdet.algebra import (MatrixShape, Monomial, NCPoly, TorusElement,
                           commutative_product, eigenvalue_of, graded_basis,
-                          graded_dim, normal_form, q_commute_scalar,
-                          render_poly)
+                          graded_dim, normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
-from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, Q_INV, QHAT,
-                          RAT_ONE, DegenerateSpecializationWarning)
+from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT,
+                          DegenerateSpecializationWarning)
 
 
 def gens22(shape22):
@@ -136,24 +135,6 @@ class TestGrading:
         assert sorted(comps) == [0, 1, 2]
         assert comps[2] == a * b
         assert sum(comps.values(), NCPoly.zero(shape22)) == p
-
-
-class TestQCommuteScalar:
-    def test_generator_pairs(self, shape22):
-        a, b, c, d = gens22(shape22)
-        assert q_commute_scalar(a, b) == RationalScalar.from_laurent(Q)
-        assert q_commute_scalar(b, a) == RationalScalar.from_laurent(Q_INV)
-        assert q_commute_scalar(b, c) == RAT_ONE
-        assert q_commute_scalar(a, d) is None
-
-    def test_powers_compound(self, shape22):
-        a, b, _, _ = gens22(shape22)
-        assert q_commute_scalar(a * a, b) == \
-            RationalScalar.from_laurent(Q ** 2)
-
-    def test_zero_rejected(self, shape22):
-        with pytest.raises(ZeroInput):
-            q_commute_scalar(NCPoly.zero(shape22), NCPoly.one(shape22))
 
 
 class TestTorus:

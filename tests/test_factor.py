@@ -19,7 +19,7 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
-from qdet.scalars import (LaurentScalar, RationalScalar, ONE, Q, RAT_ONE)
+from qdet.scalars import LaurentScalar, RationalScalar, ONE, Q, ZERO
 from qdet.report import SuiteReport
 from qdet.suites import WorkbenchConfig, run_workbench
 
@@ -262,10 +262,7 @@ class TestBasisChecks:
 
 class TestNormalityScalars:
     def test_corner_values(self, g11, shape22):
-        want = {(1, 1): RAT_ONE,
-                (1, 2): RationalScalar.from_laurent(Q),
-                (2, 1): RationalScalar.from_laurent(Q),
-                (2, 2): RationalScalar.from_laurent(Q ** 2)}
+        want = {(1, 1): ONE, (1, 2): Q, (2, 1): Q, (2, 2): Q ** 2}
         for (i, j), c in want.items():
             assert normality_scalar(g11, Minor(shape22, (i,), (j,))) == c
 
@@ -285,14 +282,10 @@ class TestNormalityScalars:
         above = [t for t in enumerate_minors(g1312.shape) if std_le(g1312, t)]
         assert len(rep.checks) == len(above)
 
-    def test_failure_paths(self, monkeypatch, shape22):
-        full = Minor(shape22, (1, 2), (1, 2))
-
+    def test_failure_paths(self, monkeypatch, g11, shape22):
         class FakeComponent:
             def __init__(self, verdict):
                 self.verdict = verdict
-                self.basis = component_basis(shape22, 4)
-                self.echelon = Echelon()
 
             def contains(self, p):
                 return self.verdict
@@ -301,23 +294,56 @@ class TestNormalityScalars:
         monkeypatch.setattr("qdet.factor.ideal_component",
                             lambda *a, **k: FakeComponent(True))
         with pytest.raises(NoScalarFound, match="vanishes"):
-            normality_scalar(full, full)
+            normality_scalar(g11, Minor(shape22, (2,), (2,)))
 
-        # nothing vanishes and no relation is available: the solved scalar
-        # for gamma = tau is 1, but re-verification is denied
+        # nothing vanishes: the predicted q^2 is refused, and named
         monkeypatch.setattr("qdet.factor.ideal_component",
                             lambda *a, **k: FakeComponent(False))
-        with pytest.raises(NoScalarFound, match="re-verification"):
-            normality_scalar(full, full)
-
-        # gamma*tau not congruent to any multiple of tau*gamma
-        g11 = Minor(shape22, (1,), (1,))
-        fake = FakeComponent(False)
-        fake.basis = component_basis(shape22, 2)
-        monkeypatch.setattr("qdet.factor.ideal_component",
-                            lambda *a, **k: fake)
-        with pytest.raises(NoScalarFound, match="not congruent"):
+        with pytest.raises(NoScalarFound,
+                           match=r"not congruent to q\^2 times"):
             normality_scalar(g11, Minor(shape22, (2,), (2,)))
+
+
+def solved_scalar(gamma, tau):
+    """c solved for by elimination, the reference for the prediction.
+
+    tau*gamma is inserted on top of a copy of the ideal echelon, tagged
+    with a 1 at column width; gamma*tau, tagged at width + 1, then
+    reduces to den*gamma*tau - num*tau*gamma plus an ideal member, so
+    its residue holds -num at width and den at width + 1.
+    """
+    u = minor_value(gamma) * minor_value(tau)
+    v = minor_value(tau) * minor_value(gamma)
+    ic = ideal_component(gamma, gamma.size + tau.size)
+    width = len(ic.basis)
+    ech = ic.echelon.copy()
+    ech.insert({**poly_row(v, ic.basis), width: ONE})
+    res = ech.residue({**poly_row(u, ic.basis), width + 1: ONE})
+    assert min(res) >= width, "gamma*tau is no multiple of tau*gamma"
+    return RationalScalar(-res.get(width, ZERO), res[width + 1])
+
+
+def normality_pairs(gammas):
+    return [(gamma, tau) for gamma in gammas
+            for tau in enumerate_minors(gamma.shape) if std_le(gamma, tau)]
+
+
+class TestNormalityScalarReference:
+    """The predicted scalar equals the one elimination solves for."""
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_every_pair_of_small_shapes(self, m, n):
+        pairs = normality_pairs(enumerate_minors(MatrixShape(m, n)))
+        for gamma, tau in pairs:
+            assert solved_scalar(gamma, tau) == normality_scalar(gamma, tau)
+
+    def test_bench_gammas_of_4x4(self):
+        shape = MatrixShape(4, 4)
+        pairs = normality_pairs([Minor(shape, (2, 4), (1, 3)),
+                                 Minor(shape, (2, 3), (2, 3))])
+        assert len(pairs) == 40
+        for gamma, tau in pairs:
+            assert solved_scalar(gamma, tau) == normality_scalar(gamma, tau)
 
 
 class TestGeneratorImages:

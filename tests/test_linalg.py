@@ -62,8 +62,8 @@ def laurent_combine(rows, coeffs):
     return acc
 
 
-def express(target, spanning, width, base=None):
-    return Span(spanning, width, base).express(target)
+def express(target, spanning, width):
+    return Span(spanning, width).express(target)
 
 
 def recombines(witness, target, spanning):
@@ -246,27 +246,6 @@ class TestSpanMembership:
             assert recombines(witness, target, spanning)
 
     @settings(max_examples=200, deadline=None)
-    @given(_int_row, st.lists(_int_row, max_size=4),
-           st.lists(_int_row, max_size=3))
-    def test_with_a_base_span(self, target, spanning, base_rows):
-        base = Echelon()
-        for row in base_rows:
-            base.insert(row)
-        before = dict(base.pivots)
-        witness = express(target, spanning, _WIDTH, base=base)
-        assert base.pivots == before
-        grows = (rank(base_rows + spanning + [target])
-                 > rank(base_rows + spanning))
-        assert (witness is None) == grows
-        if witness is not None:
-            # den * target - sum(nums_i * s_i) lies in the base span
-            nums, den = witness
-            assert not den.is_zero and len(nums) == len(spanning)
-            rest = laurent_combine([target] + spanning,
-                                   [den] + [-n for n in nums])
-            assert not base.residue(rest)
-
-    @settings(max_examples=200, deadline=None)
     @given(st.lists(_int_row, max_size=6), st.lists(_int_row, max_size=3))
     def test_grown_row_by_row(self, rows, targets):
         span = Span([], _WIDTH)
@@ -288,28 +267,13 @@ class TestSpanMembership:
         assert (span.size, span.rank) == (3, 1)
         assert span.rank < span.echelon.rank
 
-    def test_base_members_cost_nothing(self, shape22):
-        basis = component_basis(shape22, 1)
-        x = [poly_row(NCPoly.generator(shape22, 1, j), basis) for j in (1, 2)]
-        base = Echelon()
-        base.insert(x[1])
-        target = {**x[0], **{k: c * Q for k, c in x[1].items()}}
-        (num,), den = express(target, [x[0]], len(basis), base=base)
-        assert num == den and not den.is_zero
-        assert express(target, [x[0]], len(basis)) is None
-
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_int_row, max_size=4), st.lists(_int_row, max_size=5),
-           st.lists(_int_row, max_size=3))
-    def test_one_span_serves_every_target(self, spanning, targets, base_rows):
-        base = Echelon()
-        for row in base_rows:
-            base.insert(row)
-        shared = Span(spanning, _WIDTH, base)
+    @given(st.lists(_int_row, max_size=4), st.lists(_int_row, max_size=5))
+    def test_one_span_serves_every_target(self, spanning, targets):
+        shared = Span(spanning, _WIDTH)
         pivots = dict(shared.echelon.pivots)
         for target in targets:
-            assert (shared.express(target)
-                    == express(target, spanning, _WIDTH, base))
+            assert shared.express(target) == express(target, spanning, _WIDTH)
             assert shared.echelon.pivots == pivots
 
 

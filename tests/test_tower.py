@@ -358,9 +358,9 @@ class TestWitnessRecombination:
         built = []
 
         class CountingSpan(linalg.Span):
-            def __init__(self, spanning, width, base=None):
+            def __init__(self, spanning, width):
                 built.append(width)
-                super().__init__(spanning, width, base)
+                super().__init__(spanning, width)
 
         monkeypatch.setattr(tower_mod, "Span", CountingSpan)
         frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
@@ -385,6 +385,17 @@ class TestGammaNormality:
         assert gamma_normality_check(frame1312).passed
         assert gamma_normality_check(
             build_frame(Minor(shape22, (1,), (1,)))).passed
+
+    def test_witnesses_name_the_scalar(self, frame1312, monkeypatch):
+        rep = gamma_normality_check(frame1312)
+        base = frame1312.size ** 2
+        assert [c.witness for c in rep.checks] == (
+            ["scalar 1"] * base + ["scalar q"] * len(frame1312.family()))
+        # a wrong expectation for the family members fails, and says so
+        monkeypatch.setattr(tower_mod, "Q", Q_INV)
+        failed = gamma_normality_check(frame1312).failed
+        assert len(failed) == len(frame1312.family())
+        assert {c.witness for c in failed} == {"expected scalar q^-1"}
 
     def test_explicit_q_commutation(self, frame1312, shape33):
         gval = minor_value(frame1312.minor)

@@ -68,6 +68,18 @@ MUTANTS = (
      "            if row == stored:\n                return False\n",
      "            if row == stored:\n                self.pivots[col] = row\n"
      "                return True\n"),
+    ("c-rows-only", "the predicted normality scalar drops |L - J|",
+     "src/qdet/factor.py",
+     "\n                + len(set(tau.cols) - set(gamma.cols)))",
+     ")"),
+    ("c-intersection", "the predicted normality scalar counts K & I",
+     "src/qdet/factor.py",
+     "len(set(tau.rows) - set(gamma.rows))",
+     "len(set(tau.rows) & set(gamma.rows))"),
+    ("c-one", "the predicted normality scalar is always 1",
+     "src/qdet/factor.py",
+     "c = LaurentScalar({exponent: 1})",
+     "c = ONE"),
     ("drop-excluded-minor", "the ideal build skips one excluded minor",
      "src/qdet/factor.py",
      ".get(degree, ()):",
