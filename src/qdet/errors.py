@@ -59,10 +59,6 @@ class NoScalarFound(WorkbenchError):
     the predicted c does not give gamma*tau = c*tau*gamma there."""
 
 
-class PoleAtSpecialization(WorkbenchError):
-    """The denominator vanishes at the requested evaluation point."""
-
-
 class ExprSyntaxError(WorkbenchError):
     """Expression text failed to parse; carries the offending position."""
 

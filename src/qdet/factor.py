@@ -22,8 +22,10 @@ form, q^(|K - I| + |L - J|) for gamma = (I|J) and tau = (K|L) (set
 differences), and proved by one membership test in the ideal component.
 
 ideal_component is the one way to a span, and it refuses a component of
-dimension above algebra.DIM_GUARD before any lookup or build.  That one
-test is the size guard of every check here that involves gamma.
+dimension above algebra.DIM_GUARD before any lookup or build.  That test
+is the size guard of every check here that involves gamma; the
+zero-divisor check, whose pair count grows past any component it
+touches, also refuses more than DIM_GUARD pairs.
 """
 
 from dataclasses import dataclass
@@ -353,9 +355,7 @@ def generator_image_check(gamma, r, s):
     surviving_sum = NCPoly.zero(shape)
     head_seen = False
     for coeff, factors in identity.terms:
-        value = NCPoly.scalar(shape, coeff)
-        for f in factors:
-            value = value * minor_value(f)
+        value = minors_product(shape, factors).scale(coeff)
         tail = factors[-1]
         if tail == gamma:
             head_seen = True
@@ -421,15 +421,22 @@ def zero_divisor_check(gamma, max_degree):
     """Products of standard monomials stay nonzero in the quotient.
 
     Runs over all pairs of positive-degree standard monomials above gamma
-    whose degrees sum to at most max_degree.
+    whose degrees sum to at most max_degree.  Raises DegreeTooLarge when
+    there are more than DIM_GUARD pairs, before any monomial is expanded.
     """
     rep = SuiteReport("zero_divisors", {"gamma": str(gamma),
                                         "max_degree": max_degree})
     shape = gamma.shape
+    stds = {d: standard_monomials(shape, d, floor=gamma)
+            for d in range(1, max_degree)}
+    pairs = sum(len(stds[da]) * len(stds[db])
+                for da in stds for db in range(1, max_degree - da + 1))
+    if pairs > DIM_GUARD:
+        raise DegreeTooLarge(
+            "zero-divisor check of %s through degree %d has %d pairs "
+            "(guard %d)" % (gamma, max_degree, pairs, DIM_GUARD))
     # (name, value) per standard monomial, each rendered once
-    named = {d: [(str(s), s.value())
-                 for s in standard_monomials(shape, d, floor=gamma)]
-             for d in range(1, max_degree)}
+    named = {d: [(str(s), s.value()) for s in ms] for d, ms in stds.items()}
     for da in range(1, max_degree):
         for db in range(1, max_degree - da + 1):
             ic = ideal_component(gamma, da + db)

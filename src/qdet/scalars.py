@@ -1,20 +1,20 @@
 """Exact coefficient arithmetic: Laurent polynomials in q over the
-rationals, and the fraction field built on top of them.
+rationals, the one scalar type of the workbench.
 
 Every identity the workbench certifies is checked with q transcendental,
-so a verified identity holds under any specialization of q except the
-finitely many poles excluded per value.  LaurentScalar is the workhorse
-(all structure constants of the algebra live in Z[q, q^-1]); elimination
-never divides, and a RationalScalar is built only to print the
-straightening coefficients that tower.subalgebra_commutation_check
-solves for.
+so a verified identity holds under any nonzero specialization of q.
+All structure constants of the algebra live in Z[q, q^-1], elimination
+is fraction-free, and every scalar a check predicts (normality scalars,
+straightening coefficients) is a LaurentScalar proved by an exact
+product comparison.  Nothing here divides one polynomial by another:
+the only inverse is that of a unit c*q^e.
 
 Coefficients are Python ints whenever they are integral, and a
 `fractions.Fraction` only when they are not (parser rationals, unit
-inverses, RationalScalar numerators, specialization).  Structure
-constants, minors and ideal rows are therefore pure int arithmetic.
-Every coefficient division goes through `_exact_div`, which stays in
-the integers when the division is exact and never yields a float.
+inverses, specialization).  Structure constants, minors and ideal rows
+are therefore pure int arithmetic.  Every coefficient division goes
+through `_exact_div`, which stays in the integers when the division is
+exact and never yields a float.
 
 Instances are immutable by convention: no method mutates `terms` after
 construction, which is what makes the caching layers safe.
@@ -22,8 +22,6 @@ construction, which is what makes the caching layers safe.
 
 import warnings
 from fractions import Fraction
-
-from .errors import PoleAtSpecialization
 
 
 class DegenerateSpecializationWarning(UserWarning):
@@ -183,13 +181,6 @@ class LaurentScalar:
             k >>= 1
         return out
 
-    def __truediv__(self, other):
-        if type(other) is not LaurentScalar:
-            other = _as_laurent(other)
-            if other is NotImplemented:
-                return other
-        return RationalScalar(self, other)
-
     # ------------------------------------------------------------------
     # queries
 
@@ -309,207 +300,3 @@ def render_laurent(a):
     for sign, body in parts[1:]:
         text += " %s %s" % (sign, body)
     return text
-
-
-# ----------------------------------------------------------------------
-# dense polynomial helpers (internal): a poly is a list of int or Fraction
-# coefficients, index = exponent, last entry nonzero, [] = zero.
-
-
-def _to_poly(a):
-    """LaurentScalar -> (coeff list, shift) with poly[0] != 0."""
-    if not a.terms:
-        return [], 0
-    lo = min(a.terms)
-    hi = max(a.terms)
-    coeffs = [0] * (hi - lo + 1)
-    for e, c in a.terms.items():
-        coeffs[e - lo] = c
-    return coeffs, lo
-
-
-def _from_poly(coeffs, shift=0):
-    return LaurentScalar({i + shift: c for i, c in enumerate(coeffs) if c})
-
-
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    """Long division in Q[q]; returns (quotient, remainder)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = _exact_div(a[i + len(b) - 1], lead)
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b):
-    """Monic gcd in Q[q] by the Euclidean algorithm."""
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        if lead != 1:
-            a = [_exact_div(c, lead) for c in a]
-    return a
-
-
-class RationalScalar:
-    """Element of Q(q) as a reduced fraction of Laurent polynomials.
-
-    Canonical form: numerator and denominator coprime in Q[q], denominator
-    a monic polynomial with nonzero constant term (lowest exponent 0).
-    Monic is a deliberate strengthening of "positive leading coefficient":
-    it makes structural equality decide mathematical equality.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentScalar.from_rational(num)
-        if isinstance(den, (int, Fraction)):
-            den = LaurentScalar.from_rational(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in Q(q)")
-        if num.is_zero:
-            self.num = ZERO
-            self.den = ONE
-            return
-        pn, sn = _to_poly(num)
-        pd, sd = _to_poly(den)
-        g = _poly_gcd(pn, pd)
-        if len(g) > 1 or (g and g[0] != 1):
-            pn, _ = _poly_divmod(pn, g)
-            pd, _ = _poly_divmod(pd, g)
-        lead = pd[-1]
-        if lead != 1:
-            pn = [_exact_div(c, lead) for c in pn]
-            pd = [_exact_div(c, lead) for c in pd]
-        self.num = _from_poly(pn, sn - sd)
-        self.den = _from_poly(pd)
-
-    @classmethod
-    def from_laurent(cls, a):
-        r = cls.__new__(cls)
-        r.num = a
-        r.den = ONE
-        return r
-
-    # ------------------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __bool__(self):
-        return bool(self.num.terms)
-
-    def to_laurent(self):
-        """Lossless round trip when the denominator is 1."""
-        if self.den == ONE:
-            return self.num
-        raise ValueError("denominator is not 1: %s" % self)
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        return RationalScalar(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RationalScalar.__new__(RationalScalar)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        return RationalScalar(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        return RationalScalar(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        return other / self
-
-    def inverse(self):
-        return RationalScalar(ONE, ONE) / self
-
-    def specialize(self, q0):
-        q0 = _coerce_fraction(q0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSpecializationWarning)
-            d = self.den.specialize(q0)
-        if d == 0:
-            raise PoleAtSpecialization(
-                "denominator %s vanishes at q0 = %s" % (self.den, q0))
-        return self.num.specialize(q0) / d
-
-    def __eq__(self, other):
-        other = _as_rational(other)
-        if other is NotImplemented:
-            return other
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den == ONE:
-            return render_laurent(self.num)
-        return "(%s)/(%s)" % (render_laurent(self.num), render_laurent(self.den))
-
-    def __repr__(self):
-        return "RationalScalar(%s)" % self
-
-
-def _as_rational(x):
-    if isinstance(x, RationalScalar):
-        return x
-    if isinstance(x, LaurentScalar):
-        return RationalScalar.from_laurent(x)
-    if isinstance(x, (int, Fraction)):
-        return RationalScalar.from_laurent(LaurentScalar.from_rational(x))
-    return NotImplemented
-
-
-RAT_ZERO = RationalScalar.from_laurent(ZERO)
-RAT_ONE = RationalScalar.from_laurent(ONE)

@@ -19,7 +19,7 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
-from qdet.scalars import LaurentScalar, RationalScalar, ONE, Q, ZERO
+from qdet.scalars import LaurentScalar, ONE, Q, ZERO
 from qdet.report import SuiteReport
 from qdet.suites import WorkbenchConfig, run_workbench
 
@@ -310,7 +310,8 @@ def solved_scalar(gamma, tau):
     tau*gamma is inserted on top of a copy of the ideal echelon, tagged
     with a 1 at column width; gamma*tau, tagged at width + 1, then
     reduces to den*gamma*tau - num*tau*gamma plus an ideal member, so
-    its residue holds -num at width and den at width + 1.
+    its residue holds -num at width and den at width + 1.  Returns
+    (num, den), so c = num / den.
     """
     u = minor_value(gamma) * minor_value(tau)
     v = minor_value(tau) * minor_value(gamma)
@@ -320,7 +321,7 @@ def solved_scalar(gamma, tau):
     ech.insert({**poly_row(v, ic.basis), width: ONE})
     res = ech.residue({**poly_row(u, ic.basis), width + 1: ONE})
     assert min(res) >= width, "gamma*tau is no multiple of tau*gamma"
-    return RationalScalar(-res.get(width, ZERO), res[width + 1])
+    return -res.get(width, ZERO), res[width + 1]
 
 
 def normality_pairs(gammas):
@@ -335,7 +336,8 @@ class TestNormalityScalarReference:
     def test_every_pair_of_small_shapes(self, m, n):
         pairs = normality_pairs(enumerate_minors(MatrixShape(m, n)))
         for gamma, tau in pairs:
-            assert solved_scalar(gamma, tau) == normality_scalar(gamma, tau)
+            num, den = solved_scalar(gamma, tau)
+            assert num == normality_scalar(gamma, tau) * den
 
     def test_bench_gammas_of_4x4(self):
         shape = MatrixShape(4, 4)
@@ -343,7 +345,8 @@ class TestNormalityScalarReference:
                                  Minor(shape, (2, 3), (2, 3))])
         assert len(pairs) == 40
         for gamma, tau in pairs:
-            assert solved_scalar(gamma, tau) == normality_scalar(gamma, tau)
+            num, den = solved_scalar(gamma, tau)
+            assert num == normality_scalar(gamma, tau) * den
 
 
 class TestGeneratorImages:

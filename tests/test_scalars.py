@@ -1,13 +1,11 @@
-"""Exact Laurent and rational scalar arithmetic."""
+"""Exact Laurent scalar arithmetic."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdet.errors import PoleAtSpecialization
-from qdet.scalars import (LaurentScalar, RationalScalar, ZERO, ONE, Q, Q_INV,
-                          QHAT, MINUS_Q, RAT_ONE, RAT_ZERO,
+from qdet.scalars import (LaurentScalar, ZERO, ONE, Q, Q_INV, QHAT, MINUS_Q,
                           DegenerateSpecializationWarning,
                           minus_q_power, render_laurent)
 
@@ -71,24 +69,6 @@ class TestLaurentBasics:
         assert LaurentScalar.from_rational(Fraction(2, 3)) == L(e0=Fraction(2, 3))
 
 
-class TestDivision:
-    """The long division behind RationalScalar's canonical form."""
-
-    def test_long_division_oracle(self):
-        # (q^2 - 1) / (q - 1) = q + 1
-        r = RationalScalar(L(e2=1, e0=-1), L(e1=1, e0=-1))
-        assert r.to_laurent() == L(e1=1, e0=1)
-
-    def test_qhat_division(self):
-        # (q - q^-1) divides q^2 - q^-2 with quotient q + q^-1
-        assert (RationalScalar(L(e2=1, em2=-1), QHAT).to_laurent()
-                == L(e1=1, em1=1))
-
-    def test_inexact_raises(self):
-        with pytest.raises(ValueError):
-            RationalScalar(L(e2=1, e0=1), L(e1=1, e0=-1)).to_laurent()
-
-
 class TestSpecialize:
     def test_values(self):
         assert QHAT.specialize(2) == Fraction(3, 2)
@@ -132,68 +112,6 @@ class TestLaurentProperties:
         q0 = Fraction(7, 3)
         assert (a + b).specialize(q0) == a.specialize(q0) + b.specialize(q0)
         assert (a * b).specialize(q0) == a.specialize(q0) * b.specialize(q0)
-
-
-class TestRationalScalar:
-    def test_canonical_cancellation(self):
-        # (q^2 - q) / (q - 1) reduces to q
-        r = RationalScalar(L(e2=1, e1=-1), L(e1=1, e0=-1))
-        assert r == RationalScalar.from_laurent(Q)
-        assert r.to_laurent() == Q
-
-    def test_denominator_normalized(self):
-        # denominators are monic with lowest exponent zero
-        r = RationalScalar(ONE, L(e3=2, e1=2))
-        assert r.den == L(e2=1, e0=1)
-        assert r.num == L(em1=Fraction(1, 2))
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(Exception):
-            RationalScalar(ONE, ZERO)
-
-    def test_arithmetic(self):
-        half = RationalScalar(ONE, Q - 1)
-        other = RationalScalar(ONE, Q + 1)
-        s = half + other
-        # 1/(q-1) + 1/(q+1) = 2q/(q^2-1)
-        assert s == RationalScalar(L(e1=2), L(e2=1, e0=-1))
-        assert half * other == RationalScalar(ONE, L(e2=1, e0=-1))
-        assert (half - half).is_zero
-        assert half / half == RAT_ONE
-
-    def test_inverse(self):
-        r = RationalScalar(QHAT, Q + 1)
-        assert (r * r.inverse()) == RAT_ONE
-        with pytest.raises(Exception):
-            RAT_ZERO.inverse()
-
-    def test_round_trip(self):
-        for a in (ZERO, ONE, QHAT, L(e2=1, em2=-1, e0=Fraction(1, 3))):
-            assert RationalScalar.from_laurent(a).to_laurent() == a
-
-    def test_to_laurent_rejects_true_fractions(self):
-        with pytest.raises(ValueError):
-            RationalScalar(ONE, Q + 1).to_laurent()
-
-    def test_specialize_and_pole(self):
-        r = RationalScalar(ONE, Q - 2)
-        assert r.specialize(3) == 1
-        with pytest.raises(PoleAtSpecialization):
-            r.specialize(2)
-
-    @settings(max_examples=80, deadline=None)
-    @given(_scalars, _scalars)
-    def test_from_laurent_multiplicative(self, a, b):
-        lhs = RationalScalar.from_laurent(a) * RationalScalar.from_laurent(b)
-        assert lhs == RationalScalar.from_laurent(a * b)
-
-    @settings(max_examples=80, deadline=None)
-    @given(_scalars, _scalars, _scalars)
-    def test_field_laws(self, a, b, c):
-        ra, rb, rc = (RationalScalar.from_laurent(x) for x in (a, b, c))
-        assert ra * (rb + rc) == ra * rb + ra * rc
-        if not rc.is_zero:
-            assert (ra / rc) * rc == ra
 
 
 class TestRendering:
@@ -242,8 +160,3 @@ class TestIntegerCoefficients:
     def test_int_arithmetic_stays_int(self):
         a = QHAT ** 3 * (Q + 2) - minus_q_power(-3) * 5
         assert all(type(c) is int for c in a.terms.values())
-
-    def test_rational_scalar_parts(self):
-        r = RationalScalar(L(e2=2, e0=-2), L(e1=2, e0=2))
-        assert r.num == L(e1=1, e0=-1) and r.den == ONE
-        assert all(type(c) is int for c in r.num.terms.values())

@@ -325,6 +325,18 @@ class TestCLI:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "pass 1202 / fail 0"
 
+    def test_zero_divisor_pairs_are_guarded(self, capsys):
+        # a 1x1 chain has one standard monomial per degree, so degree 142
+        # has 141*142/2 = 10011 pairs, just above DIM_GUARD
+        rc = cli.main(["verify", "--m", "1", "--n", "1", "--gamma", "1|1",
+                       "--suites", "factor-basis", "--max-degree", "142"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: suite factor-basis: zero-divisor check of "
+                       "minor[1|1] through degree 142 has 10011 pairs "
+                       "(guard 10000)\n")
+
     def test_verify_passes_and_writes_report(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc = cli.main(["verify", "--m", "2", "--n", "2",

@@ -152,29 +152,79 @@ class TestSubalgebraCommutation:
             lhs = x2 * mem - (mem * x2).scale(Q)
             assert lhs == (lower * x1).scale(QHAT * minus_q_power(1))
 
-    def test_qhat_minus_q_exponent_multiplies_out(self):
-        dens = (ONE, Q + 2, LaurentScalar({2: 3, -1: -1}))
-        for den in dens:
-            for e in (1, 2, 3):
-                num = den * QHAT * minus_q_power(e)
-                assert tower_mod._qhat_minus_q_exponent(num, den) == e
-                # the wrong sign of (-q)^e
-                assert tower_mod._qhat_minus_q_exponent(-num, den) is None
-            assert tower_mod._qhat_minus_q_exponent(den * QHAT, den) is None
-            assert tower_mod._qhat_minus_q_exponent(LaurentScalar(),
-                                                    den) is None
-        # (q - q^-1) * (-q) over q + 1 is not a Laurent polynomial
-        assert tower_mod._qhat_minus_q_exponent(QHAT * minus_q_power(1),
-                                                Q + 1) is None
-        # e = 0 is refused even when the quotient is exact
-        assert tower_mod._qhat_minus_q_exponent(QHAT * (Q + 1),
-                                                Q + 1) is None
+    # m, n and the number of relations with a nonzero lhs over all frames
+    @pytest.mark.parametrize("m, n, relations", [
+        (2, 2, 0), (2, 3, 2), (3, 2, 2), (3, 3, 12), (3, 4, 45), (4, 4, 168)])
+    def test_prediction_matches_the_solved_coefficients(self, m, n,
+                                                        relations):
+        solved = 0
+        for gamma in enumerate_minors(MatrixShape(m, n)):
+            frame = build_frame(gamma)
+            for mb, lower, nums, den in solved_straightening(frame):
+                for s, num in zip(lower, nums):
+                    assert den * QHAT * minus_q_power(mb.j - s) == num, \
+                        (gamma, mb.label, s)
+                solved += 1
+            assert subalgebra_commutation_check(frame).passed, gamma
+        assert solved == relations
+
+    def test_witness_prints_each_predicted_coefficient(self, frame1312):
+        rep = subalgebra_commutation_check(frame1312)
+        witnesses = {c.name: c.witness for c in rep.checks
+                     if c.name.startswith("straighten")}
+        assert witnesses == {
+            "straighten x[1,1] col_swap[1,1]": "lhs vanishes",
+            "straighten x[3,1] col_swap[1,1]": "lhs vanishes",
+            "straighten x[1,2] col_swap[1,2]": "col_swap[1,1]: -q^2 + 1",
+            "straighten x[3,2] col_swap[1,2]": "col_swap[1,1]: -q^2 + 1",
+            "straighten x[1,1] row_swap[1,1]": "lhs vanishes",
+            "straighten x[1,2] row_swap[1,1]": "lhs vanishes"}
 
     def test_untouched_variables_commute(self, frame1312, shape33):
         mem = minor_value(Minor(shape33, (1, 3), (1, 3)))
         for a in (1, 3):
             x = NCPoly.generator(shape33, a, 1)
             assert x * mem == mem * x
+
+
+def solved_straightening(frame):
+    """The straightening coefficients solved for by elimination.
+
+    The reference for the prediction in subalgebra_commutation_check: for
+    each base variable x on a member's removed index with a nonzero
+    x*mem - q*mem*x, Span.express writes it over the lower same-kind
+    members times base variables.  Yields (member, s values, nums, den)
+    with den * c_s == nums[k] for the k-th lower member s.
+    """
+    shape = frame.shape
+    values = {(mb.kind, mb.i, mb.j): minor_value(mb.minor)
+              for mb in frame.family()}
+    for mb in frame.family():
+        val = values[(mb.kind, mb.i, mb.j)]
+        for a in frame.rows:
+            for b in frame.cols:
+                col = mb.kind == "col_swap"
+                removed = (frame.cols if col else frame.rows)[mb.j - 1]
+                if (b if col else a) != removed:
+                    continue
+                x = NCPoly.generator(shape, a, b)
+                lhs = x * val - (val * x).scale(Q)
+                if lhs.is_zero:
+                    continue
+                lower = [s for s in range(1, mb.j)
+                         if (mb.kind, mb.i, s) in values]
+                polys = [values[(mb.kind, mb.i, s)]
+                         * (NCPoly.generator(shape, a, frame.cols[s - 1])
+                            if col else
+                            NCPoly.generator(shape, frame.rows[s - 1], b))
+                         for s in lower]
+                basis = linalg.component_basis(shape, lhs.degree())
+                witness = linalg.Span(
+                    [linalg.poly_row(p, basis) for p in polys],
+                    len(basis)).express(linalg.poly_row(lhs, basis))
+                assert witness is not None, (frame, mb.label, a, b)
+                nums, den = witness
+                yield mb, lower, nums, den
 
 
 def brute_weighted_count(weights, d):
