@@ -99,17 +99,21 @@ def ideal_component(gamma, degree):
     component has dimension above DIM_GUARD.
     """
     shape = gamma.shape
-    dim = graded_dim(shape, degree)
-    if dim > DIM_GUARD:
-        raise DegreeTooLarge(
-            "degree-%d component of %s has dimension %d (guard %d)"
-            % (degree, shape, dim, DIM_GUARD))
+    _dim_guard(shape, degree)
     key = (shape.m, shape.n, gamma.rows, gamma.cols, degree)
     ech = _ECHELONS.get(key)
     basis = component_basis(shape, degree)
     if ech is None:
         ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, key)
     return IdealComponent(basis, ech)
+
+
+def _dim_guard(shape, degree):
+    dim = graded_dim(shape, degree)
+    if dim > DIM_GUARD:
+        raise DegreeTooLarge(
+            "degree-%d component of %s has dimension %d (guard %d)"
+            % (degree, shape, dim, DIM_GUARD))
 
 
 def _build_echelon(gamma, degree, basis, key):
@@ -186,12 +190,17 @@ def standard_monomials(shape, degree, floor=None):
     With a floor minor, only chains whose members sit above the floor are
     produced; these are exactly the monomials whose images form the
     candidate basis of J_floor.  Order is deterministic: factors are tried
-    in enumerate_minors order at every position.
+    in enumerate_minors order at every position.  A tuple, memoised.
     """
+    return _standard_monomials_cached(shape, degree, floor)
+
+
+@lru_cache(maxsize=256)
+def _standard_monomials_cached(shape, degree, floor):
     pool = [mn for mn in enumerate_minors(shape)
             if floor is None or std_le(floor, mn)]
     if degree == 0:
-        return [StandardMonomial(shape, ())]
+        return (StandardMonomial(shape, ()),)
     out = []
     chain = []
     remaining = degree
@@ -212,11 +221,7 @@ def standard_monomials(shape, degree, floor=None):
             stack.pop()
             if chain:
                 remaining += chain.pop().size
-    return out
-
-
-def standard_monomial_count(shape, degree, floor=None):
-    return len(standard_monomials(shape, degree, floor))
+    return tuple(out)
 
 
 def basis_check(shape, degree, gamma=None):
@@ -259,7 +264,7 @@ def hilbert_check(gamma, max_degree):
     rep = SuiteReport("hilbert", {"gamma": str(gamma), "max_degree": max_degree})
     dims = hilbert_function(gamma, max_degree)
     for d in range(max_degree + 1):
-        count = standard_monomial_count(gamma.shape, d, floor=gamma)
+        count = len(standard_monomials(gamma.shape, d, gamma))
         rep.add("degree %d" % d, dims[d] == count,
                 "dimension %d, standard monomials %d" % (dims[d], count))
     return rep
@@ -421,13 +426,17 @@ def zero_divisor_check(gamma, max_degree):
     """Products of standard monomials stay nonzero in the quotient.
 
     Runs over all pairs of positive-degree standard monomials above gamma
-    whose degrees sum to at most max_degree.  Raises DegreeTooLarge when
-    there are more than DIM_GUARD pairs, before any monomial is expanded.
+    whose degrees sum to at most max_degree.  Raises DegreeTooLarge before
+    any monomial is enumerated when a component through max_degree is
+    above DIM_GUARD, and before any is expanded when there are more than
+    DIM_GUARD pairs.
     """
     rep = SuiteReport("zero_divisors", {"gamma": str(gamma),
                                         "max_degree": max_degree})
     shape = gamma.shape
-    stds = {d: standard_monomials(shape, d, floor=gamma)
+    for d in range(max_degree + 1):
+        _dim_guard(shape, d)
+    stds = {d: standard_monomials(shape, d, gamma)
             for d in range(1, max_degree)}
     pairs = sum(len(stds[da]) * len(stds[db])
                 for da in stds for db in range(1, max_degree - da + 1))

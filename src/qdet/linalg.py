@@ -22,7 +22,9 @@ position is the smallest column index.
 Multiplication by a generator is a linear map from one graded component
 to the next; `generator_images` holds it column by column, so
 `generator_products` takes a product with a generator on Laurent rows
-without an NCPoly.
+without an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
+reverses the lex order of the generators, so it sends the ordered monomial
+x^e to x^reverse(e) with coefficient 1, and x_g * b = rho(rho(b) * rho(x_g)).
 """
 
 from functools import lru_cache
@@ -71,37 +73,21 @@ def generator_images(shape, degree, col):
     b is monomial `col` of component_basis(shape, degree - 1).  Returns
     (left, right): left[g] is x_g * b and right[g] is b * x_g, g in lex
     order, each a tuple of (column, LaurentScalar) over
-    component_basis(shape, degree).  The right images come from the
-    cached word rewriting; the left ones by associativity from the left
-    images of b's head (b without its last letter) one degree lower.
-    Memoised per column, so only the columns a product touches, and
-    their heads, are ever built.
+    component_basis(shape, degree).  Both come from the cached word
+    rewriting: x_g * b = rho(rho(b) * rho(x_g)), so a left image is the
+    mirrored monomial times the mirrored generator, its exponent tuples
+    read backwards.  Memoised per column, so only the columns a product
+    touches are ever built.
     """
     m, n = shape.m, shape.n
-    src = component_basis(shape, degree - 1).monomials
+    exps = component_basis(shape, degree - 1).monomials[col].exps
     index = component_basis(shape, degree).index
-    exps = src[col].exps
     right = tuple(tuple((index[e], c) for e, c in _nf_mono_gen(m, n, exps, x))
                   for x in shape.gens())
-    if degree == 1:
-        # x_g * 1 = 1 * x_g
-        return right, right
-    # x_g * x^e = (x_g * x^h) * x_l, with x_l the last letter of x^e
-    last = max(k for k, e in enumerate(exps) if e)
-    head = list(exps)
-    head[last] -= 1
-    head = component_basis(shape, degree - 2).index[tuple(head)]
-    x_l = shape.gen_at(last)
-    left = []
-    for image in generator_images(shape, degree - 1, head)[0]:
-        out = {}
-        for j, c in image:
-            for e, t in _nf_mono_gen(m, n, src[j].exps, x_l):
-                k = index[e]
-                acc = out.get(k)
-                out[k] = c * t if acc is None else acc + c * t
-        left.append(tuple((k, v) for k, v in out.items() if v))
-    return tuple(left), right
+    left = tuple(tuple((index[e[::-1]], c) for e, c in
+                       _nf_mono_gen(m, n, exps[::-1], (m + 1 - i, n + 1 - j)))
+                 for i, j in shape.gens())
+    return left, right
 
 
 def generator_products(shape, degree, row):

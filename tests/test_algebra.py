@@ -11,6 +11,7 @@ from qdet.algebra import (MatrixShape, Monomial, NCPoly, TorusElement,
                           commutative_product, eigenvalue_of, graded_basis,
                           graded_dim, normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
+from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT,
                           DegenerateSpecializationWarning)
 
@@ -92,6 +93,47 @@ class TestRelations:
                 lhs = (a * b).specialize(1)
                 rhs = commutative_product(a.specialize(1), b.specialize(1))
                 assert lhs == rhs
+
+
+class TestAntiAutomorphism:
+    """rho: x[i,j] -> x[m+1-i, n+1-j] reverses products and fixes minors.
+
+    rho reverses the lex order of the generators, so it sends the ordered
+    monomial x^e to x^reverse(e) with coefficient 1; linalg's left
+    generator images rest on this.
+    """
+
+    @staticmethod
+    def rho(p):
+        return NCPoly(p.shape, {e[::-1]: c for e, c in p.terms.items()})
+
+    def test_reverses_products(self, rng):
+        for m, n in ((2, 3), (3, 2), (3, 3)):
+            shape = MatrixShape(m, n)
+            for _ in range(25):
+                a = random_poly(rng, shape, max_degree=3)
+                b = random_poly(rng, shape, max_degree=3)
+                assert self.rho(a * b) == self.rho(b) * self.rho(a)
+
+    def test_generators_map_to_mirrored_generators(self, shape33):
+        for i, j in shape33.gens():
+            assert self.rho(NCPoly.generator(shape33, i, j)) == \
+                NCPoly.generator(shape33, 4 - i, 4 - j)
+
+    def test_is_an_involution(self, rng):
+        for m, n in ((2, 3), (3, 2), (3, 3)):
+            shape = MatrixShape(m, n)
+            for _ in range(10):
+                a = random_poly(rng, shape, max_degree=3)
+                assert self.rho(self.rho(a)) == a
+
+    def test_minors_map_to_mirrored_minors(self):
+        for m, n in ((3, 3), (2, 4)):
+            shape = MatrixShape(m, n)
+            for mn in enumerate_minors(shape):
+                mirrored = Minor(shape, sorted(m + 1 - i for i in mn.rows),
+                                 sorted(n + 1 - j for j in mn.cols))
+                assert self.rho(minor_value(mn)) == minor_value(mirrored), mn
 
 
 class TestGrading:

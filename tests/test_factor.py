@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from qdet import cache, factor
+from qdet import cache, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
 from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
                          ShapeMismatch)
@@ -15,8 +15,8 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
                          normality_check, normality_scalar, quotient_is_zero, regularity_check, spans_clear,
-                         standard_monomial_count, standard_monomials,
-                         tower_image_check, zero_divisor_check)
+                         standard_monomials, tower_image_check,
+                         zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
 from qdet.scalars import LaurentScalar, ONE, Q, ZERO
@@ -110,6 +110,30 @@ class TestColumnSpaceBuild:
         for d, ref in enumerate(reference_echelons(gamma, 3)):
             assert ideal_component(gamma, d).echelon.pivots == ref.pivots
 
+    @pytest.mark.parametrize("m, n, rows, cols, degrees", [
+        (3, 3, (1, 3), (1, 2), (2, 3, 4)),
+        (4, 4, (2, 4), (1, 3), (4,)),
+    ], ids=["3x3-13|12", "4x4-24|13"])
+    def test_images_only_of_touched_columns(self, m, n, rows, cols, degrees,
+                                            monkeypatch):
+        """The degree-d build takes images of I_{d-1}'s row columns only."""
+        gamma = Minor(MatrixShape(m, n), rows, cols)
+        images = linalg.generator_images
+        asked = set()
+
+        def recording(shape, degree, col):
+            asked.add((degree, col))
+            return images(shape, degree, col)
+
+        monkeypatch.setattr(linalg, "generator_images", recording)
+        for d in degrees:
+            spans_clear()
+            prev = ideal_component(gamma, d - 1).echelon
+            images.cache_clear()
+            asked.clear()
+            ideal_component(gamma, d)
+            assert asked == {(d, c) for row in prev.rows() for c in row}
+
 
 class TestSizeGuard:
     """ideal_component checks the component size, once, before any work."""
@@ -202,10 +226,26 @@ class TestStandardMonomials:
             assert got == brute_chains(shape, degree, floor)
 
     def test_counts(self, shape22, g11):
-        assert standard_monomial_count(shape22, 2) == 10
-        assert standard_monomial_count(shape22, 2, floor=g11) == 9
-        assert [standard_monomial_count(shape22, d, floor=g11)
+        assert len(standard_monomials(shape22, 2)) == 10
+        assert len(standard_monomials(shape22, 2, floor=g11)) == 9
+        assert [len(standard_monomials(shape22, d, floor=g11))
                 for d in range(5)] == [1, 4, 9, 16, 25]
+
+    def test_enumerated_once(self, shape33, g1312, monkeypatch):
+        calls = []
+        real = std_le
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(factor, "std_le", counting)
+        factor._standard_monomials_cached.cache_clear()
+        first = standard_monomials(shape33, 3, g1312)
+        assert isinstance(first, tuple) and calls
+        calls.clear()
+        assert standard_monomials(shape33, 3, floor=g1312) is first
+        assert not calls
 
     def test_chains_are_nondecreasing(self, shape33):
         for s in standard_monomials(shape33, 3):

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdet import cli
+from qdet import cli, factor
 from qdet import suites as suites_mod
 from qdet.errors import ConfigError, DegreeTooLarge
 from qdet.minors import enumerate_minors, std_le
@@ -336,6 +336,34 @@ class TestCLI:
         assert err == ("error: suite factor-basis: zero-divisor check of "
                        "minor[1|1] through degree 142 has 10011 pairs "
                        "(guard 10000)\n")
+
+    def test_zero_divisor_pairs_are_guarded_first(self, capsys, monkeypatch):
+        # the basis and Hilbert checks would otherwise run through degree 400
+        def refused(*args):
+            raise AssertionError("a check ran before the pair guard")
+
+        monkeypatch.setattr(suites_mod, "basis_check", refused)
+        monkeypatch.setattr(suites_mod, "hilbert_check", refused)
+        rc = cli.main(["verify", "--m", "1", "--n", "1", "--gamma", "1|1",
+                       "--suites", "factor-basis", "--max-degree", "400"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite factor-basis: zero-divisor check of minor[1|1] "
+            "through degree 400 has 79800 pairs (guard 10000)\n")
+
+    def test_component_guard_precedes_enumeration(self, capsys, monkeypatch):
+        # the message the degree-4 basis check raised when it came first
+        def refused(*args):
+            raise AssertionError("work before the component guard")
+
+        monkeypatch.setattr(suites_mod, "basis_check", refused)
+        monkeypatch.setattr(factor, "standard_monomials", refused)
+        rc = cli.main(["verify", "--m", "5", "--n", "5", "--gamma", "1|1",
+                       "--suites", "factor-basis", "--max-degree", "6"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite factor-basis: degree-4 component of 5x5 has "
+            "dimension 20475 (guard 10000)\n")
 
     def test_verify_passes_and_writes_report(self, capsys, tmp_path):
         path = tmp_path / "out.json"

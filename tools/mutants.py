@@ -57,12 +57,16 @@ MUTANTS = (
      "        self.echelon.insert({**target, width + n: ONE})\n"),
     ("left-is-right", "the left generator images are the right ones",
      "src/qdet/linalg.py",
-     "    return tuple(left), right\n",
+     "    return left, right\n",
      "    return right, right\n"),
-    ("compose-first-letter", "the left images peel the first letter off",
+    ("unmirrored-generator", "the left images multiply by x_g, not rho(x_g)",
      "src/qdet/linalg.py",
-     "last = max(k for k, e in enumerate(exps) if e)",
-     "last = min(k for k, e in enumerate(exps) if e)"),
+     "(m + 1 - i, n + 1 - j)",
+     "(i, j)"),
+    ("unreversed-image", "the left images are not read backwards",
+     "src/qdet/linalg.py",
+     "index[e[::-1]]",
+     "index[e]"),
     ("equal-row-grows", "an equal row is stored and counted as new",
      "src/qdet/linalg.py",
      "            if row == stored:\n                return False\n",
