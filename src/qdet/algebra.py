@@ -12,6 +12,13 @@ Ordered monomials x[1,1]^e11 * x[1,2]^e12 * ... form a PBW basis; every
 product is rewritten onto it by adjacent transpositions.  Each transposition
 removes one lexicographic inversion, which is why the rewriting terminates;
 the diagonal case queues a correction word with two fresh letters.
+
+A product of two ordered monomials rewrites only its shorter factor, one
+letter at a time, into the longer one.  The anti-automorphism
+rho: x[i,j] -> x[m+1-i, n+1-j] maps each defining relation onto itself and
+reverses the lex order of the generators, so it sends x^e to x^reverse(e)
+with coefficient 1 and x^a * x^b = rho(x^rev(b) * x^rev(a)): a shorter left
+factor is rewritten as the right factor of the mirrored product.
 """
 
 import itertools
@@ -193,24 +200,36 @@ def _nf_mono_gen(m, n, exps, gen):
 
 @lru_cache(maxsize=1 << 15)
 def _nf_concat(m, n, e1, e2):
-    """Normal form of the product of two ordered monomials; cached."""
-    poly = {e1: ONE}
-    for idx, e in enumerate(e2):
-        if not e:
-            continue
-        gen = (idx // n + 1, idx % n + 1)
-        for _ in range(e):
-            nxt = {}
-            for exps, c in poly.items():
-                for exps2, c2 in _nf_mono_gen(m, n, exps, gen):
-                    acc = nxt.get(exps2)
-                    acc = c * c2 if acc is None else acc + c * c2
-                    if acc.is_zero:
-                        nxt.pop(exps2, None)
-                    else:
-                        nxt[exps2] = acc
-            poly = nxt
-    return tuple(poly.items())
+    """Normal form of x^e1 * x^e2 for ordered monomials; cached.
+
+    The letters of the shorter factor are multiplied in one at a time,
+    each through the cached _nf_mono_gen, so a product costs one rewriting
+    pass per letter of its shorter factor.  When the left factor is the
+    shorter, the mirrored product x^rev(e2) * x^rev(e1) is taken instead
+    and each of its exponent tuples read backwards (rho, see the module
+    docstring).  A one-letter factor is answered by the _nf_mono_gen tuple
+    itself.
+    """
+    mirrored = sum(e1) < sum(e2)
+    if mirrored:
+        e1, e2 = e2[::-1], e1[::-1]
+    letters = [(idx // n + 1, idx % n + 1)
+               for idx, e in enumerate(e2) if e for _ in range(e)]
+    terms = _nf_mono_gen(m, n, e1, letters[0]) if letters else ((e1, ONE),)
+    for gen in letters[1:]:
+        nxt = {}
+        for exps, c in terms:
+            for exps2, c2 in _nf_mono_gen(m, n, exps, gen):
+                acc = nxt.get(exps2)
+                acc = c * c2 if acc is None else acc + c * c2
+                if acc.is_zero:
+                    nxt.pop(exps2, None)
+                else:
+                    nxt[exps2] = acc
+        terms = tuple(nxt.items())
+    if mirrored:
+        return tuple((e[::-1], c) for e, c in terms)
+    return terms
 
 
 def _add_terms(out, terms):
@@ -312,12 +331,14 @@ class NCPoly:
         self._check(other)
         m, n = self.shape.m, self.shape.n
         out = {}
+        # a coefficient that is the shared ONE is never multiplied by
         for e2, c2 in other.terms.items():
             for e1, c1 in self.terms.items():
-                c12 = c1 * c2
+                c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                 for e, c in _nf_concat(m, n, e1, e2):
+                    t = c if c12 is ONE else c12 if c is ONE else c12 * c
                     acc = out.get(e)
-                    acc = c12 * c if acc is None else acc + c12 * c
+                    acc = t if acc is None else acc + t
                     if acc.is_zero:
                         out.pop(e, None)
                     else:

@@ -30,6 +30,7 @@ touches, also refuses more than DIM_GUARD pairs.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import cache as _disk
 from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
@@ -222,6 +223,30 @@ def _standard_monomials_cached(shape, degree, floor):
             if chain:
                 remaining += chain.pop().size
     return tuple(out)
+
+
+def standard_monomial_counts(shape, max_degree, floor=None):
+    """len(standard_monomials(shape, d, floor)) for d = 0..max_degree.
+
+    Counted without building a chain: tails[k][r] counts the chains of
+    total size r whose members all sit above pool[k] (the empty chain when
+    r == 0), as the sum of tails[b][r - size of b] over the pool members b
+    above pool[k].  Costs pool^2 * max_degree steps, whatever the number
+    of chains.
+    """
+    pool = [mn for mn in enumerate_minors(shape)
+            if floor is None or std_le(floor, mn)]
+    sizes = [mn.size for mn in pool]
+    above = [[b for b, mb in enumerate(pool) if std_le(ma, mb)]
+             for ma in pool]
+    tails = [[1] + [0] * max_degree for _ in pool]
+    for r in range(1, max_degree + 1):
+        for k, ups in enumerate(above):
+            tails[k][r] = sum(tails[b][r - sizes[b]] for b in ups
+                              if sizes[b] <= r)
+    return [1] + [sum(tails[k][d - size] for k, size in enumerate(sizes)
+                      if size <= d)
+                  for d in range(1, max_degree + 1)]
 
 
 def basis_check(shape, degree, gamma=None):
@@ -428,22 +453,25 @@ def zero_divisor_check(gamma, max_degree):
     Runs over all pairs of positive-degree standard monomials above gamma
     whose degrees sum to at most max_degree.  Raises DegreeTooLarge before
     any monomial is enumerated when a component through max_degree is
-    above DIM_GUARD, and before any is expanded when there are more than
-    DIM_GUARD pairs.
+    above DIM_GUARD, or when there are more than DIM_GUARD pairs, counted
+    by standard_monomial_counts.
     """
     rep = SuiteReport("zero_divisors", {"gamma": str(gamma),
                                         "max_degree": max_degree})
     shape = gamma.shape
     for d in range(max_degree + 1):
         _dim_guard(shape, d)
-    stds = {d: standard_monomials(shape, d, gamma)
-            for d in range(1, max_degree)}
-    pairs = sum(len(stds[da]) * len(stds[db])
-                for da in stds for db in range(1, max_degree - da + 1))
+    counts = standard_monomial_counts(shape, max_degree, gamma)
+    # below[k]: standard monomials of positive degree at most k
+    below = list(accumulate(counts[1:], initial=0))
+    pairs = sum(counts[da] * below[max_degree - da]
+                for da in range(1, max_degree))
     if pairs > DIM_GUARD:
         raise DegreeTooLarge(
             "zero-divisor check of %s through degree %d has %d pairs "
             "(guard %d)" % (gamma, max_degree, pairs, DIM_GUARD))
+    stds = {d: standard_monomials(shape, d, gamma)
+            for d in range(1, max_degree)}
     # (name, value) per standard monomial, each rendered once
     named = {d: [(str(s), s.value()) for s in ms] for d, ms in stds.items()}
     for da in range(1, max_degree):

@@ -298,4 +298,9 @@ class Span:
         res = self.echelon.residue({**target, width + n: ONE})
         if min(res) < width:
             return None
-        return [-res.get(width + i, ZERO) for i in range(n)], res[width + n]
+        # most entries are absent: they stay the shared ZERO, unnegated
+        nums = [ZERO] * n
+        for col, v in res.items():
+            if col < width + n:
+                nums[col - width] = -v
+        return nums, res[width + n]

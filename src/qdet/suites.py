@@ -199,11 +199,13 @@ def _suite_pbw(config):
     bad = 0
     total = 0
     polys = [NCPoly.generator(shape, i, j) for (i, j) in gens]
-    for u in polys:
-        for v in polys:
-            for w in polys:
+    # each generator pair product once; a triple then costs two products
+    pairs = [[u * v for v in polys] for u in polys]
+    for a, u in enumerate(polys):
+        for b in range(len(polys)):
+            for c, w in enumerate(polys):
                 total += 1
-                if (u * v) * w != u * (v * w):
+                if pairs[a][b] * w != u * pairs[b][c]:
                     bad += 1
     rep.add("associativity on generator triples", bad == 0,
             "%d triples, %d failures" % (total, bad))

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import naive_normal_form, random_poly, random_word
 from qdet.algebra import (MatrixShape, Monomial, NCPoly, TorusElement,
-                          commutative_product, eigenvalue_of, graded_basis,
-                          graded_dim, normal_form, render_poly)
+                          _nf_mono_gen, commutative_product, eigenvalue_of,
+                          graded_basis, graded_dim, normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT,
@@ -134,6 +134,42 @@ class TestAntiAutomorphism:
                 mirrored = Minor(shape, sorted(m + 1 - i for i in mn.rows),
                                  sorted(n + 1 - j for j in mn.cols))
                 assert self.rho(minor_value(mn)) == minor_value(mirrored), mn
+
+
+def letter_by_letter(shape, e1, e2):
+    """x^e1 * x^e2 as a terms dict: every letter of the right factor, in
+    order, multiplied into the product so far through _nf_mono_gen."""
+    m, n = shape.m, shape.n
+    poly = {e1: ONE}
+    for idx, e in enumerate(e2):
+        for _ in range(e):
+            nxt = {}
+            for exps, c in poly.items():
+                for exps2, c2 in _nf_mono_gen(m, n, exps, (idx // n + 1,
+                                                         idx % n + 1)):
+                    acc = nxt.get(exps2)
+                    acc = c * c2 if acc is None else acc + c * c2
+                    if acc.is_zero:
+                        nxt.pop(exps2, None)
+                    else:
+                        nxt[exps2] = acc
+            poly = nxt
+    return poly
+
+
+class TestProductKernel:
+    """Products rewrite only the shorter factor, mirrored through rho when
+    it is the left one; the letter-by-letter product is the reference."""
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
+    def test_every_pair_of_monomials(self, m, n):
+        shape = MatrixShape(m, n)
+        monos = [mono.exps for d in range(4) for mono in graded_basis(shape, d)]
+        polys = [NCPoly(shape, {e: ONE}) for e in monos]
+        for e1, p1 in zip(monos, polys):
+            for e2, p2 in zip(monos, polys):
+                want = NCPoly(shape, letter_by_letter(shape, e1, e2))
+                assert p1 * p2 == want, (e1, e2)
 
 
 class TestGrading:

@@ -15,8 +15,8 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
                          normality_check, normality_scalar, quotient_is_zero, regularity_check, spans_clear,
-                         standard_monomials, tower_image_check,
-                         zero_divisor_check)
+                         standard_monomial_counts, standard_monomials,
+                         tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
 from qdet.scalars import LaurentScalar, ONE, Q, ZERO
@@ -230,6 +230,14 @@ class TestStandardMonomials:
         assert len(standard_monomials(shape22, 2, floor=g11)) == 9
         assert [len(standard_monomials(shape22, d, floor=g11))
                 for d in range(5)] == [1, 4, 9, 16, 25]
+
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_recursion_counts_the_chains(self, side):
+        shape = MatrixShape(side, side)
+        for floor in [None] + enumerate_minors(shape):
+            assert standard_monomial_counts(shape, 4, floor) == [
+                len(standard_monomials(shape, d, floor))
+                for d in range(5)], floor
 
     def test_enumerated_once(self, shape33, g1312, monkeypatch):
         calls = []

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdet import cli, factor
 from qdet import suites as suites_mod
+from qdet.algebra import MatrixShape, NCPoly
 from qdet.errors import ConfigError, DegreeTooLarge
 from qdet.minors import enumerate_minors, std_le
 from qdet.suites import (SUITE_NAMES, SuiteReport, WorkbenchConfig,
@@ -266,6 +267,30 @@ class TestMinorsOrderChecks:
         assert len(calls) == 69 ** 2
 
 
+class TestPbwAssociativity:
+    """pbw compares (u*v)*w with u*(v*w) on every generator triple."""
+
+    def test_one_broken_triple_is_one_failure(self, monkeypatch):
+        shape = MatrixShape(2, 3)
+        x = lambda i, j: NCPoly.generator(shape, i, j)
+        # x[1,2]^2 is only ever a left factor in the triple x[1,2] x[1,2] x[2,1]
+        left, right = x(1, 2) * x(1, 2), x(2, 1)
+        real = NCPoly.__mul__
+
+        def broken(a, b):
+            out = real(a, b)
+            if isinstance(b, NCPoly) and a == left and b == right:
+                return out + out
+            return out
+
+        monkeypatch.setattr(NCPoly, "__mul__", broken)
+        rep = run_suite("pbw", WorkbenchConfig(m=2, n=3))
+        check, = [c for c in rep.checks
+                  if c.name == "associativity on generator triples"]
+        assert (check.status, check.witness) == ("fail",
+                                                 "216 triples, 1 failures")
+
+
 class TestCLI:
 
     def test_compute_minor(self, capsys):
@@ -350,6 +375,19 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: suite factor-basis: zero-divisor check of minor[1|1] "
             "through degree 400 has 79800 pairs (guard 10000)\n")
+
+    def test_zero_divisor_pairs_are_counted_not_enumerated(self, capsys,
+                                                          monkeypatch):
+        def refused(*args):
+            raise AssertionError("standard monomials enumerated")
+
+        monkeypatch.setattr(factor, "standard_monomials", refused)
+        rc = cli.main(["verify", "--m", "1", "--n", "1", "--gamma", "1|1",
+                       "--suites", "factor-basis", "--max-degree", "1200"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite factor-basis: zero-divisor check of minor[1|1] "
+            "through degree 1200 has 719400 pairs (guard 10000)\n")
 
     def test_component_guard_precedes_enumeration(self, capsys, monkeypatch):
         # the message the degree-4 basis check raised when it came first
@@ -594,6 +632,7 @@ class TestGoldenReports:
     @pytest.mark.parametrize("args", [
         ["--m", "3", "--n", "3", "--gamma", "1,3|1,2", "--max-degree", "3"],
         ["--m", "3", "--n", "3", "--max-degree", "3"],
+        ["--m", "5", "--n", "5", "--max-degree", "3"],
     ])
     def test_report_matches_the_seed_digest(self, args, tmp_path, capsys):
         with open(GOLDEN, encoding="ascii") as fh:
@@ -602,4 +641,12 @@ class TestGoldenReports:
         assert cli.main(["verify"] + args + ["--report", str(report)]) == 0
         capsys.readouterr()
         got = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert got == want["sha256"]
+
+    def test_compute_stdout_matches_the_seed_digest(self, capsys):
+        args = ["compute", "minor", "--m", "4", "--n", "4", "1,2,3,4|1,2,3,4"]
+        with open(GOLDEN, encoding="ascii") as fh:
+            want = json.load(fh)["digests"]["qdet " + " ".join(args)]
+        assert cli.main(args) == 0
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == want["sha256"]

@@ -38,6 +38,18 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "_MINUS_QHAT = -QHAT",
      "_MINUS_QHAT = QHAT"),
+    ("concat-unmirrored", "the rho route multiplies unmirrored tuples",
+     "src/qdet/algebra.py",
+     "e1, e2 = e2[::-1], e1[::-1]",
+     "e1, e2 = e2, e1"),
+    ("concat-unreversed", "the rho route's result is not read backwards",
+     "src/qdet/algebra.py",
+     "return tuple((e[::-1], c) for e, c in terms)",
+     "return tuple((e, c) for e, c in terms)"),
+    ("pbw-pairs-transposed", "pbw reads pairs[c][b] for v * w",
+     "src/qdet/suites.py",
+     "u * pairs[b][c]",
+     "u * pairs[c][b]"),
     ("provenance-shift", "spanning row i tagged at column width + i + 1",
      "src/qdet/linalg.py",
      "self.echelon.insert({**row, self.width + self.size: ONE})",
@@ -48,8 +60,8 @@ MUTANTS = (
      "return len(self.echelon.pivots)"),
     ("nums-sign", "Span.express returns -nums",
      "src/qdet/linalg.py",
-     "[-res.get(width + i, ZERO) for i in range(n)]",
-     "[res.get(width + i, ZERO) for i in range(n)]"),
+     "nums[col - width] = -v",
+     "nums[col - width] = v"),
     ("express-inserts", "Span.express inserts its target into the span",
      "src/qdet/linalg.py",
      "        res = self.echelon.residue({**target, width + n: ONE})\n",
