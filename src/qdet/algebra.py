@@ -73,63 +73,6 @@ class MatrixShape:
         return "MatrixShape(%d, %d)" % (self.m, self.n)
 
 
-class Monomial:
-    """Ordered (PBW) monomial: an exponent vector over the grid generators."""
-
-    __slots__ = ("shape", "exps", "_hash")
-
-    def __init__(self, shape, exps):
-        self.shape = shape
-        self.exps = tuple(exps)
-        if len(self.exps) != shape.ngens:
-            raise ShapeMismatch("exponent vector does not match %s" % shape)
-        self._hash = None
-
-    @classmethod
-    def from_word(cls, shape, word):
-        exps = [0] * shape.ngens
-        for (i, j) in word:
-            exps[shape.gen_index(i, j)] += 1
-        return cls(shape, exps)
-
-    @property
-    def degree(self):
-        return sum(self.exps)
-
-    def bidegree(self):
-        """(row weight vector, column weight vector)."""
-        rows = [0] * self.shape.m
-        cols = [0] * self.shape.n
-        for idx, e in enumerate(self.exps):
-            if e:
-                i, j = self.shape.gen_at(idx)
-                rows[i - 1] += e
-                cols[j - 1] += e
-        return tuple(rows), tuple(cols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeMismatch("monomials over different shapes")
-        return Monomial(self.shape, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Monomial) and self.shape == other.shape
-                and self.exps == other.exps)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.shape.m, self.shape.n, self.exps))
-        return self._hash
-
-    def __str__(self):
-        return render_monomial(self.shape, self.exps)
-
-    def __repr__(self):
-        return "Monomial(%s, %s)" % (self.shape, self.exps)
-
-
 # ----------------------------------------------------------------------
 # rewriting onto the PBW basis
 #
@@ -390,20 +333,8 @@ class NCPoly:
             comps.setdefault(sum(e), {})[e] = c
         return {d: NCPoly(self.shape, t) for d, t in sorted(comps.items())}
 
-    def bidegree(self):
-        """Common bidegree of all terms, or None if mixed or zero."""
-        seen = None
-        for e in self.terms:
-            b = Monomial(self.shape, e).bidegree()
-            if seen is None:
-                seen = b
-            elif seen != b:
-                return None
-        return seen
-
-    def coeff(self, mono):
-        key = mono.exps if isinstance(mono, Monomial) else tuple(mono)
-        return self.terms.get(key, ZERO)
+    def coeff(self, exps):
+        return self.terms.get(tuple(exps), ZERO)
 
     def specialize(self, q0):
         """Coefficientwise evaluation; returns dict exps -> Fraction."""
@@ -448,19 +379,19 @@ def commutative_product(a, b):
 
 
 def graded_basis(shape, d):
-    """All ordered monomials of total degree d, descending lex order."""
+    """Exponent tuples of the ordered monomials of degree d, descending lex.
+
+    The multisets of d generator indices, taken in ascending lex order,
+    give the exponent tuples in descending lex order.
+    """
     if d < 0:
         return []
     out = []
-
-    def fill(slot, remaining, prefix):
-        if slot == shape.ngens - 1:
-            out.append(Monomial(shape, prefix + (remaining,)))
-            return
-        for e in range(remaining, -1, -1):
-            fill(slot + 1, remaining - e, prefix + (e,))
-
-    fill(0, d, ())
+    for letters in itertools.combinations_with_replacement(range(shape.ngens), d):
+        exps = [0] * shape.ngens
+        for g in letters:
+            exps[g] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -502,11 +433,6 @@ class TorusElement:
         self.alphas = alphas
         self.betas = betas
 
-    def inverse(self):
-        return TorusElement(self.shape,
-                            tuple(v.unit_inverse() for v in self.alphas),
-                            tuple(v.unit_inverse() for v in self.betas))
-
     def weight(self, exps):
         """The scalar this element multiplies a monomial by."""
         n = self.shape.n
@@ -528,10 +454,6 @@ class TorusElement:
                                 % (self.shape, p.shape))
         return NCPoly(self.shape,
                       {e: c * self.weight(e) for e, c in p.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, TorusElement) and self.shape == other.shape
-                and self.alphas == other.alphas and self.betas == other.betas)
 
     def __repr__(self):
         return "TorusElement(alphas=[%s], betas=[%s])" % (

@@ -86,7 +86,8 @@ def load_rows(key):
                 or header.get("sha256") != _digest(body)):
             return None
         rows = _decode_rows(json.loads(body))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError):
+    except (OSError, AttributeError, KeyError, RecursionError, TypeError,
+            ValueError, ZeroDivisionError):
         return None
     if header.get("rank") != len(rows):
         return None

@@ -26,10 +26,6 @@ class SizeMismatch(WorkbenchError):
     """Row and column index sets have incompatible sizes."""
 
 
-class OverlapError(WorkbenchError):
-    """Extension index sets overlap the sets already present."""
-
-
 class ZeroInput(WorkbenchError):
     """A nonzero operand was required."""
 

@@ -439,8 +439,8 @@ def regularity_check(gamma, max_degree):
         ic = ideal_component(gamma, total_deg)
         j_dim = graded_dim(shape, dp) - ideal_component(gamma, dp).rank
         src = component_basis(shape, dp)
-        rows = [poly_row(gval * NCPoly(shape, {mono.exps: ONE}), ic.basis)
-                for mono in src.monomials]
+        rows = [poly_row(gval * NCPoly(shape, {e: ONE}), ic.basis)
+                for e in src.monomials]
         grew = ic.extended_rank(rows) - ic.rank
         rep.add("degree %d" % dp, grew == j_dim,
                 "image rank %d, quotient dimension %d" % (grew, j_dim))

@@ -2,16 +2,17 @@
 
 Vectors are Laurent rows (column -> LaurentScalar): the coordinates of a
 homogeneous polynomial over the ordered monomial basis of one graded
-component, as `poly_row` writes them.  There is one eliminator, the
-fraction-free `Echelon` in the sense of Bareiss: rows stay in
-Z[q, q^-1] with int coefficients (a Fraction only when a caller hands in
-a non-integral one), a combined row is rescaled by its q-shift and its
-integer (or rational) content only, and nothing is ever divided.  Rank
-and span membership are decided this way, over Q(q) itself; q is never
-evaluated at a point.  Explicit coefficients are read off provenance
-columns carried through the same elimination (see Span): a witness is a
-list of Laurent numerators over one Laurent denominator, never a
-fraction.
+component, as `poly_row` writes them; a graded basis is the exponent
+tuples of its monomials, in descending lex order.  There is one
+eliminator, the fraction-free `Echelon` in the sense of Bareiss: rows
+stay in Z[q, q^-1] with int coefficients (a Fraction only when a caller
+hands in a non-integral one), a combined row is rescaled by its q-shift
+and its integer (or rational) content only, and nothing is ever
+divided.  Rank and span membership are decided this way, over Q(q)
+itself; q is never evaluated at a point.  Explicit coefficients are read
+off provenance columns carried through the same elimination (see Span):
+a witness is a list of Laurent numerators over one Laurent denominator,
+never a fraction.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
@@ -36,7 +37,7 @@ from .scalars import ONE, ZERO, _laurent
 
 
 class GradedBasis:
-    """Ordered monomial basis of one graded component, with an index map."""
+    """Exponent tuples of one graded component, with an index map."""
 
     __slots__ = ("shape", "degree", "monomials", "index")
 
@@ -44,17 +45,10 @@ class GradedBasis:
         self.shape = shape
         self.degree = degree
         self.monomials = tuple(graded_basis(shape, degree))
-        self.index = {m.exps: i for i, m in enumerate(self.monomials)}
+        self.index = {e: i for i, e in enumerate(self.monomials)}
 
     def __len__(self):
         return len(self.monomials)
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedBasis) and self.shape == other.shape
-                and self.degree == other.degree)
-
-    def __hash__(self):
-        return hash((self.shape, self.degree))
 
 
 @lru_cache(maxsize=256)
@@ -80,7 +74,7 @@ def generator_images(shape, degree, col):
     touches are ever built.
     """
     m, n = shape.m, shape.n
-    exps = component_basis(shape, degree - 1).monomials[col].exps
+    exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
     right = tuple(tuple((index[e], c) for e, c in _nf_mono_gen(m, n, exps, x))
                   for x in shape.gens())

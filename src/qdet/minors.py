@@ -18,7 +18,7 @@ import operator
 from functools import lru_cache, reduce
 
 from .errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
-                     OverlapError, ShapeMismatch, SizeMismatch)
+                     ShapeMismatch, SizeMismatch)
 from .algebra import MatrixShape, NCPoly, _add_terms
 from .scalars import minus_q_power
 
@@ -226,7 +226,8 @@ def laplace_relation(shape, rows, cols, r):
     rows = _check_index_set(rows, shape.m, "row")
     cols = _check_index_set(cols, shape.n, "column")
     if len(cols) != len(rows) + 1:
-        raise SizeMismatch("column Laplace needs |cols| = |rows| + 1")
+        raise SizeMismatch("Laplace needs |cols| = |rows| + 1 "
+                           "(transposed for a row sum)")
     shape.check(r, 1)
     terms = []
     for j in cols:
@@ -243,56 +244,17 @@ def laplace_relation(shape, rows, cols, r):
 def laplace_row_relation(shape, rows, cols, s):
     """Row-expansion Laplace identity, |rows| = |cols| + 1, column index s.
 
-    Transpose-dual to laplace_relation; the transpose map x[i,j] -> x[j,i]
-    is an algebra isomorphism and carries minors to transposed minors.
+    The transpose map x[i,j] -> x[j,i] is an algebra isomorphism that
+    carries [I|J] to [J|I], so this is laplace_relation on the transposed
+    shape with every factor transposed back.
     """
     rows = _check_index_set(rows, shape.m, "row")
     cols = _check_index_set(cols, shape.n, "column")
-    if len(rows) != len(cols) + 1:
-        raise SizeMismatch("row Laplace needs |rows| = |cols| + 1")
     shape.check(1, s)
-    terms = []
-    for i in rows:
-        rest = tuple(rr for rr in rows if rr != i)
-        terms.append((minus_q_power(_pos_in(i, rows)),
-                      (Minor(shape, (i,), (s,)), Minor(shape, rest, cols))))
-    if s not in cols:
-        merged = tuple(sorted(cols + (s,)))
-        terms.append((-minus_q_power(_pos_in(s, cols)),
-                      (Minor(shape, rows, merged),)))
-    return MinorIdentity(shape, terms)
-
-
-def muir_extend(identity, extra_rows, extra_cols, shape=None):
-    """Transport an identity by adjoining disjoint rows/columns to every factor.
-
-    Coefficients are unchanged.  The ambient shape is inferred as the
-    smallest one containing all indices unless given.  Correctness of the
-    transported identity is certified by re-expansion, not assumed.
-    """
-    extra_rows = tuple(sorted(extra_rows))
-    extra_cols = tuple(sorted(extra_cols))
-    if len(extra_rows) != len(extra_cols):
-        raise SizeMismatch("row and column extensions must have equal size")
-    if len(set(extra_rows)) != len(extra_rows) or len(set(extra_cols)) != len(extra_cols):
-        raise OverlapError("extension indices must be distinct")
-    max_r = max((identity.shape.m,) + extra_rows)
-    max_c = max((identity.shape.n,) + extra_cols)
-    if shape is None:
-        shape = MatrixShape(max_r, max_c)
-    elif shape.m < max_r or shape.n < max_c:
-        raise IndexOutOfShape("target shape %s too small for the extension" % shape)
-    new_terms = []
-    for c, fs in identity.terms:
-        new_fs = []
-        for f in fs:
-            if set(f.rows) & set(extra_rows) or set(f.cols) & set(extra_cols):
-                raise OverlapError("extension overlaps %s" % f)
-            new_fs.append(Minor(shape,
-                                tuple(sorted(f.rows + extra_rows)),
-                                tuple(sorted(f.cols + extra_cols))))
-        new_terms.append((c, tuple(new_fs)))
-    return MinorIdentity(shape, new_terms)
+    dual = laplace_relation(MatrixShape(shape.n, shape.m), cols, rows, s)
+    return MinorIdentity(shape, [
+        (c, tuple(Minor(shape, f.cols, f.rows) for f in fs))
+        for c, fs in dual.terms])
 
 
 def quantum_determinant(shape):

@@ -196,14 +196,6 @@ class LaurentScalar:
         return len(self.terms) == 1
 
     @property
-    def min_exp(self):
-        return min(self.terms)
-
-    @property
-    def max_exp(self):
-        return max(self.terms)
-
-    @property
     def leading_coeff(self):
         """Coefficient of the highest power of q."""
         return self.terms[max(self.terms)]

@@ -65,7 +65,7 @@ class TestIdealComponents:
 def row_poly(basis, row):
     """A Laurent row over a component basis as the NCPoly it stands for."""
     monos = basis.monomials
-    return NCPoly(basis.shape, {monos[i].exps: c for i, c in row.items()})
+    return NCPoly(basis.shape, {monos[i]: c for i, c in row.items()})
 
 
 def reference_echelons(gamma, max_degree):
@@ -571,6 +571,19 @@ class TestDiskCacheIntegrity:
         head["sha256"] = hashlib.sha256(short.encode("ascii")).hexdigest()
         with open(path, "w", encoding="ascii") as fh:
             fh.write(json.dumps(head) + "\n" + short + "\n")
+        assert cache.load_rows(key) is None
+
+    @pytest.mark.parametrize("body", ['[[[0,[[0,1,0]]]]]',
+                                      "[" * 100000 + "]" * 100000],
+                             ids=["zero-denominator", "deep-nesting"])
+    def test_undecodable_rows_with_a_matching_digest_are_misses(
+            self, span_dir, body):
+        key = ("test", 4)
+        header = {"format": cache.FORMAT, "key": repr(key), "rank": 1,
+                  "sha256": hashlib.sha256(body.encode("ascii")).hexdigest()}
+        with open(cache._path_for(str(span_dir), key), "w",
+                  encoding="ascii") as fh:
+            fh.write(json.dumps(header) + "\n" + body + "\n")
         assert cache.load_rows(key) is None
 
     def test_dependent_stored_rows_are_rebuilt(self, span_dir, shape22):

@@ -92,8 +92,8 @@ class TestBases:
     def test_component_basis(self, shape22):
         basis = component_basis(shape22, 3)
         assert len(basis) == graded_dim(shape22, 3) == 20
-        for mono in basis.monomials:
-            assert basis.monomials[basis.index[mono.exps]] == mono
+        for e in basis.monomials:
+            assert basis.monomials[basis.index[e]] == e
 
 
 class TestRank:
@@ -289,10 +289,10 @@ class TestGeneratorImages:
         gens = [NCPoly.generator(shape, a, b) for a, b in shape.gens()]
         for d in range(1, top + 1):
             dst = component_basis(shape, d)
-            for i, mono in enumerate(component_basis(shape, d - 1).monomials):
+            for i, e in enumerate(component_basis(shape, d - 1).monomials):
                 left, right = generator_images(shape, d, i)
                 assert len(left) == len(right) == len(gens)
-                b = NCPoly(shape, {mono.exps: ONE})
+                b = NCPoly(shape, {e: ONE})
                 for g, x in enumerate(gens):
                     assert dict(left[g]) == poly_row(x * b, dst)
                     assert dict(right[g]) == poly_row(b * x, dst)

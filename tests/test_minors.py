@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from qdet.algebra import MatrixShape, Monomial, NCPoly
+from qdet.algebra import MatrixShape, NCPoly, _word_exps
 from qdet.errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
-                         OverlapError, SizeMismatch)
-from qdet.minors import (Minor, MinorIdentity, enumerate_minors,
+                         SizeMismatch)
+from qdet.minors import (Minor, MinorIdentity, _pos_in, enumerate_minors,
                          excluded_minors, laplace_relation,
-                         laplace_row_relation, minor_value, muir_extend,
+                         laplace_row_relation, minor_value,
                          quantum_determinant, std_le)
 from qdet.scalars import ONE, Q, Q_INV, minus_q_power
 
@@ -20,7 +20,7 @@ def M(shape, rows, cols):
 
 
 def mono(shape, word):
-    return Monomial.from_word(shape, word)
+    return _word_exps(shape.ngens, shape.n, word)
 
 
 class TestMinorBasics:
@@ -163,54 +163,36 @@ class TestLaplace:
         with pytest.raises(SizeMismatch):
             laplace_row_relation(shape22, (1,), (1,), 2)
 
+    def test_index_guard(self, shape22):
+        for rows, cols, s in [((1, 3), (1,), 1), ((1, 2), (3,), 1),
+                              ((1, 2), (1,), 3), ((2, 1), (1,), 1)]:
+            with pytest.raises(IndexOutOfShape):
+                laplace_row_relation(shape22, rows, cols, s)
 
-def padded_laplace(shape):
-    """The 2x2 Laplace relation with its lone minor term padded by [|].
+    @pytest.mark.parametrize("m, n", [(3, 3), (2, 4), (4, 2), (3, 4), (4, 3)])
+    def test_row_relation_is_the_transposed_column_relation(self, m, n):
+        shape = MatrixShape(m, n)
+        for k in range(min(m - 1, n) + 1):
+            for rows in itertools.combinations(range(1, m + 1), k + 1):
+                for cols in itertools.combinations(range(1, n + 1), k):
+                    for s in range(1, n + 1):
+                        got = laplace_row_relation(shape, rows, cols, s)
+                        want = row_relation_by_terms(shape, rows, cols, s)
+                        assert got.terms == want.terms, (rows, cols, s)
+                        assert str(got) == str(want)
 
-    Extension adjoins the new indices to every factor, so all terms must
-    carry the same number of factors for degrees to stay balanced; the
-    empty minor is the neutral padding.
-    """
-    rel = laplace_relation(shape, (1,), (1, 2), 2)
-    empty = Minor(shape, (), ())
-    return MinorIdentity(shape, [
-        (c, fs if len(fs) == 2 else fs + (empty,)) for c, fs in rel.terms])
 
-
-class TestMuirExtension:
-    def test_transport_preserves_truth(self, shape22):
-        big = muir_extend(padded_laplace(shape22), (3,), (3,))
-        assert big.shape == MatrixShape(3, 3)
-        assert big.holds
-        # every factor gained the new row and column
-        for _, fs in big.terms:
-            for f in fs:
-                assert 3 in f.rows and 3 in f.cols
-        two = muir_extend(padded_laplace(shape22), (3, 4), (3, 4))
-        assert two.shape == MatrixShape(4, 4)
-        assert two.holds
-
-    def test_coefficients_unchanged(self, shape22):
-        rel = padded_laplace(shape22)
-        big = muir_extend(rel, (4,), (3,), shape=MatrixShape(4, 3))
-        assert [c for c, _ in big.terms] == [c for c, _ in rel.terms]
-        assert big.holds
-
-    def test_unbalanced_transport_is_detected(self, shape22):
-        # without padding, terms gain unequal degrees; the transported
-        # statement is false and evaluation catches it
-        rel = laplace_relation(shape22, (1,), (1, 2), 2)
-        assert rel.holds
-        assert not muir_extend(rel, (3,), (3,)).holds
-
-    def test_overlap_rejected(self, shape22):
-        rel = laplace_relation(shape22, (1,), (1, 2), 2)
-        with pytest.raises(OverlapError):
-            muir_extend(rel, (1,), (3,))
-        with pytest.raises(SizeMismatch):
-            muir_extend(rel, (3,), ())
-        with pytest.raises(IndexOutOfShape):
-            muir_extend(rel, (3,), (3,), shape=MatrixShape(2, 2))
+def row_relation_by_terms(shape, rows, cols, s):
+    """The row Laplace identity written out term by term, untransposed."""
+    terms = []
+    for i in rows:
+        rest = tuple(r for r in rows if r != i)
+        terms.append((minus_q_power(_pos_in(i, rows)),
+                      (M(shape, (i,), (s,)), M(shape, rest, cols))))
+    if s not in cols:
+        terms.append((-minus_q_power(_pos_in(s, cols)),
+                      (M(shape, rows, tuple(sorted(cols + (s,)))),)))
+    return MinorIdentity(shape, terms)
 
 
 class TestCentrality:

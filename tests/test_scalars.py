@@ -56,7 +56,6 @@ class TestLaurentBasics:
 
     def test_queries(self):
         a = L(e2=3, em1=-1)
-        assert a.min_exp == -1 and a.max_exp == 2
         assert a.leading_coeff == 3
         assert not a.is_single_term
         assert Q.is_single_term and Q.single_term() == (1, 1)

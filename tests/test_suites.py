@@ -1,5 +1,6 @@
 """Workbench configuration, suite runner, JSON reports, and the CLI."""
 
+import ast
 import dataclasses
 import hashlib
 import io
@@ -12,6 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdet import cache as disk
 from qdet import cli, factor
 from qdet import suites as suites_mod
 from qdet.algebra import MatrixShape, NCPoly
@@ -174,7 +176,6 @@ class TestRunWorkbench:
             run_suite("mfamily", config)
 
     def test_cache_directory_is_wired_through(self, tmp_path):
-        from qdet import cache as disk
         from qdet.factor import spans_clear
         target = tmp_path / "spans"
         config = small_config(suites=("factor-basis",), max_degree=1,
@@ -188,7 +189,6 @@ class TestRunWorkbench:
             disk.set_cache_dir(None)
 
     def test_run_without_cache_clears_an_earlier_directory(self, tmp_path):
-        from qdet import cache as disk
         from qdet.factor import spans_clear
         target = tmp_path / "spans"
         try:
@@ -516,7 +516,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path, sub):
-        from qdet import cache as disk
         from qdet.factor import spans_clear
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
@@ -626,6 +625,11 @@ GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                       "golden.json")
 
 
+def golden_digest(key):
+    with open(GOLDEN, encoding="ascii") as fh:
+        return json.load(fh)["digests"][key]["sha256"]
+
+
 class TestGoldenReports:
     """Reports stay byte-identical to the digests recorded from the seed."""
 
@@ -633,20 +637,98 @@ class TestGoldenReports:
         ["--m", "3", "--n", "3", "--gamma", "1,3|1,2", "--max-degree", "3"],
         ["--m", "3", "--n", "3", "--max-degree", "3"],
         ["--m", "5", "--n", "5", "--max-degree", "3"],
+        ["--m", "4", "--n", "4", "--gamma", "2,4|1,3", "--max-degree", "3"],
     ])
     def test_report_matches_the_seed_digest(self, args, tmp_path, capsys):
-        with open(GOLDEN, encoding="ascii") as fh:
-            want = json.load(fh)["digests"]["qdet verify " + " ".join(args)]
+        want = golden_digest("qdet verify " + " ".join(args))
         report = tmp_path / "report.json"
         assert cli.main(["verify"] + args + ["--report", str(report)]) == 0
         capsys.readouterr()
         got = hashlib.sha256(report.read_bytes()).hexdigest()
-        assert got == want["sha256"]
+        assert got == want
+
+    def test_cached_report_matches_the_seed_digest(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the first run fills the cache, the second reads every span back
+        args = ["--m", "3", "--n", "3", "--gamma", "1,3|1,2",
+                "--max-degree", "3", "--cache", "qdet-cache"]
+        want = golden_digest("qdet verify " + " ".join(args))
+        monkeypatch.chdir(tmp_path)
+        loaded = []
+        load_rows = disk.load_rows
+        monkeypatch.setattr(disk, "load_rows",
+                            lambda key: loaded.append(load_rows(key))
+                            or loaded[-1])
+        for run in range(2):
+            factor.spans_clear()
+            loaded.clear()
+            assert cli.main(["verify"] + args + ["--report", "out.json"]) == 0
+            capsys.readouterr()
+            got = hashlib.sha256((tmp_path / "out.json").read_bytes())
+            assert got.hexdigest() == want, run
+        assert loaded and all(rows is not None for rows in loaded)
 
     def test_compute_stdout_matches_the_seed_digest(self, capsys):
         args = ["compute", "minor", "--m", "4", "--n", "4", "1,2,3,4|1,2,3,4"]
-        with open(GOLDEN, encoding="ascii") as fh:
-            want = json.load(fh)["digests"]["qdet " + " ".join(args)]
+        want = golden_digest("qdet " + " ".join(args))
         assert cli.main(args) == 0
         got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert got == want["sha256"]
+        assert got == want
+
+
+def damaged(data, how, at, bit, field):
+    """A cache file cut short, with one bit flipped, or with one header
+    field changed."""
+    if how == "truncate":
+        return data[:at % len(data)]
+    if how == "flip":
+        at %= len(data)
+        return data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
+    header, body = data.split(b"\n", 1)
+    fields = json.loads(header)
+    value = fields[field]
+    if isinstance(value, int):
+        fields[field] = value + 1
+    else:
+        fields[field] = value[:-1] + ("1" if value.endswith("0") else "0")
+    return json.dumps(fields, separators=(",", ":")).encode() + b"\n" + body
+
+
+class TestCacheFiles:
+    """A damaged span file is a miss: the run rebuilds the span."""
+
+    ARGV = ["verify", "--m", "2", "--n", "2", "--gamma", "1|1",
+            "--max-degree", "2", "--cache", "qdet-cache",
+            "--report", "report.json"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(pick=st.integers(0, 99),
+           how=st.sampled_from(["truncate", "flip", "header"]),
+           at=st.integers(0, 999), bit=st.integers(0, 7),
+           field=st.sampled_from(["format", "key", "rank", "sha256"]))
+    def test_damaged_file_gives_the_uncached_report(self, pick, how, at,
+                                                    bit, field):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                factor.spans_clear()
+                assert cli.main(self.ARGV) == 0
+                with open("report.json", "rb") as fh:
+                    want = fh.read()
+                names = sorted(os.listdir("qdet-cache"))
+                path = os.path.join("qdet-cache", names[pick % len(names)])
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                key = ast.literal_eval(json.loads(data.split(b"\n")[0])["key"])
+                stored = disk.load_rows(key)
+                with open(path, "wb") as fh:
+                    fh.write(damaged(data, how, at, bit, field))
+                # a damaged file is a miss, unless its rows read back whole
+                assert disk.load_rows(key) in (None, stored)
+                factor.spans_clear()
+                assert cli.main(self.ARGV) == 0
+                with open("report.json", "rb") as fh:
+                    assert fh.read() == want
+            finally:
+                os.chdir(cwd)

@@ -46,6 +46,14 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "return tuple((e[::-1], c) for e, c in terms)",
      "return tuple((e, c) for e, c in terms)"),
+    ("basis-ascending", "graded_basis lists its monomials in ascending lex",
+     "src/qdet/algebra.py",
+     "        out.append(tuple(exps))\n    return out\n",
+     "        out.append(tuple(exps))\n    return out[::-1]\n"),
+    ("laplace-untransposed", "the row Laplace factors are not transposed back",
+     "src/qdet/minors.py",
+     "Minor(shape, f.cols, f.rows)",
+     "Minor(shape, f.rows, f.cols)"),
     ("pbw-pairs-transposed", "pbw reads pairs[c][b] for v * w",
      "src/qdet/suites.py",
      "u * pairs[b][c]",
