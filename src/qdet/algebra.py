@@ -19,6 +19,14 @@ rho: x[i,j] -> x[m+1-i, n+1-j] maps each defining relation onto itself and
 reverses the lex order of the generators, so it sends x^e to x^reverse(e)
 with coefficient 1 and x^a * x^b = rho(x^rev(b) * x^rev(a)): a shorter left
 factor is rewritten as the right factor of the mirrored product.
+
+Each rewriting result is held once.  A product whose shorter factor has
+one letter is a single lookup of the monomial-times-generator memo
+`_nf_mono_gen` (its exponent tuples read backwards on the mirrored side),
+and a product with a scalar factor needs no rewriting at all; neither
+gets a memo entry of its own, since it would only copy what
+`_nf_mono_gen` holds.  Only products whose shorter factor has two or
+more letters, which chain several lookups, are memoised (`_nf_concat`).
 """
 
 import itertools
@@ -130,9 +138,12 @@ def _nf_word_raw(m, n, word):
 _MINUS_QHAT = -QHAT
 
 
-@lru_cache(maxsize=1 << 17)
-def _nf_mono_gen(m, n, exps, gen):
-    """Normal form of (ordered monomial) * x[gen]; cached."""
+def _nf_mono_gen_raw(m, n, exps, gen):
+    """Normal form of (ordered monomial) * x[gen]; not cached.
+
+    Callers that keep their own memo of the result (linalg's generator
+    images) call this instead of `_nf_mono_gen`, so it is stored once.
+    """
     word = []
     for idx, e in enumerate(exps):
         if e:
@@ -141,24 +152,37 @@ def _nf_mono_gen(m, n, exps, gen):
     return _nf_word_raw(m, n, word)
 
 
+@lru_cache(maxsize=1 << 17)
+def _nf_mono_gen(m, n, exps, gen):
+    """Normal form of (ordered monomial) * x[gen]; cached."""
+    return _nf_mono_gen_raw(m, n, exps, gen)
+
+
+def _letter(n, exps):
+    """The generator (i, j) of a degree-1 exponent tuple."""
+    idx = exps.index(1)
+    return idx // n + 1, idx % n + 1
+
+
 @lru_cache(maxsize=1 << 15)
 def _nf_concat(m, n, e1, e2):
     """Normal form of x^e1 * x^e2 for ordered monomials; cached.
 
-    The letters of the shorter factor are multiplied in one at a time,
-    each through the cached _nf_mono_gen, so a product costs one rewriting
-    pass per letter of its shorter factor.  When the left factor is the
-    shorter, the mirrored product x^rev(e2) * x^rev(e1) is taken instead
-    and each of its exponent tuples read backwards (rho, see the module
-    docstring).  A one-letter factor is answered by the _nf_mono_gen tuple
-    itself.
+    NCPoly.__mul__ calls this only when the shorter factor has two or
+    more letters; a shorter factor of one letter is one _nf_mono_gen
+    lookup, which a memo here would only copy.  The letters of the
+    shorter factor are multiplied in one at a time, each through the
+    cached _nf_mono_gen, so a product costs one rewriting pass per letter
+    of its shorter factor.  When the left factor is the shorter, the
+    mirrored product x^rev(e2) * x^rev(e1) is taken instead and each of
+    its exponent tuples read backwards (rho, see the module docstring).
     """
     mirrored = sum(e1) < sum(e2)
     if mirrored:
         e1, e2 = e2[::-1], e1[::-1]
     letters = [(idx // n + 1, idx % n + 1)
                for idx, e in enumerate(e2) if e for _ in range(e)]
-    terms = _nf_mono_gen(m, n, e1, letters[0]) if letters else ((e1, ONE),)
+    terms = _nf_mono_gen(m, n, e1, letters[0])
     for gen in letters[1:]:
         nxt = {}
         for exps, c in terms:
@@ -273,12 +297,31 @@ class NCPoly:
             return NotImplemented
         self._check(other)
         m, n = self.shape.m, self.shape.n
+        lefts = [(e1, c1, sum(e1)) for e1, c1 in self.terms.items()]
         out = {}
         # a coefficient that is the shared ONE is never multiplied by
         for e2, c2 in other.terms.items():
-            for e1, c1 in self.terms.items():
+            d2 = sum(e2)
+            for e1, c1, d1 in lefts:
                 c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-                for e, c in _nf_concat(m, n, e1, e2):
+                # rewrite the shorter factor; a one-letter or scalar factor
+                # reads _nf_mono_gen directly and is not memoised again
+                flip = False
+                if d1 > 1 and d2 > 1:
+                    terms = _nf_concat(m, n, e1, e2)
+                elif d2 <= d1:
+                    terms = (_nf_mono_gen(m, n, e1, _letter(n, e2)) if d2
+                             else ((e1, ONE),))
+                elif d1:
+                    # x_g * x^e2 = rho(x^rev(e2) * rho(x_g)), rho(x_g) being
+                    # the letter of rev(e1)
+                    terms = _nf_mono_gen(m, n, e2[::-1], _letter(n, e1[::-1]))
+                    flip = True
+                else:
+                    terms = ((e2, ONE),)
+                for e, c in terms:
+                    if flip:
+                        e = e[::-1]
                     t = c if c12 is ONE else c12 if c is ONE else c12 * c
                     acc = out.get(e)
                     acc = t if acc is None else acc + t

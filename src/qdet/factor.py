@@ -36,9 +36,9 @@ from . import cache as _disk
 from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
                      ShapeMismatch)
 from .algebra import DIM_GUARD, NCPoly, graded_dim
-from .minors import (Minor, enumerate_minors, excluded_minors,
+from .minors import (Minor, bits, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
-                     minors_product, std_le)
+                     minors_product, std_le, std_le_masks)
 from .linalg import (Echelon, component_basis, generator_products, poly_row,
                      rank)
 from .report import SuiteReport
@@ -228,24 +228,25 @@ def _standard_monomials_cached(shape, degree, floor):
 def standard_monomial_counts(shape, max_degree, floor=None):
     """len(standard_monomials(shape, d, floor)) for d = 0..max_degree.
 
-    Counted without building a chain: tails[k][r] counts the chains of
-    total size r whose members all sit above pool[k] (the empty chain when
-    r == 0), as the sum of tails[b][r - size of b] over the pool members b
-    above pool[k].  Costs pool^2 * max_degree steps, whatever the number
-    of chains.
+    Counted without building a chain, on the order masks std_le_masks
+    shares per shape: tails[k][r] counts the chains of total size r whose
+    members all sit above pool[k] (the empty chain when r == 0), as the
+    sum of tails[b][r - size of b] over the minors b above pool[k].  With
+    a floor only the minors above it are counted; the order is
+    transitive, so every minor above one of them is above the floor too.
+    Costs pool^2 * max_degree steps, whatever the number of chains.
     """
-    pool = [mn for mn in enumerate_minors(shape)
-            if floor is None or std_le(floor, mn)]
+    pool = enumerate_minors(shape)
+    up = std_le_masks(shape)
+    keep = (1 << len(pool)) - 1 if floor is None else up[pool.index(floor)]
     sizes = [mn.size for mn in pool]
-    above = [[b for b, mb in enumerate(pool) if std_le(ma, mb)]
-             for ma in pool]
-    tails = [[1] + [0] * max_degree for _ in pool]
+    above = {a: list(bits(up[a])) for a in bits(keep)}
+    tails = {a: [1] + [0] * max_degree for a in above}
     for r in range(1, max_degree + 1):
-        for k, ups in enumerate(above):
+        for k, ups in above.items():
             tails[k][r] = sum(tails[b][r - sizes[b]] for b in ups
                               if sizes[b] <= r)
-    return [1] + [sum(tails[k][d - size] for k, size in enumerate(sizes)
-                      if size <= d)
+    return [1] + [sum(tails[k][d - sizes[k]] for k in above if sizes[k] <= d)
                   for d in range(1, max_degree + 1)]
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import BasisMismatch, ShapeMismatch
-from .algebra import MatrixShape, _nf_mono_gen, graded_basis
+from .algebra import MatrixShape, _nf_mono_gen_raw, graded_basis
 from .scalars import ONE, ZERO, _laurent
 
 
@@ -67,19 +67,22 @@ def generator_images(shape, degree, col):
     b is monomial `col` of component_basis(shape, degree - 1).  Returns
     (left, right): left[g] is x_g * b and right[g] is b * x_g, g in lex
     order, each a tuple of (column, LaurentScalar) over
-    component_basis(shape, degree).  Both come from the cached word
-    rewriting: x_g * b = rho(rho(b) * rho(x_g)), so a left image is the
-    mirrored monomial times the mirrored generator, its exponent tuples
-    read backwards.  Memoised per column, so only the columns a product
-    touches are ever built.
+    component_basis(shape, degree).  Both come from the word rewriting:
+    x_g * b = rho(rho(b) * rho(x_g)), so a left image is the mirrored
+    monomial times the mirrored generator, its exponent tuples read
+    backwards.  Memoised per column, so only the columns a product
+    touches are ever built; the rewriting it reads is the uncached
+    _nf_mono_gen_raw, so each image is stored here and nowhere else.
     """
     m, n = shape.m, shape.n
     exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
-    right = tuple(tuple((index[e], c) for e, c in _nf_mono_gen(m, n, exps, x))
+    right = tuple(tuple((index[e], c)
+                        for e, c in _nf_mono_gen_raw(m, n, exps, x))
                   for x in shape.gens())
     left = tuple(tuple((index[e[::-1]], c) for e, c in
-                       _nf_mono_gen(m, n, exps[::-1], (m + 1 - i, n + 1 - j)))
+                       _nf_mono_gen_raw(m, n, exps[::-1],
+                                        (m + 1 - i, n + 1 - j)))
                  for i, j in shape.gens())
     return left, right
 

@@ -162,6 +162,37 @@ def enumerate_minors(shape):
     return list(_enumerate_minors_cached(shape.m, shape.n))
 
 
+@lru_cache(maxsize=64)
+def _std_le_masks_cached(m, n):
+    pool = _enumerate_minors_cached(m, n)
+    up = []
+    for a in pool:
+        mask = 0
+        for k, b in enumerate(pool):
+            if std_le(a, b):
+                mask |= 1 << k
+        up.append(mask)
+    return tuple(up)
+
+
+def std_le_masks(shape):
+    """The standard order on enumerate_minors(shape) as up-set bitmasks.
+
+    Bit b of up[a] is set iff std_le(pool[a], pool[b]).  Built once per
+    shape with pool^2 std_le calls, then shared by the minors suite's
+    order checks and standard_monomial_counts.
+    """
+    return _std_le_masks_cached(shape.m, shape.n)
+
+
+def bits(mask):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def excluded_minors(gamma):
     """Minors that do not dominate gamma; they generate the factor ideal."""
     return [a for a in enumerate_minors(gamma.shape) if not std_le(gamma, a)]

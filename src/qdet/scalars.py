@@ -16,8 +16,13 @@ are therefore pure int arithmetic.  Every coefficient division goes
 through `_exact_div`, which stays in the integers when the division is
 exact and never yields a float.
 
-Instances are immutable by convention: no method mutates `terms` after
-construction, which is what makes the caching layers safe.
+Instances are immutable: no code may mutate `terms` after construction.
+The caching layers hand one result to every caller, and every internal
+result of the form +-q^k with |k| <= UNIT_RANGE is one shared instance
+from a table built at import (ONE, Q, Q_INV and MINUS_Q among them), so
+a mutation would change every coefficient equal to it.  The sharing keeps
+the memos from holding many equal one-term scalars, and lets the product
+kernel skip multiplications by ONE with an `is` test.
 """
 
 import warnings
@@ -60,10 +65,16 @@ def _as_laurent(x):
 def _laurent(terms):
     """A LaurentScalar over a terms dict with no zero coefficients.
 
-    The dict is taken over, not copied.  All-int dicts (the hot path) are
-    used as they are; any other goes through the constructor, which turns
-    integral Fractions into ints.
+    +-q^k with |k| <= UNIT_RANGE is the shared instance from _UNITS.
+    Otherwise the dict is taken over, not copied: all-int dicts (the hot
+    path) are used as they are; any other goes through the constructor,
+    which turns integral Fractions into ints.
     """
+    if len(terms) == 1:
+        (item,) = terms.items()
+        unit = _UNITS.get(item)
+        if unit is not None:
+            return unit
     # int + Fraction is a Fraction, so the sum is an int iff every term is
     if type(sum(terms.values())) is not int:
         return LaurentScalar(terms)
@@ -259,17 +270,24 @@ class LaurentScalar:
         return "LaurentScalar(%s)" % render_laurent(self)
 
 
+#: largest |k| whose +-q^k _laurent hands out as one shared instance
+UNIT_RANGE = 64
+
+#: (k, c) -> the shared c*q^k, for c = +-1 and |k| <= UNIT_RANGE
+_UNITS = {(k, c): LaurentScalar({k: c})
+          for k in range(-UNIT_RANGE, UNIT_RANGE + 1) for c in (1, -1)}
+
 ZERO = LaurentScalar()
-ONE = LaurentScalar({0: 1})
-Q = LaurentScalar({1: 1})
-Q_INV = LaurentScalar({-1: 1})
+ONE = _UNITS[0, 1]
+Q = _UNITS[1, 1]
+Q_INV = _UNITS[-1, 1]
 QHAT = LaurentScalar({1: 1, -1: -1})  # q - q^-1
-MINUS_Q = LaurentScalar({1: -1})
+MINUS_Q = _UNITS[1, -1]
 
 
 def minus_q_power(k):
-    """(-q)^k as a LaurentScalar, any integer k."""
-    return LaurentScalar({k: 1 if k % 2 == 0 else -1})
+    """(-q)^k as a LaurentScalar, any integer k (shared, |k| <= UNIT_RANGE)."""
+    return _laurent({k: 1 if k % 2 == 0 else -1})
 
 
 def render_laurent(a):

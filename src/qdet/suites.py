@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from . import cache as _disk
 from .errors import ConfigError, DegreeTooLarge, EmptyMinor, WorkbenchError
 from .algebra import MatrixShape, NCPoly, graded_basis, graded_dim
-from .minors import (Minor, enumerate_minors, excluded_minors,
+from .minors import (Minor, bits, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
-                     quantum_determinant, std_le)
+                     quantum_determinant, std_le_masks)
 from .factor import (basis_check, generator_image_suite, hilbert_check,
-                     normality_check, regularity_check, standard_monomials,
-                     tower_image_check, zero_divisor_check)
+                     normality_check, regularity_check,
+                     standard_monomial_counts, tower_image_check,
+                     zero_divisor_check)
 from .report import SuiteReport
 from .scalars import Q, QHAT
 from .tower import (Frame, build_frame, check_h_actions,
@@ -260,14 +261,6 @@ def _suite_centrality(config):
     return rep
 
 
-def _bits(mask):
-    """Positions of the set bits of a nonnegative int, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _suite_minors(config):
     shape = config.shape()
     rep = SuiteReport("minors", {"shape": str(shape)})
@@ -277,21 +270,14 @@ def _suite_minors(config):
         if mn.size <= 3:
             rep.add("expansions agree for %s" % mn,
                     minor_value(mn) == minor_value(mn, "laplace_first_row"))
-    # up[a] has bit b set iff pool[a] <= pool[b]: N^2 std_le calls in all
-    up = []
-    for a in pool:
-        mask = 0
-        for k, b in enumerate(pool):
-            if std_le(a, b):
-                mask |= 1 << k
-        up.append(mask)
+    up = std_le_masks(shape)
     rep.add("order reflexive", all(up[a] >> a & 1 for a in range(len(pool))))
     rep.add("order antisymmetric",
             all(not up[b] >> a & 1
-                for a in range(len(pool)) for b in _bits(up[a]) if b != a))
+                for a in range(len(pool)) for b in bits(up[a]) if b != a))
     rep.add("order transitive",
             all(not up[b] & ~up[a]
-                for a in range(len(pool)) for b in _bits(up[a])))
+                for a in range(len(pool)) for b in bits(up[a])))
     gamma = config.gamma_minor()
     if gamma is not None:
         rep.add("excluded minors", True,
@@ -311,8 +297,8 @@ def _suite_counts(config):
             rep.add("generators over %s" % mn, False, str(exc))
             continue
         rep.add("generators over %s" % mn, True, "%d generators" % count)
-    for d in range(0, config.max_degree + 1):
-        stds = len(standard_monomials(shape, d))
+    counts = standard_monomial_counts(shape, config.max_degree)
+    for d, stds in enumerate(counts):
         rep.add("standard monomials degree %d" % d, stds == graded_dim(shape, d),
                 "%d standard, dimension %d" % (stds, graded_dim(shape, d)))
     return rep

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_normal_form, random_poly, random_word
-from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_mono_gen,
-                          _word_exps, commutative_product, eigenvalue_of,
-                          graded_basis, graded_dim, normal_form, render_poly)
+from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_concat,
+                          _nf_mono_gen, _word_exps, commutative_product,
+                          eigenvalue_of, graded_basis, graded_dim,
+                          normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT,
@@ -171,6 +172,25 @@ class TestProductKernel:
             for e2, p2 in zip(monos, polys):
                 want = NCPoly(shape, letter_by_letter(shape, e1, e2))
                 assert p1 * p2 == want, (e1, e2)
+
+    def test_one_letter_factors_add_no_concat_entry(self):
+        """A one-letter factor on either side reads _nf_mono_gen and adds
+        no _nf_concat entry; a shorter factor of two letters adds one."""
+        shape = MatrixShape(3, 3)
+        monos = [e for d in range(4) for e in graded_basis(shape, d)]
+        _nf_concat.cache_clear()
+        for g in graded_basis(shape, 1):
+            x = NCPoly(shape, {g: ONE})
+            for e in monos:
+                p = NCPoly(shape, {e: ONE})
+                assert x * p == NCPoly(shape, letter_by_letter(shape, g, e))
+                assert p * x == NCPoly(shape, letter_by_letter(shape, e, g))
+        assert _nf_concat.cache_info().currsize == 0
+        ea, eb = graded_basis(shape, 2)[-1], graded_basis(shape, 3)[0]
+        a, b = NCPoly(shape, {ea: ONE}), NCPoly(shape, {eb: ONE})
+        assert a * b == NCPoly(shape, letter_by_letter(shape, ea, eb))
+        assert b * a == NCPoly(shape, letter_by_letter(shape, eb, ea))
+        assert _nf_concat.cache_info().currsize == 2
 
 
 def recursive_basis(shape, d):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_poly
-from qdet.algebra import MatrixShape, NCPoly, graded_dim, normal_form
+from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
+                          normal_form)
 from qdet.errors import BasisMismatch, ShapeMismatch
 from qdet.linalg import (Echelon, Span, _combine, component_basis,
                          generator_images, generator_products, poly_row,
@@ -296,6 +297,16 @@ class TestGeneratorImages:
                 for g, x in enumerate(gens):
                     assert dict(left[g]) == poly_row(x * b, dst)
                     assert dict(right[g]) == poly_row(b * x, dst)
+
+    def test_images_skip_the_product_memo(self):
+        # generator_images keeps its own memo, so the rewriting it reads
+        # must not be stored a second time in _nf_mono_gen
+        shape = MatrixShape(3, 3)
+        generator_images.cache_clear()
+        _nf_mono_gen.cache_clear()
+        for i in range(len(component_basis(shape, 2))):
+            generator_images(shape, 3, i)
+        assert _nf_mono_gen.cache_info().currsize == 0
 
     def test_products_of_a_row(self):
         shape = MatrixShape(3, 3)

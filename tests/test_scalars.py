@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdet.scalars import (LaurentScalar, ZERO, ONE, Q, Q_INV, QHAT, MINUS_Q,
-                          DegenerateSpecializationWarning,
-                          minus_q_power, render_laurent)
+                          UNIT_RANGE, DegenerateSpecializationWarning,
+                          _laurent, minus_q_power, render_laurent)
 
 
 def L(**terms):
@@ -159,3 +159,29 @@ class TestIntegerCoefficients:
     def test_int_arithmetic_stays_int(self):
         a = QHAT ** 3 * (Q + 2) - minus_q_power(-3) * 5
         assert all(type(c) is int for c in a.terms.values())
+
+
+class TestSharedUnits:
+    """+-q^k for |k| <= UNIT_RANGE is one shared instance."""
+
+    def test_products_of_units_are_the_shared_instances(self):
+        assert UNIT_RANGE == 64
+        assert Q * Q_INV is ONE
+        assert -Q is MINUS_Q
+        assert Q * Q * Q_INV is Q
+        assert minus_q_power(1) is MINUS_Q and minus_q_power(0) is ONE
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_every_unit_in_range_is_shared(self, c):
+        for k in range(-UNIT_RANGE, UNIT_RANGE + 1):
+            unit = _laurent({k: c})
+            assert _laurent({k: c}) is unit
+            assert unit.terms == {k: c} and unit == LaurentScalar({k: c})
+            assert minus_q_power(k) is _laurent({k: (-1) ** k})
+
+    @pytest.mark.parametrize("terms", [{0: 2}, {0: Fraction(1, 2)}, {65: 1},
+                                       {-65: -1}, {1: 1, 0: 1}])
+    def test_other_scalars_are_not_shared(self, terms):
+        a = _laurent(dict(terms))
+        assert a is not _laurent(dict(terms))
+        assert a == LaurentScalar(terms)

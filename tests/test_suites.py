@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdet import cache as disk
 from qdet import cli, factor
+from qdet import minors as minors_mod
 from qdet import suites as suites_mod
 from qdet.algebra import MatrixShape, NCPoly
 from qdet.errors import ConfigError, DegreeTooLarge
@@ -218,7 +219,17 @@ def fake_suite(records):
 
 
 class TestMinorsOrderChecks:
-    """The minors suite tests std_le's order axioms from one N^2 table."""
+    """The minors suite tests std_le's order axioms from one N^2 table.
+
+    The table is minors.std_le_masks, memoised per shape, so each test
+    clears it before and after patching the std_le it is built from.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        minors_mod._std_le_masks_cached.cache_clear()
+        yield
+        minors_mod._std_le_masks_cached.cache_clear()
 
     @staticmethod
     def order_statuses(config):
@@ -235,20 +246,20 @@ class TestMinorsOrderChecks:
         config = WorkbenchConfig(m=3, n=3)
         pos = {mn: k for k, mn in enumerate(enumerate_minors(config.shape()))}
         # a <= a and a <= its successor only: a chain without its closure
-        monkeypatch.setattr(suites_mod, "std_le",
+        monkeypatch.setattr(minors_mod, "std_le",
                             lambda a, b: pos[b] - pos[a] in (0, 1))
         assert self.order_statuses(config) == {
             "order reflexive": "pass", "order antisymmetric": "pass",
             "order transitive": "fail"}
 
     def test_non_antisymmetric_relation_fails(self, monkeypatch):
-        monkeypatch.setattr(suites_mod, "std_le", lambda a, b: True)
+        monkeypatch.setattr(minors_mod, "std_le", lambda a, b: True)
         assert self.order_statuses(WorkbenchConfig(m=3, n=3)) == {
             "order reflexive": "pass", "order antisymmetric": "fail",
             "order transitive": "pass"}
 
     def test_non_reflexive_relation_fails(self, monkeypatch):
-        monkeypatch.setattr(suites_mod, "std_le", lambda a, b: False)
+        monkeypatch.setattr(minors_mod, "std_le", lambda a, b: False)
         assert self.order_statuses(WorkbenchConfig(m=3, n=3)) == {
             "order reflexive": "fail", "order antisymmetric": "pass",
             "order transitive": "pass"}
@@ -260,7 +271,7 @@ class TestMinorsOrderChecks:
             calls.append((a, b))
             return std_le(a, b)
 
-        monkeypatch.setattr(suites_mod, "std_le", counting)
+        monkeypatch.setattr(minors_mod, "std_le", counting)
         config = WorkbenchConfig(m=4, n=4)
         assert len(enumerate_minors(config.shape())) == 69
         self.order_statuses(config)
@@ -342,6 +353,19 @@ class TestCLI:
                        "--max-degree", "1"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "pass 925 / fail 0"
+
+    def test_counts_enumerate_no_standard_monomial(self, capsys,
+                                                    monkeypatch):
+        # the counts come from the shared order masks; no chain is built
+        def refuse(*args):
+            raise AssertionError("standard monomials enumerated")
+
+        monkeypatch.setattr(factor, "standard_monomials", refuse)
+        monkeypatch.setattr(factor, "_standard_monomials_cached", refuse)
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "counts",
+                       "--max-degree", "40"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "pass 46 / fail 0"
 
     def test_counts_reach_high_degree(self, capsys):
         # a 1x1 chain has one factor per degree; enumeration is not recursive

@@ -46,6 +46,20 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "return tuple((e[::-1], c) for e, c in terms)",
      "return tuple((e, c) for e, c in terms)"),
+    ("one-letter-left-unreversed",
+     "a one-letter left factor keeps the mirrored tuples",
+     "src/qdet/algebra.py",
+     "e = e[::-1]",
+     "e = e"),
+    ("one-letter-left-unmirrored",
+     "a one-letter left factor multiplies by x_g, not rho(x_g)",
+     "src/qdet/algebra.py",
+     "_letter(n, e1[::-1])",
+     "_letter(n, e1)"),
+    ("unit-sign", "the shared -q^k is built as +q^k",
+     "src/qdet/scalars.py",
+     "{(k, c): LaurentScalar({k: c})",
+     "{(k, c): LaurentScalar({k: abs(c)})"),
     ("basis-ascending", "graded_basis lists its monomials in ascending lex",
      "src/qdet/algebra.py",
      "        out.append(tuple(exps))\n    return out\n",
@@ -108,6 +122,10 @@ MUTANTS = (
      "src/qdet/factor.py",
      ".get(degree, ()):",
      ".get(degree, ())[1:]:"),
+    ("counts-floorless", "standard_monomial_counts ignores its floor",
+     "src/qdet/factor.py",
+     "keep = (1 << len(pool)) - 1 if floor is None else up[pool.index(floor)]",
+     "keep = (1 << len(pool)) - 1"),
     ("straighten-shift", "straightening predicts (-q)^(j - s + 1)",
      "src/qdet/tower.py",
      "c = QHAT * minus_q_power(mb.j - s)",
