@@ -9,10 +9,7 @@ stay in Z[q, q^-1] with int coefficients (a Fraction only when a caller
 hands in a non-integral one), a combined row is rescaled by its q-shift
 and its integer (or rational) content only, and nothing is ever
 divided.  Rank and span membership are decided this way, over Q(q)
-itself; q is never evaluated at a point.  Explicit coefficients are read
-off provenance columns carried through the same elimination (see Span):
-a witness is a list of Laurent numerators over one Laurent denominator,
-never a fraction.
+itself; q is never evaluated at a point.
 
 Pivot discipline: a stored echelon row is displaced when an incoming row
 offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
@@ -33,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import BasisMismatch, ShapeMismatch
 from .algebra import MatrixShape, _nf_mono_gen_raw, graded_basis
-from .scalars import ONE, ZERO, _laurent
+from .scalars import _laurent
 
 
 class GradedBasis:
@@ -246,58 +243,3 @@ def rank(rows):
         ech.insert(row)
     return ech.rank
 
-
-class Span:
-    """The span of Laurent rows, each eliminated once, expressing targets.
-
-    All rows live in the columns below `width`.  Provenance columns follow
-    the basis columns: the i-th spanning row is inserted with a 1 at
-    column width + i.  `add` eliminates only the new row.  `express`
-    reduces a target carrying a 1 at width + size without inserting it,
-    so targets never change the pivots.
-    """
-
-    __slots__ = ("width", "size", "echelon")
-
-    def __init__(self, spanning, width):
-        self.width = width
-        self.size = 0
-        self.echelon = Echelon()
-        for row in spanning:
-            self.add(row)
-
-    def add(self, row):
-        """Append a spanning row, tagged at the next provenance column."""
-        self.echelon.insert({**row, self.width + self.size: ONE})
-        self.size += 1
-
-    @property
-    def rank(self):
-        """Rank of the spanning rows: the pivots below width.
-
-        A dependent row's residue is stored at a provenance pivot.
-        """
-        width = self.width
-        return sum(1 for col in self.echelon.pivots if col < width)
-
-    def express(self, target):
-        """Write the Laurent row `target` over the spanning rows.
-
-        Returns (nums, den), LaurentScalars with den nonzero and
-        den * target == sum(nums[i] * spanning[i]), or None when the
-        target lies outside the span.  Every row the elimination makes
-        combines augmented rows, so once the target's basis columns
-        reduce away, its residue records the combination: nums[i] is
-        minus its entry at width + i and den its entry at width + size,
-        a column no stored row has.
-        """
-        width, n = self.width, self.size
-        res = self.echelon.residue({**target, width + n: ONE})
-        if min(res) < width:
-            return None
-        # most entries are absent: they stay the shared ZERO, unnegated
-        nums = [ZERO] * n
-        for col, v in res.items():
-            if col < width + n:
-                nums[col - width] = -v
-        return nums, res[width + n]

@@ -18,9 +18,11 @@ chain of subalgebras.  The ordered products of stage k in degree d form
 one list, and stage k-1's list is its prefix.  ore_step_check walks the
 chain once and certifies every step as a skew polynomial extension: the
 new generator normalizes the previous stage through the inverse of an
-explicit torus element, and the twisted derivation lands inside the
-previous stage.  One growing Span per degree takes each stage's new
-products from the end of its list, so each product is eliminated once.
+explicit torus element, and each twisted derivation equals its closed
+form, a combination of products of earlier generators, so it lands
+inside the previous stage.  The closed forms are written once here
+(straightening_sum, diagonal_commutator, predicted_delta) and read by
+the family, the commutation and the Ore-step checks alike.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
 from .algebra import NCPoly, TorusElement, eigenvalue_of
 from .minors import Minor, minor_value
-from .linalg import Span, component_basis, poly_row
+from .linalg import Echelon, component_basis, poly_row
 from .report import SuiteReport
 from .scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
 
@@ -134,6 +136,12 @@ class Frame:
                      for mb in self.family()]
             self._generators = tuple(gens)
         return self._generators
+
+    def member_values(self, kind):
+        """(i, j) -> expanded value of each member of one kind."""
+        values = self.generators()[self.size ** 2:]
+        return {(mb.i, mb.j): values[mb.position].value
+                for mb in self.family() if mb.kind == kind}
 
     def __str__(self):
         return "frame(%s in %s)" % (self.minor, self.shape)
@@ -251,6 +259,17 @@ def check_h_actions(frame):
 # relations inside and between the two families
 
 
+def diagonal_commutator(entries, upper, lower):
+    """a*b - b*a for a diagonal pair of a quantum matrix at parameter q^-1.
+
+    a = entries[upper] and b = entries[lower] with upper = (i, j),
+    lower = (k, l), i < k and j < l; the commutator is
+    -(q - q^-1) * entries[(i, l)] * entries[(k, j)].
+    """
+    (i, j), (k, l) = upper, lower
+    return (entries[(i, l)] * entries[(k, j)]).scale(-QHAT)
+
+
 def _qmatrix_relation_check(rep, entries, label):
     """entries: dict (i, j) -> NCPoly forming quantum matrix variables at q^-1."""
     keys = sorted(entries)
@@ -265,25 +284,20 @@ def _qmatrix_relation_check(rep, entries, label):
             elif j > l:
                 rep.add("%s:antidiagonal %s,%s" % (label, (i, j), (k, l)),
                         a * b == b * a)
+            elif (i, l) in entries and (k, j) in entries:
+                rep.add("%s:diagonal %s,%s" % (label, (i, j), (k, l)),
+                        a * b - b * a
+                        == diagonal_commutator(entries, (i, j), (k, l)))
             else:
-                lhs = a * b - b * a
-                if (i, l) in entries and (k, j) in entries:
-                    rhs = (entries[(i, l)] * entries[(k, j)]).scale(-QHAT)
-                    rep.add("%s:diagonal %s,%s" % (label, (i, j), (k, l)),
-                            lhs == rhs)
-                else:
-                    rep.add("%s:closure %s,%s" % (label, (i, j), (k, l)), False,
-                            "diagonal pair defined but inner pair missing")
+                rep.add("%s:closure %s,%s" % (label, (i, j), (k, l)), False,
+                        "diagonal pair defined but inner pair missing")
 
 
 def family_relations_check(frame):
     """Each family is a quantum matrix at parameter q^-1; kinds commute."""
     rep = SuiteReport("family_relations", {"gamma": str(frame.minor)})
-    members = frame.family()
-    cmap = {(mb.i, mb.j): minor_value(mb.minor)
-            for mb in members if mb.kind == "col_swap"}
-    rmap = {(mb.i, mb.j): minor_value(mb.minor)
-            for mb in members if mb.kind == "row_swap"}
+    cmap = frame.member_values("col_swap")
+    rmap = frame.member_values("row_swap")
     _qmatrix_relation_check(rep, cmap, "col_swap")
     _qmatrix_relation_check(rep, rmap, "row_swap")
     for (ci, cj) in sorted(cmap):
@@ -294,55 +308,59 @@ def family_relations_check(frame):
     return rep
 
 
+def straightening_sum(frame, mb, a, b, values):
+    """x * mem - q * mem * x for x = x[a,b] at the member's removed index j.
+
+    The sum over s < j of c_s * mem_s * x_s, c_s = (q - q^-1)(-q)^(j - s):
+    mem_s is the same-kind member (i, s) in values (frame.member_values),
+    skipped when undefined, and x_s the base variable in x's row (column
+    swaps) or column (row swaps) at index s.  Returns the sum and the
+    (s, c_s) pairs used.
+    """
+    shape = frame.shape
+    rhs = NCPoly.zero(shape)
+    used = []
+    for s in range(1, mb.j):
+        lower = values.get((mb.i, s))
+        if lower is None:
+            continue
+        if mb.kind == "col_swap":
+            gen = NCPoly.generator(shape, a, frame.cols[s - 1])
+        else:
+            gen = NCPoly.generator(shape, frame.rows[s - 1], b)
+        c = QHAT * minus_q_power(mb.j - s)
+        rhs = rhs + (lower * gen).scale(c)
+        used.append((s, c))
+    return rhs, used
+
+
 def subalgebra_commutation_check(frame):
     """Base variables against family members.
 
     A base variable x[a,b] commutes with a member unless b (for column
-    swaps) or a (for row swaps) is the member's removed index.  In the
-    removed case, for the member with removed index j,
-
-        x * mem - q * mem * x = sum over s < j of c_s * mem_s * x_s,
-        c_s = (q - q^-1) * (-q)^(j - s),
-
-    where mem_s is the same-kind member with removed index s and x_s the
-    base variable in x's row (column swaps) or column (row swaps) at
-    index s.  The coefficients are predicted, not solved for: each
-    relation is proved by one exact product comparison.
+    swaps) or a (for row swaps) is the member's removed index; there,
+    x * mem - q * mem * x is straightening_sum's closed form.  The
+    coefficients are predicted, not solved for: each relation is proved
+    by one exact product comparison.
     """
     rep = SuiteReport("subalgebra_commutation", {"gamma": str(frame.minor)})
-    shape = frame.shape
-    t = frame.size
-    members = frame.family()
-    values = {(mb.kind, mb.i, mb.j): minor_value(mb.minor) for mb in members}
-
-    for mb in members:
-        val = values[(mb.kind, mb.i, mb.j)]
-        for k in range(1, t + 1):
-            for l in range(1, t + 1):
-                a, b = frame.rows[k - 1], frame.cols[l - 1]
-                x = NCPoly.generator(shape, a, b)
-                swapped_index = l if mb.kind == "col_swap" else k
-                if swapped_index != mb.j:
+    for mb in frame.family():
+        values = frame.member_values(mb.kind)
+        val = values[(mb.i, mb.j)]
+        for k, a in enumerate(frame.rows, 1):
+            for l, b in enumerate(frame.cols, 1):
+                x = NCPoly.generator(frame.shape, a, b)
+                if (l if mb.kind == "col_swap" else k) != mb.j:
                     rep.add("commute x[%d,%d] %s" % (a, b, mb.label),
                             x * val == val * x)
                     continue
                 lhs = x * val - (val * x).scale(Q)
-                rhs = NCPoly.zero(shape)
-                parts = []
-                for s in range(1, mb.j):
-                    key = (mb.kind, mb.i, s)
-                    if key not in values:
-                        continue
-                    if mb.kind == "col_swap":
-                        gen = NCPoly.generator(shape, a, frame.cols[s - 1])
-                    else:
-                        gen = NCPoly.generator(shape, frame.rows[s - 1], b)
-                    c = QHAT * minus_q_power(mb.j - s)
-                    rhs = rhs + (values[key] * gen).scale(c)
-                    parts.append("%s[%d,%d]: %s" % (mb.kind, mb.i, s, c))
+                rhs, used = straightening_sum(frame, mb, a, b, values)
                 rep.add("straighten x[%d,%d] %s" % (a, b, mb.label),
                         lhs == rhs,
-                        "lhs vanishes" if lhs.is_zero else "; ".join(parts))
+                        "lhs vanishes" if lhs.is_zero else "; ".join(
+                            "%s[%d,%d]: %s" % (mb.kind, mb.i, s, c)
+                            for s, c in used))
     return rep
 
 
@@ -389,6 +407,44 @@ def stage_monomials(frame, k, d):
     return products[(k, d)]
 
 
+def predicted_delta(frame, member, idx, values):
+    """delta(a) = x*a - sigma(a)*x in closed form, sigma = h^-1.
+
+    x is the member, h its torus element and a the idx-th tower generator,
+    which precedes x.  values is frame.member_values(member.kind).  With j
+    the member's removed index:
+
+    * a base variable off the removed index commutes with x: 0;
+    * a base variable at the removed index is scaled by q under h, so
+      delta = -q^-1 * straightening_sum;
+    * an earlier same-kind member (i', j') under x = (i, j) gives 0 when
+      i' = i, j' = j or j' > j, and otherwise (q - q^-1) times
+      mem(i', j) * mem(i, j'), from diagonal_commutator;
+    * a col_swap under a row_swap: the kinds commute and h fixes it, 0.
+
+    A row_swap never precedes a col_swap; asking for one raises.
+    """
+    t = frame.size
+    zero = NCPoly.zero(frame.shape)
+    if idx < t * t:
+        k, l = divmod(idx, t)
+        if (l if member.kind == "col_swap" else k) + 1 != member.j:
+            return zero
+        rhs, _ = straightening_sum(frame, member, frame.rows[k],
+                                   frame.cols[l], values)
+        return rhs.scale(-Q_INV)
+    other = frame.family()[idx - t * t]
+    if other.kind != member.kind:
+        if member.kind == "row_swap":
+            return zero
+        raise WorkbenchError("%s does not precede %s in the tower"
+                             % (other.label, member.label))
+    if other.i == member.i or other.j >= member.j:
+        return zero
+    return -diagonal_commutator(values, (other.i, other.j),
+                                (member.i, member.j))
+
+
 @dataclass
 class OreStepReport:
     member: FamilyMember
@@ -409,39 +465,42 @@ def ore_step_check(frame, max_degree):
     generator is an exact eigenvector of the member's torus element h, so
     conjugation data is the diagonal automorphism sigma = h^-1; (b) for
     each earlier generator a, the twisted derivation
-    delta(a) = x*a - sigma(a)*x lies in the previous stage, witnessed by
-    Laurent numerators over one denominator against its ordered products
-    and recombined exactly (and vanishes exactly when a is a col_swap and
-    x a row_swap); (c) graded dimensions of the new stage match the
-    generating series prod 1/(1 - z^deg) up to max_degree, certifying the
-    ordered products stay independent.
+    delta(a) = x*a - sigma(a)*x lies in the previous stage; (c) graded
+    dimensions of the new stage match the generating series
+    prod 1/(1 - z^deg) up to max_degree, certifying the ordered products
+    stay independent.
 
-    Stage k is generated by the first k tower generators.  Its degree-d
-    Span grows by the tail of stage_monomials(frame, k, d) beyond the
-    products it already holds, once a check needs them: (b) runs while
-    the Span holds exactly the previous stage's products, (c) reads its
-    rank.
+    (b) needs no elimination: predicted_delta writes each delta as a
+    combination of products of earlier generators, so one exact comparison
+    delta == predicted proves membership.  A nonzero delta's witness names
+    N, the number of the previous stage's ordered products in its degree,
+    read off the generating series without building them.
+
+    Stage k is generated by the first k tower generators.  For (c) each
+    degree d <= max_degree keeps one Echelon, grown by the tail of
+    stage_monomials(frame, k, d), so each product is eliminated once.
     """
     if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
     gens = frame.generators()
     base = frame.size ** 2
-    # degree -> (basis, Span over a prefix of that degree's products)
-    spans = {}
+    family = frame.family()
+    # degree -> (basis, Echelon over a prefix of its products, prefix length)
+    grown = {}
 
-    def span_at(k, d):
-        """(basis, Span, products) of stage k in degree d."""
-        if d not in spans:
-            basis = component_basis(frame.shape, d)
-            spans[d] = (basis, Span([], len(basis)))
-        basis, span = spans[d]
+    def rank_at(k, d):
+        """(rank, count) of stage k's ordered products in degree d."""
+        if d not in grown:
+            grown[d] = component_basis(frame.shape, d), Echelon(), 0
+        basis, ech, size = grown[d]
         products = stage_monomials(frame, k, d)
-        for p in products[span.size:]:
-            span.add(poly_row(p, basis))
-        return basis, span, products
+        for p in products[size:]:
+            ech.insert(poly_row(p, basis))
+        grown[d] = basis, ech, len(products)
+        return ech.rank, len(products)
 
     steps = []
-    for member in frame.family():
+    for member in family:
         k = base + member.position
         prior, x_ref = gens[:k], gens[k]
         rep = SuiteReport("ore_step",
@@ -455,45 +514,38 @@ def ore_step_check(frame, max_degree):
                     "" if lam is not None else "not an h-eigenvector")
             eigen.append((g.label, lam))
 
-        # delta(a) = x*a - sigma(a)*x with sigma = h^-1
-        for g, (_, lam) in zip(prior, eigen):
+        values = frame.member_values(member.kind)
+        # ordered products of the previous stage, by degree
+        counts = stage_series_dims([g.degree for g in prior],
+                                   2 * x_ref.degree)
+        for idx, (g, (_, lam)) in enumerate(zip(prior, eigen)):
             if lam is None:
                 continue
             sigma_a = g.value.scale(lam.unit_inverse())
             delta = x_ref.value * g.value - sigma_a * x_ref.value
+            ok = delta == predicted_delta(frame, member, idx, values)
             name = "delta(%s)" % g.label
-            if member.kind == "row_swap" and g.label.startswith("col_swap"):
-                rep.add(name + " vanishes", delta.is_zero,
-                        "" if delta.is_zero else "row_swap does not fix col_swap")
-                continue
-            if delta.is_zero:
+            if idx >= base and family[idx - base].kind != member.kind:
+                rep.add(name + " vanishes", ok,
+                        "" if ok else "row_swap does not fix col_swap")
+            elif not ok:
+                rep.add(name, False, "differs from the predicted relation")
+            elif delta.is_zero:
                 rep.add(name, True, "zero")
-                continue
-            basis, span, polys = span_at(k, g.degree + x_ref.degree)
-            witness = span.express(poly_row(delta, basis))
-            if witness is None:
-                rep.add(name, False, "outside the previous stage")
-                continue
-            # recombine to double-check the witness
-            nums, den = witness
-            back = NCPoly.zero(frame.shape)
-            for p, num in zip(polys, nums):
-                if not num.is_zero:
-                    back = back + p.scale(num)
-            rep.add(name, back == delta.scale(den),
-                    "witness over %d ordered products" % len(polys))
+            else:
+                rep.add(name, True, "witness over %d ordered products"
+                        % counts[g.degree + x_ref.degree])
 
         predicted = stage_series_dims([g.degree for g in gens[:k + 1]],
                                       max_degree)
         dims = []
         for d in range(max_degree + 1):
-            _, span, polys = span_at(k + 1, d)
-            actual = span.rank
+            actual, count = rank_at(k + 1, d)
             dims.append((d, predicted[d], actual))
             rep.add("dim degree %d" % d,
-                    actual == predicted[d] == len(polys),
+                    actual == predicted[d] == count,
                     "predicted %d, rank %d, products %d"
-                    % (predicted[d], actual, len(polys)))
+                    % (predicted[d], actual, count))
         steps.append(OreStepReport(member, rep, eigen, dims))
     return steps
 

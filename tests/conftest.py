@@ -1,9 +1,13 @@
-"""Shared fixtures and a reference rewriter used as an oracle.
+"""Shared fixtures, a reference rewriter and a reference solver.
 
 The reference rewriter resolves the *leftmost* out-of-order pair by plain
 recursion with no caching, unlike the library's rightmost-first stack
 with layered caches.  Confluence of the rewriting rules means both must
 produce identical normal forms on every input.
+
+The reference solver (express) writes a Laurent row over spanning rows
+through provenance columns; the library solves for nothing, so tests use
+it to check predicted relations against solved ones.
 """
 
 import random
@@ -12,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from qdet import MatrixShape, NCPoly, normal_form
-from qdet.scalars import LaurentScalar, ONE, Q_INV, QHAT
+from qdet.linalg import Echelon
+from qdet.scalars import LaurentScalar, ONE, Q_INV, QHAT, ZERO
 
 
 def naive_normal_form(shape, word):
@@ -47,6 +52,27 @@ def naive_normal_form(shape, word):
 
     settle(tuple(word), ONE)
     return result
+
+
+def express(target, spanning, width):
+    """The Laurent row `target` written over the rows `spanning`.
+
+    Every row lives in the columns below `width`.  Spanning row i goes
+    into a fraction-free Echelon with a 1 at provenance column width + i;
+    the target is reduced with a 1 at width + len(spanning), a column no
+    stored row has.  Once its basis columns reduce away, the residue
+    records the combination.  Returns (nums, den), LaurentScalars with den
+    nonzero and den * target == sum(nums[i] * spanning[i]), or None when
+    the target lies outside the span.
+    """
+    n = len(spanning)
+    ech = Echelon()
+    for i, row in enumerate(spanning):
+        ech.insert({**row, width + i: ONE})
+    res = ech.residue({**target, width + n: ONE})
+    if min(res) < width:
+        return None
+    return [-res.get(width + i, ZERO) for i in range(n)], res[width + n]
 
 
 def random_word(rng, shape, max_len):

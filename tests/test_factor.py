@@ -193,6 +193,18 @@ class TestQuotient:
         assert hilbert_check(g11, 3).passed
         assert hilbert_check(g1312, 3).passed
 
+    def test_hilbert_check_counts_without_enumerating(self, g1312,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("standard monomials enumerated")
+
+        monkeypatch.setattr(factor, "standard_monomials", refuse)
+        rep = hilbert_check(g1312, 3)
+        assert rep.passed
+        assert [c.witness for c in rep.checks] == [
+            "dimension %d, standard monomials %d" % (d, d)
+            for d in (1, 9, 42, 140)]
+
 
 def brute_chains(shape, degree, floor=None):
     """Exhaustive filter over raw factor tuples, as an oracle."""

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import express, random_poly
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
 from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.linalg import (Echelon, Span, _combine, component_basis,
+from qdet.linalg import (Echelon, _combine, component_basis,
                          generator_images, generator_products, poly_row,
                          rank, row_normalized)
 from qdet.minors import Minor, minor_value
@@ -43,10 +43,6 @@ def laurent_combine(rows, coeffs):
             else:
                 acc[i] = s
     return acc
-
-
-def express(target, spanning, width):
-    return Span(spanning, width).express(target)
 
 
 def recombines(witness, target, spanning):
@@ -177,7 +173,7 @@ _int_entries = st.dictionaries(
     max_size=3,
 ).map(LaurentScalar)
 
-#: rows have their columns below _WIDTH; membership puts provenance above
+#: rows have their columns below _WIDTH
 _WIDTH = 5
 
 _int_row = st.dictionaries(st.integers(min_value=0, max_value=_WIDTH - 1),
@@ -226,48 +222,6 @@ class TestIntegerRows:
         for stored in ech.rows():
             for v in stored.values():
                 assert all(type(c) is int for c in v.terms.values())
-
-
-class TestSpanMembership:
-    @settings(max_examples=200, deadline=None)
-    @given(_int_row, st.lists(_int_row, max_size=5))
-    def test_none_exactly_when_the_rank_grows(self, target, spanning):
-        witness = express(target, spanning, _WIDTH)
-        grows = rank(spanning + [target]) > rank(spanning)
-        assert (witness is None) == grows
-        if witness is not None:
-            assert recombines(witness, target, spanning)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_int_row, max_size=6), st.lists(_int_row, max_size=3))
-    def test_grown_row_by_row(self, rows, targets):
-        span = Span([], _WIDTH)
-        for i, row in enumerate(rows):
-            span.add(row)
-            grown = rows[:i + 1]
-            assert span.size == len(grown)
-            assert span.rank == rank(grown)
-            for target in targets:
-                witness = span.express(target)
-                assert (witness is None) == (rank(grown + [target])
-                                             > rank(grown))
-                if witness is not None:
-                    assert recombines(witness, target, grown)
-
-    def test_dependent_rows_add_no_rank(self):
-        row = {0: ONE, 2: Q}
-        span = Span([row, {}, {k: c * Q for k, c in row.items()}], _WIDTH)
-        assert (span.size, span.rank) == (3, 1)
-        assert span.rank < span.echelon.rank
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_int_row, max_size=4), st.lists(_int_row, max_size=5))
-    def test_one_span_serves_every_target(self, spanning, targets):
-        shared = Span(spanning, _WIDTH)
-        pivots = dict(shared.echelon.pivots)
-        for target in targets:
-            assert shared.express(target) == express(target, spanning, _WIDTH)
-            assert shared.echelon.pivots == pivots
 
 
 class TestEchelonCopy:

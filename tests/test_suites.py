@@ -692,6 +692,21 @@ class TestGoldenReports:
             assert got.hexdigest() == want, run
         assert loaded and all(rows is not None for rows in loaded)
 
+    def test_diagonal_tower_step_matches_the_seed_digest(self):
+        # the tower-sweep step of 4x4 1,2|1,2, whose col_swap family has
+        # diagonal member pairs, hashed as the benchmark child hashes it
+        params = {"gamma": "1,2|1,2", "m": 4, "max_degree": 4, "n": 4,
+                  "suites": "mfamily,torus,ore-tower"}
+        want = golden_digest("run_workbench "
+                             + json.dumps(params, sort_keys=True))
+        config = WorkbenchConfig(
+            m=4, n=4, gamma=((1, 2), (1, 2)), max_degree=4,
+            suites=("mfamily", "torus", "ore-tower")).validate()
+        out = io.StringIO()
+        emit_report(run_workbench(config), out)
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert got == want
+
     def test_compute_stdout_matches_the_seed_digest(self, capsys):
         args = ["compute", "minor", "--m", "4", "--n", "4", "1,2,3,4|1,2,3,4"]
         want = golden_digest("qdet " + " ".join(args))

@@ -5,16 +5,17 @@ import itertools
 
 import pytest
 
+from conftest import express
 from qdet.algebra import MatrixShape, NCPoly, TorusElement, eigenvalue_of
 from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
-                         ZeroInput)
+                         WorkbenchError, ZeroInput)
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet import linalg, tower as tower_mod
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
 from qdet.tower import (Frame, build_frame, check_h_actions,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
-                        stage_monomials, stage_series_dims,
+                        predicted_delta, stage_monomials, stage_series_dims,
                         subalgebra_commutation_check)
 
 
@@ -192,8 +193,8 @@ def solved_straightening(frame):
 
     The reference for the prediction in subalgebra_commutation_check: for
     each base variable x on a member's removed index with a nonzero
-    x*mem - q*mem*x, Span.express writes it over the lower same-kind
-    members times base variables.  Yields (member, s values, nums, den)
+    x*mem - q*mem*x, the reference solver writes it over the lower
+    same-kind members times base variables.  Yields (member, s values, nums, den)
     with den * c_s == nums[k] for the k-th lower member s.
     """
     shape = frame.shape
@@ -219,9 +220,9 @@ def solved_straightening(frame):
                             NCPoly.generator(shape, frame.rows[s - 1], b))
                          for s in lower]
                 basis = linalg.component_basis(shape, lhs.degree())
-                witness = linalg.Span(
-                    [linalg.poly_row(p, basis) for p in polys],
-                    len(basis)).express(linalg.poly_row(lhs, basis))
+                witness = express(linalg.poly_row(lhs, basis),
+                                  [linalg.poly_row(p, basis) for p in polys],
+                                  len(basis))
                 assert witness is not None, (frame, mb.label, a, b)
                 nums, den = witness
                 yield mb, lower, nums, den
@@ -343,7 +344,7 @@ class TestProductMemo:
 
 
 class TestOreSteps:
-    def test_full_tower_dims(self, frame1312):
+    def test_full_tower_dims(self, frame1312, shape33):
         want = {0: [1, 4, 11, 24], 1: [1, 4, 12, 28], 2: [1, 4, 13, 32]}
         steps = ore_step_check(frame1312, max_degree=3)
         assert len(steps) == 3
@@ -352,6 +353,14 @@ class TestOreSteps:
             assert [actual for _, _, actual in out.dims] == want[idx]
             assert [pred for _, pred, _ in out.dims] == want[idx]
             assert all(lam is not None for _, lam in out.eigenvalues)
+        # degree-3 deltas of 1,2|1,2 in two stages, over 24 and then 32
+        # ordered products of the previous stage
+        frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
+        witnessed = {c.witness for out in ore_step_check(frame, max_degree=3)
+                     for c in out.report.checks
+                     if c.witness.startswith("witness over")}
+        assert sorted(witnessed) == ["witness over 24 ordered products",
+                                     "witness over 32 ordered products"]
 
     def test_row_swap_fixes_col_swaps(self, frame1312):
         out = ore_step_check(frame1312, max_degree=2)[2]
@@ -384,50 +393,112 @@ class TestOreSteps:
                     assert actual == want, (fr, out.member.label, d)
 
 
-class TestWitnessRecombination:
-    def test_rational_witness_fails_instead_of_raising(self, frame1312,
+    def test_wrong_prediction_fails_instead_of_raising(self, frame1312,
                                                        monkeypatch):
-        real = linalg.Span.express
+        real = tower_mod.predicted_delta
 
-        def skewed(self, target):
-            witness = real(self, target)
-            if witness is None:
-                return None
-            nums, den = witness
-            # the true coefficients times q / (q + 2): a wrong witness
-            return [n * Q for n in nums], den * (Q + 2)
+        def skewed(frame, member, idx, values):
+            # q times the true relation: wrong wherever delta is nonzero
+            return real(frame, member, idx, values).scale(Q)
 
-        monkeypatch.setattr(linalg.Span, "express", skewed)
+        monkeypatch.setattr(tower_mod, "predicted_delta", skewed)
         out = ore_step_check(frame1312, max_degree=2)[1]
-        witnessed = [c for c in out.report.checks
-                     if c.witness.startswith("witness over")]
-        assert len(witnessed) == 2
-        assert not any(c.status == "pass" for c in witnessed)
+        assert [c.name for c in out.report.failed] == [
+            "delta(x[1,2])", "delta(x[3,2])"]
+        assert {c.witness for c in out.report.failed} == {
+            "differs from the predicted relation"}
 
-    def test_one_span_per_degree(self, shape33, monkeypatch):
-        built = []
+    def test_no_basis_above_max_degree(self, shape34, monkeypatch):
+        # 1,2|1,2 of 3x4 has a diagonal delta in degree 4: it is proved by
+        # a product comparison, with no degree-4 basis
+        asked = []
+        real = tower_mod.component_basis
+        monkeypatch.setattr(tower_mod, "component_basis",
+                            lambda shape, d: asked.append(d) or real(shape, d))
+        frame = build_frame(Minor(shape34, (1, 2), (1, 2)))
+        out = ore_step_check(frame, max_degree=3)[3]
+        assert out.member.label == "col_swap[2,2]"
+        assert out.passed
+        diagonal = [c for c in out.report.checks
+                    if c.name == "delta(col_swap[1,1])"]
+        assert [c.witness for c in diagonal] == [
+            "witness over %d ordered products"
+            % len(stage_monomials(frame, 7, 4))]
+        assert sorted(set(asked)) == [0, 1, 2, 3]
 
-        class CountingSpan(linalg.Span):
-            def __init__(self, spanning, width):
-                built.append(width)
-                super().__init__(spanning, width)
 
-        monkeypatch.setattr(tower_mod, "Span", CountingSpan)
+def nonzero_deltas(frame):
+    """(member, k, idx, delta) for each nonzero twisted derivation: the
+    member adjoined at stage k + 1 against the idx-th tower generator."""
+    gens = frame.generators()
+    base = frame.size ** 2
+    for member in frame.family():
+        k = base + member.position
+        x = gens[k].value
+        h = member_torus(frame, member)
+        for idx, g in enumerate(gens[:k]):
+            sigma = eigenvalue_of(h, g.value).unit_inverse()
+            delta = x * g.value - g.value.scale(sigma) * x
+            if not delta.is_zero:
+                yield member, k, idx, delta
+
+
+class TestDeltaPrediction:
+    """Each twisted derivation equals its closed form and lies in the
+    span of the previous stage's ordered products, solved for."""
+
+    # nonzero deltas over all frames, and the diagonal ones among them
+    @pytest.mark.parametrize("m, n, count, diagonal", [
+        (3, 3, 12, 0), (3, 4, 48, 3)])
+    def test_prediction_matches_a_solved_witness(self, m, n, count,
+                                                 diagonal):
+        shape = MatrixShape(m, n)
+        seen = diagonals = 0
+        for gamma in enumerate_minors(shape):
+            frame = build_frame(gamma)
+            for member, k, idx, delta in nonzero_deltas(frame):
+                values = frame.member_values(member.kind)
+                assert delta == predicted_delta(frame, member, idx, values), \
+                    (gamma, member.label, idx)
+                d = delta.degree()
+                basis = linalg.component_basis(shape, d)
+                polys = stage_monomials(frame, k, d)
+                witness = express(linalg.poly_row(delta, basis),
+                                  [linalg.poly_row(p, basis) for p in polys],
+                                  len(basis))
+                assert witness is not None, (gamma, member.label, idx)
+                nums, den = witness
+                back = NCPoly.zero(shape)
+                for p, num in zip(polys, nums):
+                    back = back + p.scale(num)
+                assert back == delta.scale(den)
+                seen += 1
+                diagonals += idx >= frame.size ** 2
+        assert (seen, diagonals) == (count, diagonal)
+
+    def test_witness_counts_the_previous_stage(self, shape33):
+        witnessed = 0
+        for gamma in enumerate_minors(shape33):
+            frame = build_frame(gamma)
+            gens = {g.label: g for g in frame.generators()}
+            for out in ore_step_check(frame, max(3, frame.size)):
+                k = frame.size ** 2 + out.member.position
+                for c in out.report.checks:
+                    if not c.witness.startswith("witness over"):
+                        continue
+                    d = gens[c.name[len("delta("):-1]].degree + frame.size
+                    assert c.witness == "witness over %d ordered products" \
+                        % len(stage_monomials(frame, k, d))
+                    witnessed += 1
+        assert witnessed == 12
+
+    def test_other_kind_under_a_col_swap_raises(self, shape33):
         frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
-        steps = ore_step_check(frame, max_degree=3)
-        assert len(steps) == len(frame.family()) > 1
-        assert all(out.passed for out in steps)
-        witnessed = [c for out in steps for c in out.report.checks
-                     if c.witness.startswith("witness over")]
-        # degree-3 targets in two stages, over 24 and then 32 products:
-        # the same Span grew between them
-        assert sorted({c.witness for c in witnessed}) == [
-            "witness over 24 ordered products",
-            "witness over 32 ordered products"]
-        # one width per degree: no degree's span is built twice in the walk
-        widths = [len(linalg.component_basis(shape33, d)) for d in range(5)]
-        assert len(set(built)) == len(built)
-        assert set(widths[:4]) <= set(built) <= set(widths)
+        col = frame.member("col_swap", 1, 1)
+        row = frame.member("row_swap", 1, 1)
+        idx = frame.size ** 2 + row.position
+        with pytest.raises(WorkbenchError):
+            predicted_delta(frame, col, idx, frame.member_values(col.kind))
 
 
 class TestGammaNormality:

@@ -72,23 +72,6 @@ MUTANTS = (
      "src/qdet/suites.py",
      "u * pairs[b][c]",
      "u * pairs[c][b]"),
-    ("provenance-shift", "spanning row i tagged at column width + i + 1",
-     "src/qdet/linalg.py",
-     "self.echelon.insert({**row, self.width + self.size: ONE})",
-     "self.echelon.insert({**row, self.width + self.size + 1: ONE})"),
-    ("rank-provenance", "Span.rank counts provenance pivots",
-     "src/qdet/linalg.py",
-     "return sum(1 for col in self.echelon.pivots if col < width)",
-     "return len(self.echelon.pivots)"),
-    ("nums-sign", "Span.express returns -nums",
-     "src/qdet/linalg.py",
-     "nums[col - width] = -v",
-     "nums[col - width] = v"),
-    ("express-inserts", "Span.express inserts its target into the span",
-     "src/qdet/linalg.py",
-     "        res = self.echelon.residue({**target, width + n: ONE})\n",
-     "        res = self.echelon.residue({**target, width + n: ONE})\n"
-     "        self.echelon.insert({**target, width + n: ONE})\n"),
     ("left-is-right", "the left generator images are the right ones",
      "src/qdet/linalg.py",
      "    return left, right\n",
@@ -146,10 +129,19 @@ MUTANTS = (
      "src/qdet/tower.py",
      "lower = products[(k, e - g.degree)] if e >= g.degree else []",
      "lower = products[(k - 1, e - g.degree)] if e >= g.degree else []"),
-    ("skip-recombination", "ore_step_check trusts its witness unchecked",
+    ("delta-no-q-inverse", "the base-variable delta drops its -q^-1 factor",
      "src/qdet/tower.py",
-     "rep.add(name, back == delta.scale(den),",
-     "rep.add(name, True,"),
+     "return rhs.scale(-Q_INV)",
+     "return rhs"),
+    ("diagonal-pair", "the diagonal commutator reads mem(i, j) * mem(k, l)",
+     "src/qdet/tower.py",
+     "return (entries[(i, l)] * entries[(k, j)])",
+     "return (entries[(i, j)] * entries[(k, l)])"),
+    ("diagonal-zero", "the diagonal delta is predicted to be 0",
+     "src/qdet/tower.py",
+     "    return -diagonal_commutator(values, (other.i, other.j),\n"
+     "                                (member.i, member.j))\n",
+     "    return zero\n"),
 )
 
 #: tests/test_tools.py checks this file's anchors against the checkout; a
