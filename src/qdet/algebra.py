@@ -20,18 +20,26 @@ reverses the lex order of the generators, so it sends x^e to x^reverse(e)
 with coefficient 1 and x^a * x^b = rho(x^rev(b) * x^rev(a)): a shorter left
 factor is rewritten as the right factor of the mirrored product.
 
-Each rewriting result is held once.  A product whose shorter factor has
-one letter is a single lookup of the monomial-times-generator memo
-`_nf_mono_gen` (its exponent tuples read backwards on the mirrored side),
-and a product with a scalar factor needs no rewriting at all; neither
-gets a memo entry of its own, since it would only copy what
-`_nf_mono_gen` holds.  Only products whose shorter factor has two or
-more letters, which chain several lookups, are memoised (`_nf_concat`).
+Each rewriting result is held once, and compactly.  A product whose
+shorter factor has one letter is a single lookup of the
+monomial-times-generator memo `_nf_mono_gen` (its exponent tuples read
+backwards on the mirrored side), and a product with a scalar factor
+needs no rewriting at all; neither gets a memo entry of its own, since
+it would only copy what `_nf_mono_gen` holds.  Only products whose
+shorter factor has two or more letters, which chain several lookups,
+are memoised (`_nf_concat`).  Both memos are plain dicts per shape:
+`_nf_mono_gen` is keyed by generator and then by exponent tuple,
+`_nf_concat` by the pair of exponent tuples, so an entry costs one dict
+slot.  Every exponent tuple and every scalar a memo stores, keys
+included, is the one object the shared table `_SHARED` holds for its
+value, so equal monomials in many results are one tuple (the +-q^k units
+are shared by `scalars` already).  A memo that reaches its cap clears
+itself and the shared table.
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from .scalars import LaurentScalar, ZERO, ONE, Q_INV, QHAT, render_laurent
@@ -85,7 +93,7 @@ class MatrixShape:
 # rewriting onto the PBW basis
 #
 # Internally a polynomial is dict[exponent tuple -> LaurentScalar]; words
-# are tuples of (i, j) letters.  Everything here is pure and cached.
+# are tuples of (i, j) letters.  Everything here is pure.
 
 
 def _word_exps(ngens_n, shape_n, word):
@@ -138,55 +146,138 @@ def _nf_word_raw(m, n, word):
 _MINUS_QHAT = -QHAT
 
 
-def _nf_mono_gen_raw(m, n, exps, gen):
-    """Normal form of (ordered monomial) * x[gen]; not cached.
+def _nf_mono_gen_raw(m, n, exps, g):
+    """Normal form of (ordered monomial) * x_g, g a lex generator index.
 
-    Callers that keep their own memo of the result (linalg's generator
-    images) call this instead of `_nf_mono_gen`, so it is stored once.
+    Not memoised; `_nf_mono_gen` memoises it.
     """
     word = []
     for idx, e in enumerate(exps):
         if e:
             word.extend([(idx // n + 1, idx % n + 1)] * e)
-    word.append(gen)
+    word.append((g // n + 1, g % n + 1))
     return _nf_word_raw(m, n, word)
 
 
-@lru_cache(maxsize=1 << 17)
-def _nf_mono_gen(m, n, exps, gen):
-    """Normal form of (ordered monomial) * x[gen]; cached."""
-    return _nf_mono_gen_raw(m, n, exps, gen)
+# ----------------------------------------------------------------------
+# the rewriting memos
 
 
-def _letter(n, exps):
-    """The generator (i, j) of a degree-1 exponent tuple."""
-    idx = exps.index(1)
-    return idx // n + 1, idx % n + 1
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+#: value -> the one object every memo stores for it: exponent tuples
+#: (keys included) and scalars
+_SHARED = {}
 
 
-@lru_cache(maxsize=1 << 15)
-def _nf_concat(m, n, e1, e2):
-    """Normal form of x^e1 * x^e2 for ordered monomials; cached.
+def _share(x):
+    """The shared object equal to x; x itself the first time it is seen."""
+    return _SHARED.setdefault(x, x)
 
-    NCPoly.__mul__ calls this only when the shorter factor has two or
-    more letters; a shorter factor of one letter is one _nf_mono_gen
-    lookup, which a memo here would only copy.  The letters of the
-    shorter factor are multiplied in one at a time, each through the
-    cached _nf_mono_gen, so a product costs one rewriting pass per letter
-    of its shorter factor.  When the left factor is the shorter, the
-    mirrored product x^rev(e2) * x^rev(e1) is taken instead and each of
-    its exponent tuples read backwards (rho, see the module docstring).
+
+class _Memo:
+    """One rewriting memo: plain dicts per shape, one entry count, one cap.
+
+    Reaching the cap clears every dict in place (a product keeps its
+    shape's dicts while it runs) and the shared table; objects already
+    handed out stay valid.  Hits and misses are counted as an lru_cache
+    counts them, and cache_info() and cache_clear() read like its own.
     """
+
+    __slots__ = ("maxsize", "tables", "currsize", "hits", "misses")
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.tables = {}
+        self.currsize = self.hits = self.misses = 0
+
+    def dicts(self, m, n, width):
+        """The `width` dicts of shape m x n, made empty on first use."""
+        key = (m, n)
+        t = self.tables.get(key)
+        if t is None:
+            t = self.tables[key] = [{} for _ in range(width)]
+        return t
+
+    def miss(self):
+        """Count a miss whose entry is stored next; clear first at the cap.
+
+        Called before the entry's values are shared, so that they enter
+        the shared table after a clear, not before it.
+        """
+        if self.currsize >= self.maxsize:
+            for t in self.tables.values():
+                for d in t:
+                    d.clear()
+            _SHARED.clear()
+            self.currsize = 0
+        self.currsize += 1
+        self.misses += 1
+
+    def cache_info(self):
+        return CacheInfo(self.hits, self.misses, self.maxsize, self.currsize)
+
+    def cache_clear(self):
+        """Drop every entry, the counts and the shared table."""
+        self.tables.clear()
+        _SHARED.clear()
+        self.currsize = self.hits = self.misses = 0
+
+
+_MONO_GEN = _Memo(1 << 17)
+_CONCAT = _Memo(1 << 15)
+
+
+def _nf_mono_gen(m, n, exps, g):
+    """Normal form of (ordered monomial) * x_g, g a lex generator index.
+
+    Memoised per shape and generator; NCPoly.__mul__ reads the memo
+    directly and calls this only on a miss.
+    """
+    table = _MONO_GEN.dicts(m, n, m * n)[g]
+    terms = table.get(exps)
+    if terms is not None:
+        _MONO_GEN.hits += 1
+        return terms
+    _MONO_GEN.miss()
+    terms = tuple([(_share(e), _share(c))
+                   for e, c in _nf_mono_gen_raw(m, n, exps, g)])
+    table[_share(exps)] = terms
+    return terms
+
+
+_nf_mono_gen.cache_info = _MONO_GEN.cache_info
+_nf_mono_gen.cache_clear = _MONO_GEN.cache_clear
+
+
+def _nf_concat(m, n, e1, e2):
+    """Normal form of x^e1 * x^e2 for ordered monomials; memoised.
+
+    NCPoly.__mul__ calls this only on a miss, and only when the shorter
+    factor has two or more letters; a shorter factor of one letter is
+    one _nf_mono_gen lookup, which a memo here would only copy.  The
+    letters of the shorter factor are multiplied in one at a time, each
+    through _nf_mono_gen, so a product costs one rewriting pass per
+    letter of its shorter factor.  When the left factor is the shorter,
+    the mirrored product x^rev(e2) * x^rev(e1) is taken instead and each
+    of its exponent tuples read backwards (rho, see the module
+    docstring).
+    """
+    table = _CONCAT.dicts(m, n, 1)[0]
+    key = (e1, e2)
+    terms = table.get(key)
+    if terms is not None:
+        _CONCAT.hits += 1
+        return terms
     mirrored = sum(e1) < sum(e2)
     if mirrored:
         e1, e2 = e2[::-1], e1[::-1]
-    letters = [(idx // n + 1, idx % n + 1)
-               for idx, e in enumerate(e2) if e for _ in range(e)]
+    letters = [g for g, e in enumerate(e2) for _ in range(e)]
     terms = _nf_mono_gen(m, n, e1, letters[0])
-    for gen in letters[1:]:
+    for g in letters[1:]:
         nxt = {}
         for exps, c in terms:
-            for exps2, c2 in _nf_mono_gen(m, n, exps, gen):
+            for exps2, c2 in _nf_mono_gen(m, n, exps, g):
                 acc = nxt.get(exps2)
                 acc = c * c2 if acc is None else acc + c * c2
                 if acc.is_zero:
@@ -195,8 +286,15 @@ def _nf_concat(m, n, e1, e2):
                     nxt[exps2] = acc
         terms = tuple(nxt.items())
     if mirrored:
-        return tuple((e[::-1], c) for e, c in terms)
+        terms = [(e[::-1], c) for e, c in terms]
+    _CONCAT.miss()
+    terms = tuple([(_share(e), _share(c)) for e, c in terms])
+    table[_share(key[0]), _share(key[1])] = terms
     return terms
+
+
+_nf_concat.cache_info = _CONCAT.cache_info
+_nf_concat.cache_clear = _CONCAT.cache_clear
 
 
 def _add_terms(out, terms):
@@ -297,6 +395,12 @@ class NCPoly:
             return NotImplemented
         self._check(other)
         m, n = self.shape.m, self.shape.n
+        # the memos are read here directly, hits counted locally; a miss
+        # goes through _nf_mono_gen or _nf_concat, which store the entry
+        mono_gen = _MONO_GEN.dicts(m, n, m * n)
+        concat = _CONCAT.dicts(m, n, 1)[0]
+        mono_gen_hits = concat_hits = 0
+        last = m * n - 1
         lefts = [(e1, c1, sum(e1)) for e1, c1 in self.terms.items()]
         out = {}
         # a coefficient that is the shared ONE is never multiplied by
@@ -308,14 +412,31 @@ class NCPoly:
                 # reads _nf_mono_gen directly and is not memoised again
                 flip = False
                 if d1 > 1 and d2 > 1:
-                    terms = _nf_concat(m, n, e1, e2)
+                    terms = concat.get((e1, e2))
+                    if terms is None:
+                        terms = _nf_concat(m, n, e1, e2)
+                    else:
+                        concat_hits += 1
                 elif d2 <= d1:
-                    terms = (_nf_mono_gen(m, n, e1, _letter(n, e2)) if d2
-                             else ((e1, ONE),))
+                    if d2:
+                        g = e2.index(1)
+                        terms = mono_gen[g].get(e1)
+                        if terms is None:
+                            terms = _nf_mono_gen(m, n, e1, g)
+                        else:
+                            mono_gen_hits += 1
+                    else:
+                        terms = ((e1, ONE),)
                 elif d1:
                     # x_g * x^e2 = rho(x^rev(e2) * rho(x_g)), rho(x_g) being
-                    # the letter of rev(e1)
-                    terms = _nf_mono_gen(m, n, e2[::-1], _letter(n, e1[::-1]))
+                    # the generator of lex index last - g
+                    g = last - e1.index(1)
+                    r2 = e2[::-1]
+                    terms = mono_gen[g].get(r2)
+                    if terms is None:
+                        terms = _nf_mono_gen(m, n, r2, g)
+                    else:
+                        mono_gen_hits += 1
                     flip = True
                 else:
                     terms = ((e2, ONE),)
@@ -329,6 +450,8 @@ class NCPoly:
                         out.pop(e, None)
                     else:
                         out[e] = acc
+        _MONO_GEN.hits += mono_gen_hits
+        _CONCAT.hits += concat_hits
         r = NCPoly.__new__(NCPoly)
         r.shape = self.shape
         r.terms = out

@@ -10,8 +10,9 @@ degree by degree, as
 
 and kept in a fraction-free echelon.  The products with a generator are
 taken in column space: each echelon row of I_{d-1} goes through
-linalg.generator_products, whose generator images are built only for
-the columns those rows touch, so no row is turned back into a
+linalg.generator_products, whose right generator images are built only
+for the columns those rows touch and their reversals (the left products
+are read from them through rho), so no row is turned back into a
 polynomial.  Everything downstream reduces to residues against these
 spans: equality in the quotient, Hilbert dimensions, the standard
 monomial basis, regularity of gamma, and the rewriting of an ambient

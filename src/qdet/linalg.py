@@ -18,34 +18,50 @@ normalized, is dependent and is dropped without a combination.  Leading
 position is the smallest column index.
 
 Multiplication by a generator is a linear map from one graded component
-to the next; `generator_images` holds it column by column, so
-`generator_products` takes a product with a generator on Laurent rows
+to the next; `generator_images` holds its right half column by column,
+so `generator_products` takes a product with a generator on Laurent rows
 without an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
 reverses the lex order of the generators, so it sends the ordered monomial
 x^e to x^reverse(e) with coefficient 1, and x_g * b = rho(rho(b) * rho(x_g)).
+On rows, rho is the permutation `GradedBasis.reversal` of each component,
+so a left product is a right product over the reversed columns, by the
+mirrored generator, read back through the reversal: no left image is
+rewritten or stored.
 """
 
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import BasisMismatch, ShapeMismatch
-from .algebra import MatrixShape, _nf_mono_gen_raw, graded_basis
+from .algebra import (MatrixShape, _Memo, _nf_mono_gen_raw, _share,
+                      graded_basis)
 from .scalars import _laurent
 
 
 class GradedBasis:
     """Exponent tuples of one graded component, with an index map."""
 
-    __slots__ = ("shape", "degree", "monomials", "index")
+    __slots__ = ("shape", "degree", "monomials", "index", "_reversal")
 
     def __init__(self, shape, degree):
         self.shape = shape
         self.degree = degree
         self.monomials = tuple(graded_basis(shape, degree))
         self.index = {e: i for i, e in enumerate(self.monomials)}
+        self._reversal = None
 
     def __len__(self):
         return len(self.monomials)
+
+    def reversal(self):
+        """rho on columns: entry k is the column of monomial k read backwards.
+
+        An involution; built on first use.
+        """
+        if self._reversal is None:
+            index = self.index
+            self._reversal = tuple([index[e[::-1]] for e in self.monomials])
+        return self._reversal
 
 
 @lru_cache(maxsize=256)
@@ -57,31 +73,40 @@ def component_basis(shape, degree):
     return _basis_cached(shape.m, shape.n, degree)
 
 
-@lru_cache(maxsize=1 << 16)
-def generator_images(shape, degree, col):
-    """x_g * b and b * x_g for every generator x_g, as rows.
+_IMAGES = _Memo(1 << 16)
 
-    b is monomial `col` of component_basis(shape, degree - 1).  Returns
-    (left, right): left[g] is x_g * b and right[g] is b * x_g, g in lex
-    order, each a tuple of (column, LaurentScalar) over
-    component_basis(shape, degree).  Both come from the word rewriting:
-    x_g * b = rho(rho(b) * rho(x_g)), so a left image is the mirrored
-    monomial times the mirrored generator, its exponent tuples read
-    backwards.  Memoised per column, so only the columns a product
+
+def generator_images(shape, degree, col):
+    """b * x_g for every generator x_g, as rows.
+
+    b is monomial `col` of component_basis(shape, degree - 1).  Returns a
+    tuple over the generators g in lex order; entry g is b * x_g as a
+    tuple of (column, LaurentScalar) over component_basis(shape, degree).
+    Left images x_g * b are not held: generator_products reads them from
+    the right images of the reversed column (see the module docstring).
+    Memoised per shape, degree and column, so only the columns a product
     touches are ever built; the rewriting it reads is the uncached
     _nf_mono_gen_raw, so each image is stored here and nowhere else.
     """
     m, n = shape.m, shape.n
+    table = _IMAGES.dicts(m, n, 1)[0]
+    key = (degree, col)
+    images = table.get(key)
+    if images is not None:
+        _IMAGES.hits += 1
+        return images
     exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
-    right = tuple(tuple((index[e], c)
-                        for e, c in _nf_mono_gen_raw(m, n, exps, x))
-                  for x in shape.gens())
-    left = tuple(tuple((index[e[::-1]], c) for e, c in
-                       _nf_mono_gen_raw(m, n, exps[::-1],
-                                        (m + 1 - i, n + 1 - j)))
-                 for i, j in shape.gens())
-    return left, right
+    _IMAGES.miss()
+    images = tuple([tuple([(index[e], _share(c))
+                           for e, c in _nf_mono_gen_raw(m, n, exps, g)])
+                    for g in range(m * n)])
+    table[key] = images
+    return images
+
+
+generator_images.cache_info = _IMAGES.cache_info
+generator_images.cache_clear = _IMAGES.cache_clear
 
 
 def generator_products(shape, degree, row):
@@ -90,16 +115,30 @@ def generator_products(shape, degree, row):
     row is a Laurent row over component_basis(shape, degree - 1); the
     2 * ngens products are rows over component_basis(shape, degree).  An
     entry that cancels stays as a zero scalar; Echelon.insert drops it.
+    x_g * row = rho(rho(row) * rho(x_g)): the right images of the reversed
+    columns, by the generator of lex index ngens - 1 - g, with their
+    columns read back through the reversal.
     """
-    images = [(c, generator_images(shape, degree, i)) for i, c in row.items()]
+    flip = component_basis(shape, degree - 1).reversal()
+    back = component_basis(shape, degree).reversal()
+    rights = [(c, generator_images(shape, degree, i)) for i, c in row.items()]
+    lefts = [(c, generator_images(shape, degree, flip[i]))
+             for i, c in row.items()]
+    last = shape.ngens - 1
     for g in range(shape.ngens):
-        for side in (0, 1):
-            out = {}
-            for c, image in images:
-                for j, t in image[side][g]:
-                    acc = out.get(j)
-                    out[j] = c * t if acc is None else acc + c * t
-            yield out
+        left = _image_sum(lefts, last - g)
+        yield {back[j]: v for j, v in left.items()}
+        yield _image_sum(rights, g)
+
+
+def _image_sum(images, g):
+    """The row sum of c * image[g] over the (c, image) pairs."""
+    out = {}
+    for c, image in images:
+        for j, t in image[g]:
+            acc = out.get(j)
+            out[j] = c * t if acc is None else acc + c * t
+    return out
 
 
 def poly_row(p, basis):

@@ -135,15 +135,16 @@ def minors_product(shape, factors):
 
 def std_le(a, b):
     """The standard order: a <= b with larger minors lower."""
-    if a.is_empty or b.is_empty:
+    if not a.rows or not b.rows:
         raise EmptyMinor("the standard order is defined on nonempty minors")
-    if a.shape != b.shape:
+    # called pool^2 times per order table: identity before Shape.__eq__
+    if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatch("minors over different shapes")
-    u, v = a.size, b.size
-    if u < v:
+    if len(a.rows) < len(b.rows):
         return False
-    return (all(a.rows[s] <= b.rows[s] for s in range(v))
-            and all(a.cols[s] <= b.cols[s] for s in range(v)))
+    # map stops at b's length: only the first |b| entries of a compare
+    return (all(map(operator.le, a.rows, b.rows))
+            and all(map(operator.le, a.cols, b.cols)))
 
 
 @lru_cache(maxsize=64)

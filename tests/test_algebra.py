@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_normal_form, random_poly, random_word
+from qdet import algebra
 from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_concat,
                           _nf_mono_gen, _word_exps, commutative_product,
                           eigenvalue_of, graded_basis, graded_dim,
@@ -143,12 +144,11 @@ def letter_by_letter(shape, e1, e2):
     order, multiplied into the product so far through _nf_mono_gen."""
     m, n = shape.m, shape.n
     poly = {e1: ONE}
-    for idx, e in enumerate(e2):
+    for g, e in enumerate(e2):
         for _ in range(e):
             nxt = {}
             for exps, c in poly.items():
-                for exps2, c2 in _nf_mono_gen(m, n, exps, (idx // n + 1,
-                                                         idx % n + 1)):
+                for exps2, c2 in _nf_mono_gen(m, n, exps, g):
                     acc = nxt.get(exps2)
                     acc = c * c2 if acc is None else acc + c * c2
                     if acc.is_zero:
@@ -191,6 +191,94 @@ class TestProductKernel:
         assert a * b == NCPoly(shape, letter_by_letter(shape, ea, eb))
         assert b * a == NCPoly(shape, letter_by_letter(shape, eb, ea))
         assert _nf_concat.cache_info().currsize == 2
+
+
+def word_of(shape, exps):
+    """The ordered word of (i, j) letters of an exponent tuple."""
+    return [shape.gen_at(g) for g, e in enumerate(exps) for _ in range(e)]
+
+
+def memo_entries(memo, m, n):
+    """(key, terms) of every entry a rewriting memo holds for m x n."""
+    return [item for d in memo.tables.get((m, n), ()) for item in d.items()]
+
+
+class TestCompactMemos:
+    """The rewriting memos are plain dicts per shape, their stored values
+    shared objects, their size capped, and their counts lru-shaped."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _nf_mono_gen.cache_clear()
+        _nf_concat.cache_clear()
+        yield
+        _nf_mono_gen.cache_clear()
+        _nf_concat.cache_clear()
+
+    @staticmethod
+    def products(shape, top):
+        monos = [e for d in range(1, top + 1) for e in graded_basis(shape, d)]
+        polys = [NCPoly(shape, {e: ONE}) for e in monos]
+        for e1, p1 in zip(monos, polys):
+            for e2, p2 in zip(monos, polys):
+                yield e1, e2, p1 * p2
+
+    def test_equal_values_are_one_object(self):
+        """Equal exponent tuples, keys included, and equal scalars in any
+        two stored results are the same object."""
+        shape = MatrixShape(2, 3)
+        for _ in self.products(shape, 3):
+            pass
+        seen = {}
+        scalars = 0
+        for memo in (algebra._MONO_GEN, algebra._CONCAT):
+            for key, terms in memo_entries(memo, 2, 3):
+                keys = key if isinstance(key[0], tuple) else (key,)
+                for x in keys + tuple(v for term in terms for v in term):
+                    assert seen.setdefault(x, x) is x, x
+                    scalars += isinstance(x, LaurentScalar) and len(x.terms) > 1
+        # the diagonal swaps put many equal non-unit scalars in the results
+        assert scalars > 100
+
+    def test_shapes_never_mix(self):
+        """4x4 and 2x8 share every exponent tuple, never a product."""
+        for m, n in ((4, 4), (2, 8)):
+            shape = MatrixShape(m, n)
+            monos = graded_basis(shape, 1) + graded_basis(shape, 2)[::9]
+            polys = [NCPoly(shape, {e: ONE}) for e in monos]
+            for e1, p1 in zip(monos, polys):
+                for e2, p2 in zip(monos, polys):
+                    want = normal_form(shape, word_of(shape, e1)
+                                       + word_of(shape, e2))
+                    assert p1 * p2 == want, (shape, e1, e2)
+
+    def test_a_small_cap_clears_and_keeps_results(self, monkeypatch):
+        monkeypatch.setattr(algebra._MONO_GEN, "maxsize", 7)
+        monkeypatch.setattr(algebra._CONCAT, "maxsize", 3)
+        shape = MatrixShape(2, 3)
+        for e1, e2, p in self.products(shape, 3):
+            assert p == NCPoly(shape, letter_by_letter(shape, e1, e2))
+            assert _nf_mono_gen.cache_info().currsize <= 7
+            assert _nf_concat.cache_info().currsize <= 3
+        assert _nf_mono_gen.cache_info().misses > 7
+        assert _nf_concat.cache_info().misses > 3
+
+    def test_cache_info_counts_like_an_lru_cache(self):
+        shape = MatrixShape(3, 3)
+        e = graded_basis(shape, 2)[4]
+        assert _nf_mono_gen(3, 3, e, 5) == _nf_mono_gen(3, 3, e, 5)
+        info = _nf_mono_gen.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        x = NCPoly.generator(shape, 2, 3)
+        p = NCPoly(shape, {e: ONE})
+        assert p * x == p * x
+        info = _nf_mono_gen.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+        assert p * p == p * p
+        info = _nf_concat.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == 1 << 15
+        assert _nf_mono_gen.cache_info().maxsize == 1 << 17
 
 
 def recursive_basis(shape, d):

@@ -116,7 +116,8 @@ class TestColumnSpaceBuild:
     ], ids=["3x3-13|12", "4x4-24|13"])
     def test_images_only_of_touched_columns(self, m, n, rows, cols, degrees,
                                             monkeypatch):
-        """The degree-d build takes images of I_{d-1}'s row columns only."""
+        """The degree-d build takes right images of I_{d-1}'s row columns
+        and of their reversals (the left images) only."""
         gamma = Minor(MatrixShape(m, n), rows, cols)
         images = linalg.generator_images
         asked = set()
@@ -132,7 +133,9 @@ class TestColumnSpaceBuild:
             images.cache_clear()
             asked.clear()
             ideal_component(gamma, d)
-            assert asked == {(d, c) for row in prev.rows() for c in row}
+            rev = linalg.component_basis(gamma.shape, d - 1).reversal()
+            touched = {c for row in prev.rows() for c in row}
+            assert asked == {(d, c) for c in touched | {rev[c] for c in touched}}
 
 
 class TestSizeGuard:

@@ -238,29 +238,48 @@ class TestEchelonCopy:
 class TestGeneratorImages:
     """Each generator image is the NCPoly product it stands for."""
 
-    @pytest.mark.parametrize("m, n, top", [(3, 3, 4), (4, 4, 3), (2, 3, 5)])
+    @pytest.mark.parametrize("m, n, top",
+                             [(3, 3, 4), (4, 4, 3), (2, 3, 5), (3, 2, 3)])
     def test_images_are_the_products(self, m, n, top):
+        """Right images are b * x_g; the left products generator_products
+        reads through the reversal are x_g * b, also on non-square shapes,
+        where rho is not a transpose."""
         shape = MatrixShape(m, n)
         gens = [NCPoly.generator(shape, a, b) for a, b in shape.gens()]
         for d in range(1, top + 1):
             dst = component_basis(shape, d)
             for i, e in enumerate(component_basis(shape, d - 1).monomials):
-                left, right = generator_images(shape, d, i)
-                assert len(left) == len(right) == len(gens)
+                right = generator_images(shape, d, i)
+                products = list(generator_products(shape, d, {i: ONE}))
+                assert len(right) == len(gens)
+                assert len(products) == 2 * len(gens)
                 b = NCPoly(shape, {e: ONE})
                 for g, x in enumerate(gens):
-                    assert dict(left[g]) == poly_row(x * b, dst)
+                    assert products[2 * g] == poly_row(x * b, dst)
+                    assert products[2 * g + 1] == poly_row(b * x, dst)
                     assert dict(right[g]) == poly_row(b * x, dst)
+
+    def test_reversal_reads_each_monomial_backwards(self):
+        for m, n, d in ((2, 3, 3), (3, 2, 2), (3, 3, 2)):
+            basis = component_basis(MatrixShape(m, n), d)
+            rev = basis.reversal()
+            for k, e in enumerate(basis.monomials):
+                assert basis.monomials[rev[k]] == e[::-1]
+                assert rev[rev[k]] == k
 
     def test_images_skip_the_product_memo(self):
         # generator_images keeps its own memo, so the rewriting it reads
-        # must not be stored a second time in _nf_mono_gen
+        # must not be stored a second time in _nf_mono_gen, and the left
+        # products read the right images only
         shape = MatrixShape(3, 3)
         generator_images.cache_clear()
         _nf_mono_gen.cache_clear()
         for i in range(len(component_basis(shape, 2))):
             generator_images(shape, 3, i)
+            list(generator_products(shape, 3, {i: ONE}))
         assert _nf_mono_gen.cache_info().currsize == 0
+        assert generator_images.cache_info().currsize == len(
+            component_basis(shape, 2))
 
     def test_products_of_a_row(self):
         shape = MatrixShape(3, 3)

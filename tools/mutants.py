@@ -44,8 +44,8 @@ MUTANTS = (
      "e1, e2 = e2, e1"),
     ("concat-unreversed", "the rho route's result is not read backwards",
      "src/qdet/algebra.py",
-     "return tuple((e[::-1], c) for e, c in terms)",
-     "return tuple((e, c) for e, c in terms)"),
+     "terms = [(e[::-1], c) for e, c in terms]",
+     "terms = [(e, c) for e, c in terms]"),
     ("one-letter-left-unreversed",
      "a one-letter left factor keeps the mirrored tuples",
      "src/qdet/algebra.py",
@@ -54,8 +54,8 @@ MUTANTS = (
     ("one-letter-left-unmirrored",
      "a one-letter left factor multiplies by x_g, not rho(x_g)",
      "src/qdet/algebra.py",
-     "_letter(n, e1[::-1])",
-     "_letter(n, e1)"),
+     "g = last - e1.index(1)",
+     "g = e1.index(1)"),
     ("unit-sign", "the shared -q^k is built as +q^k",
      "src/qdet/scalars.py",
      "{(k, c): LaurentScalar({k: c})",
@@ -72,18 +72,24 @@ MUTANTS = (
      "src/qdet/suites.py",
      "u * pairs[b][c]",
      "u * pairs[c][b]"),
-    ("left-is-right", "the left generator images are the right ones",
+    ("left-is-right", "the left generator products are the right ones",
      "src/qdet/linalg.py",
-     "    return left, right\n",
-     "    return right, right\n"),
-    ("unmirrored-generator", "the left images multiply by x_g, not rho(x_g)",
+     "        yield {back[j]: v for j, v in left.items()}\n",
+     "        yield _image_sum(rights, g)\n"),
+    ("unmirrored-generator",
+     "the left products read x_g's images, not rho(x_g)'s",
      "src/qdet/linalg.py",
-     "(m + 1 - i, n + 1 - j)",
-     "(i, j)"),
-    ("unreversed-image", "the left images are not read backwards",
+     "left = _image_sum(lefts, last - g)",
+     "left = _image_sum(lefts, g)"),
+    ("unreversed-image",
+     "the left products are not read back through the reversal",
      "src/qdet/linalg.py",
-     "index[e[::-1]]",
-     "index[e]"),
+     "{back[j]: v for j, v in left.items()}",
+     "left"),
+    ("memo-without-shape", "the rewriting memos are keyed without (m, n)",
+     "src/qdet/algebra.py",
+     "        key = (m, n)\n",
+     "        key = m * n\n"),
     ("equal-row-grows", "an equal row is stored and counted as new",
      "src/qdet/linalg.py",
      "            if row == stored:\n                return False\n",
