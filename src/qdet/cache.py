@@ -13,12 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
-
-from .scalars import LaurentScalar
 
 #: bump when the serialized layout changes
-FORMAT = 2
+FORMAT = 3
 
 _dir = None
 
@@ -39,25 +36,26 @@ def _path_for(base, key):
 
 
 def _encode_rows(rows):
-    out = []
-    for row in rows:
-        enc = []
-        for col in sorted(row):
-            terms = [[e, c.numerator, c.denominator]
-                     for e, c in sorted(row[col].terms.items())]
-            enc.append([col, terms])
-        out.append(enc)
-    return out
+    """Each integer row (see linalg) as one flat list: column, exponent,
+    coefficient, for every key in sorted order."""
+    return [[x for key in sorted(row) for x in (key[0], key[1], row[key])]
+            for row in rows]
 
 
 def _decode_rows(data):
+    """The rows of _encode_rows; ValueError on anything else."""
     rows = []
     for enc in data:
+        if type(enc) is not list or len(enc) % 3:
+            raise ValueError("not a row")
         row = {}
-        for col, terms in enc:
-            row[int(col)] = LaurentScalar(
-                {int(e): int(n) if d == 1 else Fraction(int(n), int(d))
-                 for e, n, d in terms})
+        it = iter(enc)
+        for col, e, c in zip(it, it, it):
+            if (type(col) is not int or type(e) is not int
+                    or type(c) is not int or col < 0 or not c
+                    or (col, e) in row):
+                raise ValueError("not a row entry")
+            row[col, e] = c
         rows.append(row)
     return rows
 
@@ -87,7 +85,7 @@ def load_rows(key):
             return None
         rows = _decode_rows(json.loads(body))
     except (OSError, AttributeError, KeyError, RecursionError, TypeError,
-            ValueError, ZeroDivisionError):
+            ValueError):
         return None
     if header.get("rank") != len(rows):
         return None

@@ -71,7 +71,7 @@ class IdealComponent:
         return not self.echelon.residue(poly_row(p, self.basis))
 
     def extended_rank(self, rows):
-        """Rank of this span together with extra Laurent rows."""
+        """Rank of this span together with extra integer rows."""
         ext = self.echelon.copy()
         for row in rows:
             ext.insert(row)

@@ -1,25 +1,31 @@
 """Exact linear algebra over Q(q) for graded components.
 
-Vectors are Laurent rows (column -> LaurentScalar): the coordinates of a
-homogeneous polynomial over the ordered monomial basis of one graded
-component, as `poly_row` writes them; a graded basis is the exponent
-tuples of its monomials, in descending lex order.  There is one
-eliminator, the fraction-free `Echelon` in the sense of Bareiss: rows
-stay in Z[q, q^-1] with int coefficients (a Fraction only when a caller
-hands in a non-integral one), a combined row is rescaled by its q-shift
-and its integer (or rational) content only, and nothing is ever
-divided.  Rank and span membership are decided this way, over Q(q)
-itself; q is never evaluated at a point.
+Vectors are integer rows: one dict mapping (column, exponent) to a
+nonzero int, so the coordinate of a row at column i is the Laurent
+polynomial sum(c * q^e) over its keys (i, e).  A row holds the
+coordinates of a homogeneous polynomial over the ordered monomial basis
+of one graded component, as `poly_row` writes them; a graded basis is
+the exponent tuples of its monomials, in descending lex order.  The
+rows are integer-only: `poly_row`, the one boundary from NCPoly, refuses
+a non-integral coefficient, so no Fraction and no LaurentScalar ever
+enters the engine.
 
-Pivot discipline: a stored echelon row is displaced when an incoming row
-offers a shorter pivot entry (fewer Laurent terms); ties keep the stored
-row.  An incoming row equal to the stored one at its pivot, both
-normalized, is dependent and is dropped without a combination.  Leading
-position is the smallest column index.
+There is one eliminator, the fraction-free `Echelon` in the sense of
+Bareiss: rows stay in Z[q, q^-1], a combined row is rescaled by its
+q-shift and its integer content only, and nothing is ever divided.
+Rank and span membership are decided this way, over Q(q) itself; q is
+never evaluated at a point.
+
+Pivot discipline: the leading position is the smallest column, and the
+pivot entry of a row is its coordinate there (every key with that
+column).  A stored echelon row is displaced when an incoming row offers
+a shorter pivot entry (fewer Laurent terms); ties keep the stored row.
+An incoming row equal to the stored one at its pivot, both normalized,
+is dependent and is dropped without a combination.
 
 Multiplication by a generator is a linear map from one graded component
 to the next; `generator_images` holds its right half column by column,
-so `generator_products` takes a product with a generator on Laurent rows
+so `generator_products` takes a product with a generator on rows
 without an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
 reverses the lex order of the generators, so it sends the ordered monomial
 x^e to x^reverse(e) with coefficient 1, and x_g * b = rho(rho(b) * rho(x_g)).
@@ -30,12 +36,10 @@ rewritten or stored.
 """
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .errors import BasisMismatch, ShapeMismatch
-from .algebra import (MatrixShape, _Memo, _nf_mono_gen_raw, _share,
-                      graded_basis)
-from .scalars import _laurent
+from .errors import BasisMismatch, NonIntegralRow, ShapeMismatch
+from .algebra import MatrixShape, _Memo, _nf_mono_gen_raw, graded_basis
 
 
 class GradedBasis:
@@ -53,6 +57,11 @@ class GradedBasis:
     def __len__(self):
         return len(self.monomials)
 
+    def new_column(self, e):
+        """A monomial outside the index is outside the component."""
+        raise BasisMismatch("degree-%d term in a degree-%d component"
+                            % (sum(e), self.degree))
+
     def reversal(self):
         """rho on columns: entry k is the column of monomial k read backwards.
 
@@ -62,6 +71,30 @@ class GradedBasis:
             index = self.index
             self._reversal = tuple([index[e[::-1]] for e in self.monomials])
         return self._reversal
+
+
+class LocalColumns:
+    """Columns of one graded component, numbered in first-seen order.
+
+    Any injective numbering of the monomials gives rows of the same rank,
+    so a caller that only ranks rows numbers the monomials its rows touch
+    instead of building the component's basis.
+    """
+
+    __slots__ = ("shape", "degree", "index")
+
+    def __init__(self, shape, degree):
+        self.shape = shape
+        self.degree = degree
+        self.index = {}
+
+    def new_column(self, e):
+        """The next free column, now monomial e's."""
+        if sum(e) != self.degree:
+            raise BasisMismatch("degree-%d term in a degree-%d component"
+                                % (sum(e), self.degree))
+        i = self.index[e] = len(self.index)
+        return i
 
 
 @lru_cache(maxsize=256)
@@ -77,11 +110,11 @@ _IMAGES = _Memo(1 << 16)
 
 
 def generator_images(shape, degree, col):
-    """b * x_g for every generator x_g, as rows.
+    """b * x_g for every generator x_g, as (column, exponent, int) triples.
 
     b is monomial `col` of component_basis(shape, degree - 1).  Returns a
-    tuple over the generators g in lex order; entry g is b * x_g as a
-    tuple of (column, LaurentScalar) over component_basis(shape, degree).
+    tuple over the generators g in lex order; entry g is the row of
+    b * x_g over component_basis(shape, degree), as a tuple of triples.
     Left images x_g * b are not held: generator_products reads them from
     the right images of the reversed column (see the module docstring).
     Memoised per shape, degree and column, so only the columns a product
@@ -98,8 +131,9 @@ def generator_images(shape, degree, col):
     exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
     _IMAGES.miss()
-    images = tuple([tuple([(index[e], _share(c))
-                           for e, c in _nf_mono_gen_raw(m, n, exps, g)])
+    images = tuple([tuple([(index[e], f, c)
+                           for e, s in _nf_mono_gen_raw(m, n, exps, g)
+                           for f, c in s.terms.items()])
                     for g in range(m * n)])
     table[key] = images
     return images
@@ -112,57 +146,74 @@ generator_images.cache_clear = _IMAGES.cache_clear
 def generator_products(shape, degree, row):
     """x_g * row, then row * x_g, for each generator x_g in lex order.
 
-    row is a Laurent row over component_basis(shape, degree - 1); the
+    row is an integer row over component_basis(shape, degree - 1); the
     2 * ngens products are rows over component_basis(shape, degree).  An
-    entry that cancels stays as a zero scalar; Echelon.insert drops it.
+    entry that cancels stays as a zero int; Echelon.insert drops it.
     x_g * row = rho(rho(row) * rho(x_g)): the right images of the reversed
     columns, by the generator of lex index ngens - 1 - g, with their
     columns read back through the reversal.
     """
     flip = component_basis(shape, degree - 1).reversal()
     back = component_basis(shape, degree).reversal()
-    rights = [(c, generator_images(shape, degree, i)) for i, c in row.items()]
-    lefts = [(c, generator_images(shape, degree, flip[i]))
-             for i, c in row.items()]
+    by_col = {}
+    for (i, e), c in row.items():
+        by_col.setdefault(i, []).append((e, c))
+    rights = [(terms, generator_images(shape, degree, i))
+              for i, terms in by_col.items()]
+    lefts = [(terms, generator_images(shape, degree, flip[i]))
+             for i, terms in by_col.items()]
     last = shape.ngens - 1
     for g in range(shape.ngens):
         left = _image_sum(lefts, last - g)
-        yield {back[j]: v for j, v in left.items()}
+        yield {(back[j], e): c for (j, e), c in left.items()}
         yield _image_sum(rights, g)
 
 
 def _image_sum(images, g):
-    """The row sum of c * image[g] over the (c, image) pairs."""
+    """The row sum of q^e * c * image[g] over the (terms, image) pairs.
+
+    terms is the list of (e, c) of one column of the row.
+    """
     out = {}
-    for c, image in images:
-        for j, t in image[g]:
-            acc = out.get(j)
-            out[j] = c * t if acc is None else acc + c * t
+    get = out.get
+    for terms, image in images:
+        for j, f, d in image[g]:
+            for e, c in terms:
+                key = (j, e + f)
+                acc = get(key)
+                out[key] = c * d if acc is None else acc + c * d
     return out
 
 
 def poly_row(p, basis):
-    """A homogeneous NCPoly as a Laurent row (column -> coefficient)."""
+    """A homogeneous NCPoly as an integer row ((column, exponent) -> int).
+
+    basis is a GradedBasis or LocalColumns of p's degree.  Raises
+    NonIntegralRow on a coefficient that is not an int.
+    """
     if p.shape != basis.shape:
         raise ShapeMismatch("polynomial over %s, basis over %s"
                             % (p.shape, basis.shape))
     index = basis.index
     row = {}
-    for e, c in p.terms.items():
+    for e, s in p.terms.items():
         i = index.get(e)
         if i is None:
-            raise BasisMismatch("degree-%d term in a degree-%d component"
-                                % (sum(e), basis.degree))
-        row[i] = c
+            i = basis.new_column(e)
+        for f, c in s.terms.items():
+            if type(c) is not int:
+                raise NonIntegralRow("coefficient %s of q^%d is not an "
+                                     "integer" % (c, f))
+            row[i, f] = c
     return row
 
 
 # ----------------------------------------------------------------------
-# fraction-free echelon over Laurent rows (dict col -> LaurentScalar)
+# fraction-free echelon over integer rows
 
 
 def row_normalized(row):
-    """Strip the q-shift and the integer (or rational) content; fix the sign.
+    """Strip the q-shift and the integer content; fix the sign.
 
     Afterwards the lowest exponent over the row is 0, the coefficients are
     coprime ints, and the pivot (lowest column) entry has a positive
@@ -172,47 +223,51 @@ def row_normalized(row):
     """
     if not row:
         return row
-    shift = min([min(v.terms) for v in row.values()])
-    pivot = row[min(row)].terms
-    den = 1
-    try:
-        g = gcd(*[c for v in row.values() for c in v.terms.values()])
-    except TypeError:
-        # some coefficient is a Fraction: scale by the lcm of denominators
-        den = lcm(*[c.denominator for v in row.values()
-                    for c in v.terms.values()])
-        g = gcd(*[c.numerator * (den // c.denominator)
-                  for v in row.values() for c in v.terms.values()])
-    if pivot[max(pivot)] < 0:
+    col = min(row)[0]
+    shift = min([e for _, e in row])
+    g = gcd(*row.values())
+    if row[max([k for k in row if k[0] == col])] < 0:
         g = -g
-    if den == 1:
-        if g == 1 and not shift:
-            return row
-        return {k: _laurent({e - shift: c // g for e, c in v.terms.items()})
-                for k, v in row.items()}
-    return {k: _laurent({e - shift: c.numerator * (den // c.denominator) // g
-                         for e, c in v.terms.items()})
-            for k, v in row.items()}
+    if g == 1 and not shift:
+        return row
+    return {(i, e - shift): c // g for (i, e), c in row.items()}
 
 
-def _combine(row, piv_row, col):
-    """piv * row - row[col] * piv_row, content-stripped; kills `col`."""
-    piv = piv_row[col]
-    fac = row[col]
-    out = {}
-    for k, v in row.items():
-        if k == col:
-            continue
-        out[k] = v * piv
-    for k, v in piv_row.items():
-        if k == col:
-            continue
-        acc = out.get(k)
-        acc = -(v * fac) if acc is None else acc - v * fac
-        if acc.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = acc
+def _entry(row, col):
+    """The (exponent, int) terms of the row at column col."""
+    return [(e, c) for (i, e), c in row.items() if i == col]
+
+
+def _combine(row, piv_row, col, fac, piv):
+    """piv * row - fac * piv_row, content-stripped; kills `col`.
+
+    fac and piv are the entries of row and piv_row at col, as _entry
+    gives them.
+    """
+    if len(piv) == 1:
+        ((f, d),) = piv
+        out = {(i, e + f): c * d for (i, e), c in row.items() if i != col}
+    else:
+        out = {}
+        for (i, e), c in row.items():
+            if i != col:
+                for f, d in piv:
+                    key = (i, e + f)
+                    acc = out.get(key, 0) + c * d
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+    get = out.get
+    for (i, e), c in piv_row.items():
+        if i != col:
+            for f, d in fac:
+                key = (i, e + f)
+                acc = get(key, 0) - c * d
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
     return row_normalized(out) if out else out
 
 
@@ -229,24 +284,30 @@ class Echelon:
         return len(self.pivots)
 
     def insert(self, row):
-        """Reduce a Laurent row and store it if independent.
+        """Reduce an integer row and store it if independent.
 
         Returns True when the rank grew.
         """
-        row = row_normalized({k: v for k, v in row.items() if not v.is_zero})
+        if 0 in row.values():
+            row = {k: c for k, c in row.items() if c}
+        row = row_normalized(row)
+        pivots = self.pivots
         while row:
-            col = min(row)
-            stored = self.pivots.get(col)
+            col = min(row)[0]
+            stored = pivots.get(col)
             if stored is None:
-                self.pivots[col] = row
+                pivots[col] = row
                 return True
-            if len(row[col].terms) < len(stored[col].terms):
-                self.pivots[col] = row
-                row = stored
-                continue
+            # an equal row has an equal pivot entry, so it displaces nothing
             if row == stored:
                 return False
-            row = _combine(row, stored, col)
+            fac = _entry(row, col)
+            piv = _entry(stored, col)
+            if len(fac) < len(piv):
+                pivots[col] = row
+                row = stored
+                continue
+            row = _combine(row, stored, col, fac, piv)
         return False
 
     def residue(self, row):
@@ -255,13 +316,14 @@ class Echelon:
         The reduction is fraction-free, so the residue is the true one up
         to a nonzero scalar; only its (non)vanishing is meaningful.
         """
-        row = {k: v for k, v in row.items() if not v.is_zero}
+        row = {k: c for k, c in row.items() if c}
         while row:
-            col = min(row)
+            col = min(row)[0]
             stored = self.pivots.get(col)
             if stored is None:
                 return row
-            row = _combine(row, stored, col)
+            row = _combine(row, stored, col, _entry(row, col),
+                           _entry(stored, col))
         return row
 
     def rows(self):
@@ -276,9 +338,8 @@ class Echelon:
 
 
 def rank(rows):
-    """Rank of Laurent rows, by fraction-free elimination over Q[q, q^-1]."""
+    """Rank of integer rows, by fraction-free elimination over Q[q, q^-1]."""
     ech = Echelon()
     for row in rows:
         ech.insert(row)
     return ech.rank
-

@@ -31,7 +31,7 @@ from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
 from .algebra import NCPoly, TorusElement, eigenvalue_of
 from .minors import Minor, minor_value
-from .linalg import Echelon, component_basis, poly_row
+from .linalg import Echelon, LocalColumns, poly_row
 from .report import SuiteReport
 from .scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
 
@@ -479,24 +479,26 @@ def ore_step_check(frame, max_degree):
     Stage k is generated by the first k tower generators.  For (c) each
     degree d <= max_degree keeps one Echelon, grown by the tail of
     stage_monomials(frame, k, d), so each product is eliminated once.
+    Its columns number only the monomials the products touch
+    (linalg.LocalColumns); no ambient basis is built.
     """
     if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
     gens = frame.generators()
     base = frame.size ** 2
     family = frame.family()
-    # degree -> (basis, Echelon over a prefix of its products, prefix length)
+    # degree -> (columns, Echelon over a prefix of its products, prefix length)
     grown = {}
 
     def rank_at(k, d):
         """(rank, count) of stage k's ordered products in degree d."""
         if d not in grown:
-            grown[d] = component_basis(frame.shape, d), Echelon(), 0
-        basis, ech, size = grown[d]
+            grown[d] = LocalColumns(frame.shape, d), Echelon(), 0
+        columns, ech, size = grown[d]
         products = stage_monomials(frame, k, d)
         for p in products[size:]:
-            ech.insert(poly_row(p, basis))
-        grown[d] = basis, ech, len(products)
+            ech.insert(poly_row(p, columns))
+        grown[d] = columns, ech, len(products)
         return ech.rank, len(products)
 
     steps = []

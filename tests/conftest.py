@@ -5,7 +5,7 @@ recursion with no caching, unlike the library's rightmost-first stack
 with layered caches.  Confluence of the rewriting rules means both must
 produce identical normal forms on every input.
 
-The reference solver (express) writes a Laurent row over spanning rows
+The reference solver (express) writes an integer row over spanning rows
 through provenance columns; the library solves for nothing, so tests use
 it to check predicted relations against solved ones.
 """
@@ -54,8 +54,22 @@ def naive_normal_form(shape, word):
     return result
 
 
+def laurent_row(row):
+    """An integer row (see linalg) as {column: LaurentScalar}, zeros dropped."""
+    cols = {}
+    for (i, e), c in row.items():
+        cols.setdefault(i, {})[e] = c
+    out = {i: LaurentScalar(terms) for i, terms in cols.items()}
+    return {i: v for i, v in out.items() if not v.is_zero}
+
+
+def int_row(laurent):
+    """{column: LaurentScalar} with int coefficients as an integer row."""
+    return {(i, e): c for i, v in laurent.items() for e, c in v.terms.items()}
+
+
 def express(target, spanning, width):
-    """The Laurent row `target` written over the rows `spanning`.
+    """The integer row `target` written over the rows `spanning`.
 
     Every row lives in the columns below `width`.  Spanning row i goes
     into a fraction-free Echelon with a 1 at provenance column width + i;
@@ -68,8 +82,8 @@ def express(target, spanning, width):
     n = len(spanning)
     ech = Echelon()
     for i, row in enumerate(spanning):
-        ech.insert({**row, width + i: ONE})
-    res = ech.residue({**target, width + n: ONE})
+        ech.insert({**row, (width + i, 0): 1})
+    res = laurent_row(ech.residue({**target, (width + n, 0): 1}))
     if min(res) < width:
         return None
     return [-res.get(width + i, ZERO) for i in range(n)], res[width + n]

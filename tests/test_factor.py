@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from conftest import laurent_row
 from qdet import cache, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
 from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
@@ -19,7 +20,7 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
 from qdet.minors import Minor, enumerate_minors, minor_value, std_le
-from qdet.scalars import LaurentScalar, ONE, Q, ZERO
+from qdet.scalars import ONE, Q, ZERO
 from qdet.report import SuiteReport
 from qdet.suites import WorkbenchConfig, run_workbench
 
@@ -63,9 +64,10 @@ class TestIdealComponents:
 
 
 def row_poly(basis, row):
-    """A Laurent row over a component basis as the NCPoly it stands for."""
+    """An integer row over a component basis as the NCPoly it stands for."""
     monos = basis.monomials
-    return NCPoly(basis.shape, {monos[i]: c for i, c in row.items()})
+    return NCPoly(basis.shape,
+                  {monos[i]: c for i, c in laurent_row(row).items()})
 
 
 def reference_echelons(gamma, max_degree):
@@ -134,8 +136,29 @@ class TestColumnSpaceBuild:
             asked.clear()
             ideal_component(gamma, d)
             rev = linalg.component_basis(gamma.shape, d - 1).reversal()
-            touched = {c for row in prev.rows() for c in row}
+            touched = {c for row in prev.rows() for c, _ in row}
             assert asked == {(d, c) for c in touched | {rev[c] for c in touched}}
+
+
+class TestInsertSequence:
+    """The smoke run's degree-4 build, pinned as the benchmark pins it."""
+
+    def test_3x3_1312_degree_4_makes_450_inserts(self, g1312, monkeypatch):
+        spans_clear()
+        ideal_component(g1312, 3)
+        calls = []
+        real = Echelon.insert
+
+        def counting(self, row):
+            calls.append(None)
+            return real(self, row)
+
+        monkeypatch.setattr(Echelon, "insert", counting)
+        try:
+            assert ideal_component(g1312, 4).rank == 117
+        finally:
+            spans_clear()
+        assert len(calls) == 450
 
 
 class TestSizeGuard:
@@ -381,8 +404,9 @@ def solved_scalar(gamma, tau):
     ic = ideal_component(gamma, gamma.size + tau.size)
     width = len(ic.basis)
     ech = ic.echelon.copy()
-    ech.insert({**poly_row(v, ic.basis), width: ONE})
-    res = ech.residue({**poly_row(u, ic.basis), width + 1: ONE})
+    ech.insert({**poly_row(v, ic.basis), (width, 0): 1})
+    res = laurent_row(ech.residue({**poly_row(u, ic.basis),
+                                   (width + 1, 0): 1}))
     assert min(res) >= width, "gamma*tau is no multiple of tau*gamma"
     return -res.get(width, ZERO), res[width + 1]
 
@@ -469,8 +493,7 @@ class TestRegularityAndDomain:
 
 class TestDiskCache:
     def test_row_round_trip(self, span_dir):
-        rows = [{0: LaurentScalar({1: 1, -1: -1})},
-                {2: ONE, 5: LaurentScalar({-3: 1})}]
+        rows = [{(0, 1): 1, (0, -1): -1}, {(2, 0): 1, (5, -3): 1}]
         key = ("test", 1, (2, 3))
         cache.store_rows(key, rows)
         assert cache.load_rows(key) == rows
@@ -478,12 +501,12 @@ class TestDiskCache:
 
     def test_corrupt_and_mismatched_files_are_misses(self, span_dir):
         key = ("test", 2)
-        cache.store_rows(key, [{0: ONE}])
+        cache.store_rows(key, [{(0, 0): 1}])
         path = cache._path_for(str(span_dir), key)
         with open(path, "w", encoding="ascii") as fh:
             fh.write("{not json")
         assert cache.load_rows(key) is None
-        cache.store_rows(key, [{0: ONE}])
+        cache.store_rows(key, [{(0, 0): 1}])
         with open(path, "r", encoding="ascii") as fh:
             payload = fh.read()
         with open(path, "w", encoding="ascii") as fh:
@@ -511,7 +534,7 @@ class TestDiskCache:
             assert files
             # poison the stored span to prove the reload path is taken
             key = ("ideal", 2, 2, (1,), (1,), 2)
-            cache.store_rows(key, [{0: ONE}, {1: ONE}, {2: ONE}])
+            cache.store_rows(key, [{(0, 0): 1}, {(1, 0): 1}, {(2, 0): 1}])
             spans_clear()
             assert ideal_component(gamma, 2).rank == 3
         finally:
@@ -537,8 +560,7 @@ def _delete_middle_row(rows):
 
 def _edit_middle_coefficient(rows):
     if rows:
-        row = rows[len(rows) // 2]
-        row[-1][1][0][1] += 1
+        rows[len(rows) // 2][-1] += 1
 
 
 class TestDiskCacheIntegrity:
@@ -569,7 +591,7 @@ class TestDiskCacheIntegrity:
 
     def test_missing_field_and_stale_rank_are_misses(self, span_dir):
         key = ("test", 3)
-        rows = [{0: ONE}, {1: Q}]
+        rows = [{(0, 0): 1}, {(1, 1): 1}]
         cache.store_rows(key, rows)
         assert cache.load_rows(key) == rows
         path = cache._path_for(str(span_dir), key)
@@ -588,9 +610,12 @@ class TestDiskCacheIntegrity:
             fh.write(json.dumps(head) + "\n" + short + "\n")
         assert cache.load_rows(key) is None
 
-    @pytest.mark.parametrize("body", ['[[[0,[[0,1,0]]]]]',
+    @pytest.mark.parametrize("body", ['[[0,0,0]]', '[[0,0]]', '[[0,0.5,1]]',
+                                      '[[0,0,1,0,0,2]]',
                                       "[" * 100000 + "]" * 100000],
-                             ids=["zero-denominator", "deep-nesting"])
+                             ids=["zero-coefficient", "short-entry",
+                                  "float-exponent", "repeated-key",
+                                  "deep-nesting"])
     def test_undecodable_rows_with_a_matching_digest_are_misses(
             self, span_dir, body):
         key = ("test", 4)
@@ -608,7 +633,7 @@ class TestDiskCacheIntegrity:
             # header and digest are consistent, but the second row is
             # q times the first, so re-inserting gives rank 1, not 2
             cache.store_rows(("ideal", 2, 2, (1,), (1,), 2),
-                             [{0: ONE}, {0: Q}])
+                             [{(0, 0): 1}, {(0, 1): 1}])
             assert ideal_component(gamma, 2).rank == 1
             assert ideal_component(gamma, 2).contains(minor_value(
                 Minor(shape22, (1, 2), (1, 2))))

@@ -1,23 +1,32 @@
 """Exact linear algebra over the Laurent coefficient field."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import express, random_poly
+from conftest import express, int_row, laurent_row, random_poly
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
-from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.linalg import (Echelon, _combine, component_basis,
-                         generator_images, generator_products, poly_row,
-                         rank, row_normalized)
+from qdet.errors import (BasisMismatch, NonIntegralRow, ShapeMismatch,
+                         WorkbenchError)
+from qdet.linalg import (Echelon, LocalColumns, _combine, _entry,
+                         component_basis, generator_images,
+                         generator_products, poly_row, rank, row_normalized)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, ZERO
 
 
 def monomial_rows(basis):
-    return [{i: ONE} for i in range(len(basis))]
+    return [{(i, 0): 1} for i in range(len(basis))]
+
+
+def integral(p):
+    """p times the lcm of its coefficient denominators."""
+    den = lcm(*[Fraction(c).denominator for v in p.terms.values()
+                for c in v.terms.values()])
+    return p.scale(den)
 
 
 def homogeneous_rows(rng, shape, degree, count):
@@ -28,15 +37,16 @@ def homogeneous_rows(rng, shape, degree, count):
         p = random_poly(rng, shape, max_degree=degree)
         p = p.homogeneous_components().get(degree)
         if p is not None:
-            rows.append(poly_row(p, basis))
+            rows.append(poly_row(integral(p), basis))
     return rows
 
 
 def laurent_combine(rows, coeffs):
-    """sum(c * row) over LaurentScalar coefficients, zero entries dropped."""
+    """sum(c * row) over LaurentScalar coefficients, as a Laurent row
+    {column: LaurentScalar} with zero entries dropped."""
     acc = {}
     for c, row in zip(coeffs, rows):
-        for i, entry in row.items():
+        for i, entry in laurent_row(row).items():
             s = acc.get(i, ZERO) + c * entry
             if s.is_zero:
                 acc.pop(i, None)
@@ -54,7 +64,7 @@ def recombines(witness, target, spanning):
 
 
 def gaussian_rank(rows):
-    """Rank by textbook elimination with division in Q(q).
+    """Rank of integer rows by textbook elimination with division in Q(q).
 
     The reference the fraction-free Echelon is compared against: entries
     are unreduced (num, den) pairs of Laurent polynomials, and each row is
@@ -65,7 +75,7 @@ def gaussian_rank(rows):
     """
     pivots = {}
     for row in rows:
-        row = {i: (c, ONE) for i, c in row.items() if c}
+        row = {i: (c, ONE) for i, c in laurent_row(row).items()}
         while row:
             col = min(row)
             stored = pivots.get(col)
@@ -102,7 +112,7 @@ class TestRank:
         assert rank(monos + [dq]) == 10
         # drop the x[1,2]*x[2,1] basis line; the determinant restores it
         kept = [row for row in monos
-                if row != {basis.index[(0, 1, 1, 0)]: ONE}]
+                if row != {(basis.index[(0, 1, 1, 0)], 0): 1}]
         assert rank(kept) == 9
         assert rank(kept + [dq]) == 10
 
@@ -113,7 +123,7 @@ class TestRank:
     def test_scaling_and_order_invariance(self, rng, shape33):
         rows = homogeneous_rows(rng, shape33, 2, 6)
         r = rank(rows)
-        scaled = [{i: c * Q ** (k + 1) for i, c in row.items()}
+        scaled = [{(i, e + k + 1): c for (i, e), c in row.items()}
                   for k, row in enumerate(rows)]
         assert rank(scaled) == r
         assert rank(list(reversed(rows))) == r
@@ -125,7 +135,7 @@ class TestMembership:
         width = len(component_basis(shape33, 2))
         spanning = homogeneous_rows(rng, shape33, 2, 5)
         coeffs = [Q, Q + 1, LaurentScalar(), Q_INV - 1, ONE]
-        target = laurent_combine(spanning, coeffs)
+        target = int_row(laurent_combine(spanning, coeffs))
         witness = express(target, spanning, width)
         assert witness is not None
         assert recombines(witness, target, spanning)
@@ -158,8 +168,8 @@ class TestEchelonInternals:
         ech = Echelon()
         for row in monomial_rows(basis)[:4]:
             assert ech.insert(row)
-        member = {0: Q, 3: ONE - Q}
-        outside = {0: ONE, 5: ONE}
+        member = {(0, 1): 1, (3, 0): 1, (3, 1): -1}
+        outside = {(0, 0): 1, (5, 0): 1}
         assert not ech.residue(member)
         assert ech.residue(outside)
         assert ech.rank == 4
@@ -171,13 +181,16 @@ _int_entries = st.dictionaries(
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=-3, max_value=3),
     max_size=3,
-).map(LaurentScalar)
+)
 
 #: rows have their columns below _WIDTH
 _WIDTH = 5
 
+#: integer rows; a zero coefficient stays in, for insert to drop
 _int_row = st.dictionaries(st.integers(min_value=0, max_value=_WIDTH - 1),
-                           _int_entries, max_size=4)
+                           _int_entries, max_size=4).map(
+    lambda cols: {(i, e): c for i, terms in cols.items()
+                  for e, c in terms.items()})
 
 _int_rows = st.lists(_int_row, max_size=7)
 
@@ -190,38 +203,52 @@ class TestIntegerRows:
         with pytest.raises(ShapeMismatch):
             poly_row(NCPoly.generator(shape33, 1, 1) ** 2, basis)
 
-    def test_row_normalized_strips_shift_content_and_sign(self):
-        row = {3: LaurentScalar({2: -4, 0: 6}), 5: LaurentScalar({-1: 2})}
-        out = row_normalized(row)
-        assert out == {3: LaurentScalar({3: 2, 1: -3}),
-                       5: LaurentScalar({0: -1})}
-        assert all(type(c) is int for v in out.values()
-                   for c in v.terms.values())
+    def test_poly_row_refuses_a_fraction(self, shape22):
+        basis = component_basis(shape22, 1)
+        half = NCPoly.generator(shape22, 1, 2).scale(
+            LaurentScalar({1: Fraction(1, 2)}))
+        for columns in (basis, LocalColumns(shape22, 1)):
+            with pytest.raises(NonIntegralRow, match=r"1/2 of q\^1"):
+                poly_row(half, columns)
+        assert issubclass(NonIntegralRow, WorkbenchError)
 
-    def test_row_normalized_clears_fractions(self):
-        row = {0: LaurentScalar({0: Fraction(1, 2)}),
-               1: LaurentScalar({1: Fraction(-2, 3)})}
+    def test_local_columns_number_in_first_seen_order(self, shape22):
+        columns = LocalColumns(shape22, 2)
+        x = lambda i, j: NCPoly.generator(shape22, i, j)
+        assert poly_row(x(1, 2) * x(2, 1), columns) == {(0, 0): 1}
+        # x[2,2]*x[1,1] = x[1,1]*x[2,2] - (q - q^-1) x[1,2]*x[2,1]
+        assert poly_row(x(2, 2) * x(1, 1), columns) == {
+            (1, 0): 1, (0, 1): -1, (0, -1): 1}
+        with pytest.raises(BasisMismatch):
+            poly_row(x(1, 1), columns)
+        assert len(columns.index) == 2
+
+    def test_row_normalized_strips_shift_content_and_sign(self):
+        row = {(3, 2): -4, (3, 0): 6, (5, -1): 2}
         out = row_normalized(row)
-        assert out == {0: LaurentScalar({0: 3}), 1: LaurentScalar({1: -4})}
-        assert all(type(c) is int for v in out.values()
-                   for c in v.terms.values())
+        assert out == {(3, 3): 2, (3, 1): -3, (5, 0): -1}
+        assert all(type(c) is int for c in out.values())
 
     def test_polynomial_content_is_kept(self):
         # (q + 1) divides both entries; only integer content is stripped
-        row = {0: LaurentScalar({1: 2, 0: 2}), 1: LaurentScalar({2: 2, 1: 2})}
-        assert row_normalized(row) == {0: LaurentScalar({1: 1, 0: 1}),
-                                       1: LaurentScalar({2: 1, 1: 1})}
+        row = {(0, 1): 2, (0, 0): 2, (1, 2): 2, (1, 1): 2}
+        assert row_normalized(row) == {(0, 1): 1, (0, 0): 1,
+                                       (1, 2): 1, (1, 1): 1}
 
     @settings(max_examples=150, deadline=None)
     @given(_int_rows)
     def test_echelon_rank_matches_the_rational_solver(self, rows):
+        """Rank, growth and membership agree with division in Q(q):
+        residue(row) is empty exactly when the reference rank does not
+        grow, and insert says True exactly when it does."""
         ech = Echelon()
-        for row in rows:
-            ech.insert(row)
+        for k, row in enumerate(rows):
+            grows = gaussian_rank(rows[:k + 1]) > gaussian_rank(rows[:k])
+            assert (not ech.residue(row)) == (not grows)
+            assert ech.insert(row) == grows
         assert ech.rank == gaussian_rank(rows)
         for stored in ech.rows():
-            for v in stored.values():
-                assert all(type(c) is int for c in v.terms.values())
+            assert all(type(c) is int and c for c in stored.values())
 
 
 class TestEchelonCopy:
@@ -250,14 +277,15 @@ class TestGeneratorImages:
             dst = component_basis(shape, d)
             for i, e in enumerate(component_basis(shape, d - 1).monomials):
                 right = generator_images(shape, d, i)
-                products = list(generator_products(shape, d, {i: ONE}))
+                products = list(generator_products(shape, d, {(i, 0): 1}))
                 assert len(right) == len(gens)
                 assert len(products) == 2 * len(gens)
                 b = NCPoly(shape, {e: ONE})
                 for g, x in enumerate(gens):
                     assert products[2 * g] == poly_row(x * b, dst)
                     assert products[2 * g + 1] == poly_row(b * x, dst)
-                    assert dict(right[g]) == poly_row(b * x, dst)
+                    assert {(j, f): c for j, f, c in right[g]} \
+                        == poly_row(b * x, dst)
 
     def test_reversal_reads_each_monomial_backwards(self):
         for m, n, d in ((2, 3, 3), (3, 2, 2), (3, 3, 2)):
@@ -276,7 +304,7 @@ class TestGeneratorImages:
         _nf_mono_gen.cache_clear()
         for i in range(len(component_basis(shape, 2))):
             generator_images(shape, 3, i)
-            list(generator_products(shape, 3, {i: ONE}))
+            list(generator_products(shape, 3, {(i, 0): 1}))
         assert _nf_mono_gen.cache_info().currsize == 0
         assert generator_images.cache_info().currsize == len(
             component_basis(shape, 2))
@@ -292,7 +320,7 @@ class TestGeneratorImages:
         for a, b in shape.gens():
             x = NCPoly.generator(shape, a, b)
             expected += [poly_row(x * p, dst), poly_row(p * x, dst)]
-        assert [{j: v for j, v in row.items() if v} for row in products] \
+        assert [{k: c for k, c in row.items() if c} for row in products] \
             == expected
 
 
@@ -302,18 +330,19 @@ def insert_without_shortcut(pivots, row):
     The reference for the shortcut: an equal row is always reduced to
     zero by a full combination.
     """
-    row = row_normalized({k: v for k, v in row.items() if not v.is_zero})
+    row = row_normalized({k: c for k, c in row.items() if c})
     while row:
-        col = min(row)
+        col = min(row)[0]
         stored = pivots.get(col)
         if stored is None:
             pivots[col] = row
             return True
-        if len(row[col].terms) < len(stored[col].terms):
+        fac, piv = _entry(row, col), _entry(stored, col)
+        if len(fac) < len(piv):
             pivots[col] = row
             row = stored
             continue
-        row = _combine(row, stored, col)
+        row = _combine(row, stored, col, fac, piv)
     return False
 
 
@@ -327,7 +356,7 @@ _insert_steps = st.lists(st.one_of(_int_row, _repeat), max_size=10)
 class TestEqualRowShortcut:
     @settings(max_examples=300, deadline=None)
     @given(_insert_steps)
-    @example([{0: ONE + Q, 2: Q_INV}, (0, -1, 1), (0, 1, 0)])
+    @example([{(0, 0): 1, (0, 1): 1, (2, -1): 1}, (0, -1, 1), (0, 1, 0)])
     def test_same_answers_and_pivots_as_without_it(self, steps):
         ech = Echelon()
         reference = {}
@@ -337,8 +366,8 @@ class TestEqualRowShortcut:
                 if not seen:
                     continue
                 i, sign, k = step
-                unit = LaurentScalar({k: sign})
-                row = {c: v * unit for c, v in seen[i % len(seen)].items()}
+                row = {(c, e + k): v * sign
+                       for (c, e), v in seen[i % len(seen)].items()}
             else:
                 row = step
             seen.append(row)

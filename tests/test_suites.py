@@ -771,3 +771,61 @@ class TestCacheFiles:
                     assert fh.read() == want
             finally:
                 os.chdir(cwd)
+
+    def test_format_2_files_are_misses(self, monkeypatch):
+        """A span stored in the FORMAT-2 layout (per row, one [column,
+        [[exponent, numerator, denominator], ...]] list per column) is a
+        miss under its own file name and under the current one: the span
+        is rebuilt and the report is the same."""
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                factor.spans_clear()
+                assert cli.main(self.ARGV) == 0
+                with open("report.json", "rb") as fh:
+                    want = fh.read()
+                names = sorted(os.listdir("qdet-cache"))
+                assert names
+                for name in names:
+                    path = os.path.join("qdet-cache", name)
+                    with open(path, "rb") as fh:
+                        header = json.loads(fh.readline())
+                    key = ast.literal_eval(header["key"])
+                    old = format_2_file(key, disk.load_rows(key))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(disk, "FORMAT", 2)
+                        old_path = disk._path_for("qdet-cache", key)
+                    assert old_path != path
+                    for target in (path, old_path):
+                        with open(target, "wb") as fh:
+                            fh.write(old)
+                loads = []
+                real = disk.load_rows
+                monkeypatch.setattr(
+                    disk, "load_rows",
+                    lambda key: loads.append(real(key)) or loads[-1])
+                factor.spans_clear()
+                assert cli.main(self.ARGV) == 0
+                with open("report.json", "rb") as fh:
+                    assert fh.read() == want
+                assert len(loads) == len(names)
+                assert loads == [None] * len(names)
+            finally:
+                os.chdir(cwd)
+                factor.spans_clear()
+
+
+def format_2_file(key, rows):
+    """The cache file a FORMAT-2 build wrote for these integer rows."""
+    enc = []
+    for row in rows:
+        cols = {}
+        for (i, e), c in sorted(row.items()):
+            cols.setdefault(i, []).append([e, c, 1])
+        enc.append([[i, terms] for i, terms in cols.items()])
+    body = json.dumps(enc, separators=(",", ":"))
+    header = {"format": 2, "key": repr(tuple(key)), "rank": len(rows),
+              "sha256": hashlib.sha256(body.encode("ascii")).hexdigest()}
+    return (json.dumps(header, separators=(",", ":")) + "\n"
+            + body + "\n").encode("ascii")

@@ -74,7 +74,7 @@ MUTANTS = (
      "u * pairs[c][b]"),
     ("left-is-right", "the left generator products are the right ones",
      "src/qdet/linalg.py",
-     "        yield {back[j]: v for j, v in left.items()}\n",
+     "        yield {(back[j], e): c for (j, e), c in left.items()}\n",
      "        yield _image_sum(rights, g)\n"),
     ("unmirrored-generator",
      "the left products read x_g's images, not rho(x_g)'s",
@@ -84,7 +84,7 @@ MUTANTS = (
     ("unreversed-image",
      "the left products are not read back through the reversal",
      "src/qdet/linalg.py",
-     "{back[j]: v for j, v in left.items()}",
+     "{(back[j], e): c for (j, e), c in left.items()}",
      "left"),
     ("memo-without-shape", "the rewriting memos are keyed without (m, n)",
      "src/qdet/algebra.py",
@@ -93,8 +93,24 @@ MUTANTS = (
     ("equal-row-grows", "an equal row is stored and counted as new",
      "src/qdet/linalg.py",
      "            if row == stored:\n                return False\n",
-     "            if row == stored:\n                self.pivots[col] = row\n"
+     "            if row == stored:\n                pivots[col] = row\n"
      "                return True\n"),
+    ("shift-kept", "a normalized row keeps its q-shift",
+     "src/qdet/linalg.py",
+     "shift = min([e for _, e in row])",
+     "shift = 0"),
+    ("sign-lowest-power", "the sign is taken from the pivot's lowest power",
+     "src/qdet/linalg.py",
+     "row[max([k for k in row if k[0] == col])]",
+     "row[min(row)]"),
+    ("content-kept", "a normalized row keeps its integer content",
+     "src/qdet/linalg.py",
+     "g = gcd(*row.values())",
+     "g = 1"),
+    ("local-columns-collide", "LocalColumns gives every monomial column 0",
+     "src/qdet/linalg.py",
+     "i = self.index[e] = len(self.index)",
+     "i = self.index[e] = 0"),
     ("c-rows-only", "the predicted normality scalar drops |L - J|",
      "src/qdet/factor.py",
      "\n                + len(set(tau.cols) - set(gamma.cols)))",
