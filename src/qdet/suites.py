@@ -39,26 +39,6 @@ from .tower import (Frame, build_frame, check_h_actions,
 
 REPORT_VERSION = 1
 
-#: suites in canonical order; entries marked True need a minor
-_SUITE_NEEDS_GAMMA = (
-    ("pbw", False),
-    ("laplace", False),
-    ("centrality", False),
-    ("minors", False),
-    ("counts", False),
-    ("mfamily", True),
-    ("torus", True),
-    ("ore-tower", True),
-    ("gamma-normal", True),
-    ("factor-basis", True),
-    ("ctau", True),
-    ("theta", True),
-)
-
-SUITE_NAMES = tuple(name for name, _ in _SUITE_NEEDS_GAMMA)
-_NEEDS_GAMMA = dict(_SUITE_NEEDS_GAMMA)
-
-
 @dataclass
 class WorkbenchConfig:
     """Validated parameters of one verification run."""
@@ -77,7 +57,7 @@ class WorkbenchConfig:
             raise ConfigError("max_degree must be a nonnegative integer")
         names = self.suite_list()
         if self.gamma is None:
-            needed = [s for s in names if _NEEDS_GAMMA[s]]
+            needed = [s for s in names if _SUITES[s][0]]
             if needed:
                 raise ConfigError("suites %s need --gamma"
                                   % ", ".join(sorted(needed)))
@@ -94,7 +74,7 @@ class WorkbenchConfig:
         requested = set()
         for s in self.suites:
             if s == "all":
-                requested.update(name for name, needs in _SUITE_NEEDS_GAMMA
+                requested.update(name for name, (needs, _) in _SUITES.items()
                                  if self.gamma is not None or not needs)
             elif s in SUITE_NAMES:
                 requested.add(s)
@@ -373,27 +353,30 @@ def _suite_theta(config):
     return rep
 
 
-_SUITE_FUNCS = {
-    "pbw": _suite_pbw,
-    "laplace": _suite_laplace,
-    "centrality": _suite_centrality,
-    "minors": _suite_minors,
-    "counts": _suite_counts,
-    "mfamily": _suite_mfamily,
-    "torus": _suite_torus,
-    "ore-tower": _suite_ore_tower,
-    "gamma-normal": _suite_gamma_normal,
-    "factor-basis": _suite_factor_basis,
-    "ctau": _suite_ctau,
-    "theta": _suite_theta,
+#: every suite in canonical order: name -> (needs a minor, function)
+_SUITES = {
+    "pbw": (False, _suite_pbw),
+    "laplace": (False, _suite_laplace),
+    "centrality": (False, _suite_centrality),
+    "minors": (False, _suite_minors),
+    "counts": (False, _suite_counts),
+    "mfamily": (True, _suite_mfamily),
+    "torus": (True, _suite_torus),
+    "ore-tower": (True, _suite_ore_tower),
+    "gamma-normal": (True, _suite_gamma_normal),
+    "factor-basis": (True, _suite_factor_basis),
+    "ctau": (True, _suite_ctau),
+    "theta": (True, _suite_theta),
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, config):
     """Run one suite; DegreeTooLarge is re-raised naming the suite."""
-    func = _SUITE_FUNCS.get(name)
-    if func is None:
+    if name not in _SUITES:
         raise ConfigError("unknown suite %r" % name)
+    _, func = _SUITES[name]
     try:
         return func(config)
     except DegreeTooLarge as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import (StageOutOfRange, UndefinedMember, WorkbenchError,
                      ZeroInput, DegreeTooLarge)
-from .algebra import NCPoly, TorusElement, eigenvalue_of
+from .algebra import DIM_GUARD, NCPoly, TorusElement, eigenvalue_of
 from .minors import Minor, minor_value
 from .linalg import Echelon, LocalColumns, poly_row
 from .report import SuiteReport
@@ -480,13 +480,22 @@ def ore_step_check(frame, max_degree):
     degree d <= max_degree keeps one Echelon, grown by the tail of
     stage_monomials(frame, k, d), so each product is eliminated once.
     Its columns number only the monomials the products touch
-    (linalg.LocalColumns); no ambient basis is built.
+    (linalg.LocalColumns); no ambient basis is built.  The top stage holds
+    the most products in every degree, so before any product is built
+    the check raises DegreeTooLarge when its count in some degree up to
+    max_degree, read off the generating series, is above DIM_GUARD.  A
+    frame without members builds no product and is never refused.
     """
     if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
     gens = frame.generators()
     base = frame.size ** 2
     family = frame.family()
+    count = max(stage_series_dims([g.degree for g in gens], max_degree))
+    if family and count > DIM_GUARD:
+        raise DegreeTooLarge(
+            "the tower of %s has %d ordered products in one degree up to "
+            "%d (guard %d)" % (frame.minor, count, max_degree, DIM_GUARD))
     # degree -> (columns, Echelon over a prefix of its products, prefix length)
     grown = {}
 

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from conftest import laurent_row
-from qdet import cache, factor, linalg
+from qdet import cache, cli, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
 from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
                          ShapeMismatch)
@@ -19,7 +19,9 @@ from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          standard_monomial_counts, standard_monomials,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
-from qdet.minors import Minor, enumerate_minors, minor_value, std_le
+from qdet.minors import (Minor, enumerate_minors, excluded_minors,
+                         laplace_relation, laplace_row_relation, minor_value,
+                         minors_product, std_le)
 from qdet.scalars import ONE, Q, ZERO
 from qdet.report import SuiteReport
 from qdet.suites import WorkbenchConfig, run_workbench
@@ -459,6 +461,61 @@ class TestGeneratorImages:
     def test_suites(self, g11, g1312):
         assert generator_image_suite(g11).passed
         assert generator_image_suite(g1312).passed
+
+    def test_5x5_needs_no_span(self, monkeypatch, capsys):
+        """Its degree-4 component (dimension 20475) is above the guard."""
+        def refuse(gamma, degree):
+            raise AssertionError("theta read the span of degree %d" % degree)
+        monkeypatch.setattr(factor, "ideal_component", refuse)
+        rc = cli.main(["verify", "--m", "5", "--n", "5",
+                       "--gamma", "2,3,5|1,3,4", "--suites", "theta"])
+        assert rc == 0, capsys.readouterr()
+
+
+def span_route(gamma):
+    """The dead-term argument of generator_image_check, by ideal spans.
+
+    The reference the span-free check is compared against: for every
+    variable off the base, each dead term's value and the head plus
+    surviving terms are tested in the degree t+1 ideal component, and
+    each dead tail against excluded_minors.  Returns the dead term count.
+    """
+    shape = gamma.shape
+    ic = ideal_component(gamma, gamma.size + 1)
+    generators = set(excluded_minors(gamma))
+    dead = 0
+    for r in range(1, shape.m + 1):
+        for s in range(1, shape.n + 1):
+            if r in gamma.rows and s in gamma.cols:
+                continue
+            if s not in gamma.cols:
+                identity = laplace_relation(
+                    shape, gamma.rows, sorted(gamma.cols + (s,)), r)
+            else:
+                identity = laplace_row_relation(
+                    shape, sorted(gamma.rows + (r,)), gamma.cols, s)
+            kept = NCPoly.zero(shape)
+            for coeff, factors in identity.terms:
+                value = minors_product(shape, factors).scale(coeff)
+                if std_le(gamma, factors[-1]):
+                    kept = kept + value
+                    continue
+                dead += 1
+                assert ic.contains(value), (gamma, r, s, factors)
+                assert factors[-1] in generators, (gamma, r, s, factors)
+            assert ic.contains(kept), (gamma, r, s)
+            assert generator_image_check(gamma, r, s).passed, (gamma, r, s)
+    return dead
+
+
+class TestGeneratorImageSpanReference:
+    def test_every_minor_of_3x3(self, shape33):
+        assert sum(span_route(g) for g in enumerate_minors(shape33)) > 0
+
+    def test_bench_gammas_of_4x4(self):
+        shape = MatrixShape(4, 4)
+        assert span_route(Minor(shape, (2, 4), (1, 3))) > 0
+        assert span_route(Minor(shape, (2, 3), (2, 3))) > 0
 
 
 class TestGeneratorImageFailures:

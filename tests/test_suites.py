@@ -98,7 +98,6 @@ class TestSuiteList:
 
     def test_registry_is_complete(self):
         assert set(SUITE_NAMES) == set(GAMMA_FREE) | set(GAMMA_BOUND)
-        assert set(suites_mod._SUITE_FUNCS) == set(SUITE_NAMES)
 
     def test_as_dict(self):
         config = WorkbenchConfig(
@@ -210,12 +209,13 @@ class TestRunWorkbench:
 
 
 def fake_suite(records):
+    """A suite-table entry for pbw whose report holds these records."""
     def func(config):
         rep = SuiteReport("pbw", {})
         for name, passed, witness in records:
             rep.add(name, passed, witness)
         return rep
-    return func
+    return False, func
 
 
 class TestMinorsOrderChecks:
@@ -459,7 +459,7 @@ class TestCLI:
         assert "syntax error at position" in capsys.readouterr().err
 
     def test_verify_empty_gamma_runs_nothing(self, capsys, monkeypatch):
-        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
+        monkeypatch.setitem(suites_mod._SUITES, "pbw", fake_suite([
             ("must not run", False, "")]))
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", "|"])
         assert rc == 2
@@ -472,7 +472,7 @@ class TestCLI:
                                   "empty"])
     def test_unwritable_report_path(self, capsys, monkeypatch, tmp_path,
                                     where):
-        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
+        monkeypatch.setitem(suites_mod._SUITES, "pbw", fake_suite([
             ("must not run", False, "")]))
         (tmp_path / "dir").mkdir()
         path = "" if where is None else str(tmp_path / where)
@@ -504,7 +504,7 @@ class TestCLI:
         assert "need --gamma" in capsys.readouterr().err
 
     def test_verify_failure_exit_and_listing(self, capsys, monkeypatch):
-        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw", fake_suite([
+        monkeypatch.setitem(suites_mod._SUITES, "pbw", fake_suite([
             ("claim one", False, "counterexample"),
             ("claim two", True, ""),
             ("claim three", False, ""),
@@ -519,7 +519,7 @@ class TestCLI:
 
     def test_verify_failure_listing_is_capped(self, capsys, monkeypatch):
         records = [("claim %d" % i, False, "") for i in range(30)]
-        monkeypatch.setitem(suites_mod._SUITE_FUNCS, "pbw",
+        monkeypatch.setitem(suites_mod._SUITES, "pbw",
                             fake_suite(records))
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "pbw"])
         assert rc == 1

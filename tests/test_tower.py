@@ -12,6 +12,7 @@ from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet import linalg, tower as tower_mod
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
+from qdet.suites import WorkbenchConfig, run_suite
 from qdet.tower import (Frame, build_frame, check_h_actions,
                         family_relations_check, gamma_normality_check,
                         generator_count, member_torus, ore_step_check,
@@ -378,6 +379,30 @@ class TestOreSteps:
     def test_stage_bounds(self, frame1312):
         with pytest.raises(StageOutOfRange):
             ore_step_check(frame1312, max_degree=1)
+
+    def test_product_guard_trips_before_any_product(self, monkeypatch):
+        """5x5 1,2,3|1,2,3 has 5061 ordered products in degree 6 and 13077
+        in degree 7; a frame without members builds none at any degree."""
+        class Built(Exception):
+            pass
+
+        def refuse(frame, k, d):
+            raise Built
+        monkeypatch.setattr(tower_mod, "stage_monomials", refuse)
+        shape = MatrixShape(5, 5)
+        frame = build_frame(Minor(shape, (1, 2, 3), (1, 2, 3)))
+        assert max(stage_series_dims(
+            [g.degree for g in frame.generators()], 7)) == 13077
+        with pytest.raises(DegreeTooLarge, match="13077 ordered products"):
+            ore_step_check(frame, max_degree=7)
+        with pytest.raises(Built):
+            ore_step_check(frame, max_degree=6)
+        full = build_frame(Minor(shape, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5)))
+        assert ore_step_check(full, max_degree=7) == []
+        config = WorkbenchConfig(m=5, n=5, gamma=((1, 2, 3), (1, 2, 3)),
+                                 max_degree=7, suites=("ore-tower",))
+        with pytest.raises(DegreeTooLarge, match="^suite ore-tower: "):
+            run_suite("ore-tower", config)
 
     def test_dims_match_a_rank_from_scratch(self, shape33):
         """The walk's dims equal linalg.rank over each stage's products."""

@@ -127,6 +127,11 @@ MUTANTS = (
      "src/qdet/factor.py",
      ".get(degree, ()):",
      ".get(degree, ())[1:]:"),
+    ("dead-as-surviving",
+     "the merged size-(t+1) minor of an expansion counts as surviving",
+     "src/qdet/factor.py",
+     "elif std_le(gamma, tail):",
+     "elif std_le(gamma, tail) or len(factors) == 1:"),
     ("counts-floorless", "standard_monomial_counts ignores its floor",
      "src/qdet/factor.py",
      "keep = (1 << len(pool)) - 1 if floor is None else up[pool.index(floor)]",
