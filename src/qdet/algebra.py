@@ -20,14 +20,22 @@ reverses the lex order of the generators, so it sends x^e to x^reverse(e)
 with coefficient 1 and x^a * x^b = rho(x^rev(b) * x^rev(a)): a shorter left
 factor is rewritten as the right factor of the mirrored product.
 
-Each rewriting result is held once, and compactly.  A product whose
-shorter factor has one letter is a single lookup of the
-monomial-times-generator memo `_nf_mono_gen` (its exponent tuples read
-backwards on the mirrored side), and a product with a scalar factor
-needs no rewriting at all; neither gets a memo entry of its own, since
-it would only copy what `_nf_mono_gen` holds.  Only products whose
-shorter factor has two or more letters, which chain several lookups,
-are memoised (`_nf_concat`).  Both memos are plain dicts per shape:
+A monomial times a generator, x^e * x_g, is written down in closed form
+when no letter of x^e lies strictly southeast of x_g (row and column
+both larger): no diagonal correction arises, and the product is
+q^-k * x^(e+g), k the letters of x^e after x_g in its row or column.
+Only a product with a southeast letter runs the word machine
+`_nf_word_raw` (also the reference behind `normal_form`).
+
+Each stored rewriting result is held once, and compactly.  The
+monomial-times-generator memo `_nf_mono_gen` stores only what the word
+machine computes and recomputes a closed-form product on each lookup.
+A product whose shorter factor has one letter is a single
+`_nf_mono_gen` call (its exponent tuples read backwards on the mirrored
+side), and a product with a scalar factor needs no rewriting at all;
+neither gets a memo entry of its own.  Only products whose shorter
+factor has two or more letters, which chain several lookups, are
+memoised (`_nf_concat`).  Both memos are plain dicts per shape:
 `_nf_mono_gen` is keyed by generator and then by exponent tuple,
 `_nf_concat` by the pair of exponent tuples, so an entry costs one dict
 slot.  Every exponent tuple and every scalar a memo stores, keys
@@ -40,9 +48,11 @@ itself and the shared table.
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
-from .scalars import LaurentScalar, ZERO, ONE, Q_INV, QHAT, render_laurent
+from .scalars import (LaurentScalar, ZERO, ONE, Q_INV, QHAT, UNIT_RANGE,
+                      render_laurent)
 
 
 class MatrixShape:
@@ -146,11 +156,64 @@ def _nf_word_raw(m, n, word):
 _MINUS_QHAT = -QHAT
 
 
+#: (m, n) -> per lex generator index g: getters of the exponents of the
+#: letters strictly southeast of g, and of those after g in its row or
+#: column, each returning a tuple
+_LINES = {}
+
+#: the shared q^-k, 0 <= k <= UNIT_RANGE
+_Q_INV_POWERS = tuple(Q_INV ** k for k in range(UNIT_RANGE + 1))
+
+
+def _getter(indices):
+    """itemgetter of the indices that returns a tuple for any count."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices
+                      else slice(0))
+
+
+def _lines(m, n):
+    plans = []
+    for g in range(m * n):
+        i, j = divmod(g, n)
+        southeast = [r * n + s for r in range(i + 1, m)
+                     for s in range(j + 1, n)]
+        line = [*range(g + 1, (i + 1) * n), *range(g + n, m * n, n)]
+        plans.append((_getter(southeast), _getter(line)))
+    plans = _LINES[m, n] = tuple(plans)
+    return plans
+
+
+def _nf_mono_gen_closed(m, n, exps, g):
+    """x^e * x_g in closed form, or None when a letter of x^e lies
+    strictly southeast of x_g (row and column both larger).
+
+    With no southeast letter no diagonal correction arises: x_g moves
+    left past each later letter, paying q^-1 for one in its row or
+    column and nothing for one southwest of it (they commute).  So
+    x^e * x_g = q^-k * x^(e+g), k the letters of x^e after x_g in its
+    row or column.
+    """
+    southeast, line = (_LINES.get((m, n)) or _lines(m, n))[g]
+    if any(southeast(exps)):
+        return None
+    k = sum(line(exps))
+    e = list(exps)
+    e[g] += 1
+    return ((tuple(e), _Q_INV_POWERS[k] if k <= UNIT_RANGE else Q_INV ** k),)
+
+
 def _nf_mono_gen_raw(m, n, exps, g):
     """Normal form of (ordered monomial) * x_g, g a lex generator index.
 
-    Not memoised; `_nf_mono_gen` memoises it.
+    The closed form when it applies, otherwise the word machine on the
+    ordered word of x^e followed by x_g.  Not memoised; `_nf_mono_gen`
+    stores what the word machine computes.
     """
+    terms = _nf_mono_gen_closed(m, n, exps, g)
+    if terms is not None:
+        return terms
     word = []
     for idx, e in enumerate(exps):
         if e:
@@ -231,9 +294,15 @@ _CONCAT = _Memo(1 << 15)
 def _nf_mono_gen(m, n, exps, g):
     """Normal form of (ordered monomial) * x_g, g a lex generator index.
 
-    Memoised per shape and generator; NCPoly.__mul__ reads the memo
-    directly and calls this only on a miss.
+    A closed-form product is recomputed on every call and never stored;
+    only what the word machine computes is memoised, per shape and
+    generator, and only those lookups count as hits or misses.
+    NCPoly.__mul__ reads the memo directly and calls this when the
+    product is not there.
     """
+    terms = _nf_mono_gen_closed(m, n, exps, g)
+    if terms is not None:
+        return terms
     table = _MONO_GEN.dicts(m, n, m * n)[g]
     terms = table.get(exps)
     if terms is not None:
@@ -396,7 +465,8 @@ class NCPoly:
         self._check(other)
         m, n = self.shape.m, self.shape.n
         # the memos are read here directly, hits counted locally; a miss
-        # goes through _nf_mono_gen or _nf_concat, which store the entry
+        # goes through _nf_mono_gen (a closed form, or an entry it stores)
+        # or _nf_concat, which stores the entry
         mono_gen = _MONO_GEN.dicts(m, n, m * n)
         concat = _CONCAT.dicts(m, n, 1)[0]
         mono_gen_hits = concat_hits = 0
@@ -461,14 +531,6 @@ class NCPoly:
         if isinstance(other, (int, Fraction, LaurentScalar)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("NCPoly powers must be nonnegative ints")
-        out = NCPoly.one(self.shape)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # ------------------------------------------------------------------
 

@@ -21,6 +21,14 @@ A power p^k raises DegreeTooLarge before anything is multiplied when
 |k| times the size of p's largest coefficient (its bits plus its span of
 q exponents) exceeds POWER_SIZE_GUARD, or when p is not a scalar and the
 degree-(k * deg p) component is larger than algebra.DIM_GUARD.
+
+Every product the parser forms, each '*' and each step of a power (the
+parser multiplies a power out itself), is charged to one budget of
+TERM_BUDGET Laurent terms: before it is formed, the pairings of its
+operands' Laurent terms, which it must multiply; after, the Laurent terms
+of its result.  DegreeTooLarge is raised as soon as the total passes the
+budget, so neither a coefficient that grows with the power on a thin
+shape nor a product of two guarded powers runs unbounded.
 """
 
 import re
@@ -34,6 +42,9 @@ from .scalars import Q
 
 #: bound on |k| * (size of the base's largest coefficient) for p^k
 POWER_SIZE_GUARD = 2000
+
+#: Laurent terms the products of one expression may form in all
+TERM_BUDGET = 10 ** 6
 
 _TOKEN_RE = re.compile(r"(\d+)|(minor|x|q)\b|([\[\](),|+\-*^/])|(\S)")
 
@@ -79,12 +90,31 @@ def _check_power(p, k):
             "dimension above %d" % (k, degree, DIM_GUARD))
 
 
+def _laurent_terms(p):
+    return sum(len(c.terms) for c in p.terms.values())
+
+
 class _Parser:
     def __init__(self, text, shape):
         self.text = text
         self.shape = shape
         self.tokens = _tokenize(text)
         self.k = 0
+        self.spent = 0
+
+    def charge(self, terms):
+        self.spent += terms
+        if self.spent > TERM_BUDGET:
+            raise DegreeTooLarge(
+                "the products of the expression form more than %d Laurent "
+                "terms" % TERM_BUDGET)
+
+    def multiply(self, a, b):
+        """a * b, charged to the term budget before and after."""
+        self.charge(_laurent_terms(a) * _laurent_terms(b))
+        p = a * b
+        self.charge(_laurent_terms(p))
+        return p
 
     # token plumbing ----------------------------------------------------
 
@@ -129,7 +159,7 @@ class _Parser:
         p = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            p = p * self.factor()
+            p = self.multiply(p, self.factor())
         return p
 
     def factor(self):
@@ -144,7 +174,10 @@ class _Parser:
         k = sign * self.expect("int", "an integer exponent")[1]
         _check_power(p, k)
         if k >= 0:
-            return p ** k
+            out = NCPoly.one(self.shape)
+            for _ in range(k):
+                out = self.multiply(out, p)
+            return out
         if len(p.terms) == 1:
             (exps, c), = p.terms.items()
             if not any(exps) and c.is_single_term:

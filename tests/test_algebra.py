@@ -10,12 +10,13 @@ import pytest
 from conftest import naive_normal_form, random_poly, random_word
 from qdet import algebra
 from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_concat,
-                          _nf_mono_gen, _word_exps, commutative_product,
-                          eigenvalue_of, graded_basis, graded_dim,
-                          normal_form, render_poly)
+                          _nf_mono_gen, _nf_mono_gen_closed,
+                          _nf_mono_gen_raw, _nf_word_raw, _word_exps,
+                          commutative_product, eigenvalue_of, graded_basis,
+                          graded_dim, normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from qdet.minors import Minor, enumerate_minors, minor_value
-from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT,
+from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, UNIT_RANGE,
                           DegenerateSpecializationWarning)
 
 
@@ -264,12 +265,14 @@ class TestCompactMemos:
         assert _nf_concat.cache_info().misses > 3
 
     def test_cache_info_counts_like_an_lru_cache(self):
+        # x[3,3]^2 * x[2,2]: x[3,3] is southeast of x[2,2], so the word
+        # machine computes the product and the memo stores it
         shape = MatrixShape(3, 3)
-        e = graded_basis(shape, 2)[4]
-        assert _nf_mono_gen(3, 3, e, 5) == _nf_mono_gen(3, 3, e, 5)
+        e = graded_basis(shape, 2)[-1]
+        assert _nf_mono_gen(3, 3, e, 4) == _nf_mono_gen(3, 3, e, 4)
         info = _nf_mono_gen.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        x = NCPoly.generator(shape, 2, 3)
+        x = NCPoly.generator(shape, 2, 2)
         p = NCPoly(shape, {e: ONE})
         assert p * x == p * x
         info = _nf_mono_gen.cache_info()
@@ -279,6 +282,64 @@ class TestCompactMemos:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert info.maxsize == 1 << 15
         assert _nf_mono_gen.cache_info().maxsize == 1 << 17
+
+
+class TestClosedFormProducts:
+    """x^e * x_g with no letter of x^e strictly southeast of x_g is
+    q^-k * x^(e+g), k the letters of x^e after x_g in its row or column;
+    only the other products reach the word machine and its memo."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _nf_mono_gen.cache_clear()
+        yield
+        _nf_mono_gen.cache_clear()
+
+    def test_equals_the_word_machine(self):
+        cases = closed = 0
+        for m, n in ((3, 3), (2, 4), (4, 2), (1, 3), (3, 1)):
+            shape = MatrixShape(m, n)
+            for d in range(4):
+                for e in graded_basis(shape, d):
+                    for g in range(m * n):
+                        i, j = shape.gen_at(g)
+                        word = word_of(shape, e) + [(i, j)]
+                        want = _nf_word_raw(m, n, tuple(word))
+                        southeast = any(r > i and s > j for r, s in word)
+                        got = _nf_mono_gen_closed(m, n, e, g)
+                        assert (got is None) == southeast, (m, n, e, g)
+                        assert _nf_mono_gen_raw(m, n, e, g) == want
+                        cases += 1
+                        closed += got is not None
+        assert (cases, closed) == (4740, 3851)
+
+    def test_unit_past_the_shared_range(self):
+        shape = MatrixShape(1, 2)
+        assert 70 > UNIT_RANGE
+        want = LaurentScalar({-70: 1})
+        assert _nf_mono_gen_raw(1, 2, (0, 70), 0) == (((1, 70), want),)
+        p = NCPoly(shape, {(0, 70): ONE}) * NCPoly.generator(shape, 1, 1)
+        assert p == NCPoly(shape, {(1, 70): want})
+
+    def test_only_the_word_machine_is_stored(self):
+        shape = MatrixShape(3, 3)
+        p = NCPoly.generator(shape, 1, 2) * NCPoly.generator(shape, 3, 3)
+        (e, _), = p.terms.items()
+        # x[2,3] has no letter of e southeast of it; x[3,3] is below it
+        assert _nf_mono_gen(3, 3, e, 5) == (
+            (_word_exps(9, 3, [(1, 2), (2, 3), (3, 3)]), Q_INV),)
+        assert p * NCPoly.generator(shape, 2, 3) == normal_form(
+            shape, [(1, 2), (3, 3), (2, 3)])
+        info = _nf_mono_gen.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        # x[3,3] is southeast of x[2,1]
+        assert _nf_mono_gen(3, 3, e, 3) == _nf_word_raw(
+            3, 3, ((1, 2), (3, 3), (2, 1)))
+        assert _nf_mono_gen.cache_info().currsize == 1
+        assert p * NCPoly.generator(shape, 2, 1) == normal_form(
+            shape, [(1, 2), (3, 3), (2, 1)])
+        info = _nf_mono_gen.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def recursive_basis(shape, d):

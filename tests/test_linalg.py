@@ -201,7 +201,8 @@ class TestIntegerRows:
         with pytest.raises(BasisMismatch):
             poly_row(NCPoly.generator(shape22, 1, 1), basis)
         with pytest.raises(ShapeMismatch):
-            poly_row(NCPoly.generator(shape33, 1, 1) ** 2, basis)
+            poly_row(NCPoly.generator(shape33, 1, 1)
+                     * NCPoly.generator(shape33, 1, 1), basis)
 
     def test_poly_row_refuses_a_fraction(self, shape22):
         basis = component_basis(shape22, 1)

@@ -577,6 +577,23 @@ class TestCLI:
         assert rc == 2
         assert "exceeds the guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "(x[1,1]+x[1,2])^200",
+        "(x[1,1]+x[1,2])^40*(x[1,1]+x[1,2])^40"], ids=["power", "product"])
+    def test_compute_term_budget(self, capsys, text):
+        # both pass the power guards; the coefficients of the power grow
+        # about k^3/6 Laurent terms, and each factor of the product is
+        # within the budget while the product is not
+        start = time.perf_counter()
+        rc = cli.main(["compute", "expr", "--m", "1", "--n", "2", text])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        assert "more than 1000000 Laurent terms" in capsys.readouterr().err
+        rc = cli.main(["compute", "expr", "--m", "1", "--n", "2",
+                       "(x[1,1]+x[1,2])^40"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("x[1,1]^40 + (1 + q^-1")
+
     @pytest.mark.parametrize("text,want", [
         ("(x[1,1]+x[2,2])^2",
          "x[1,1]^2 + 2*x[1,1]*x[2,2] - (q - q^-1)*x[1,2]*x[2,1] + x[2,2]^2"),

@@ -38,6 +38,15 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "_MINUS_QHAT = -QHAT",
      "_MINUS_QHAT = QHAT"),
+    ("southeast-closed",
+     "a southeast letter in the next column counts as correction-free",
+     "src/qdet/algebra.py",
+     "for s in range(j + 1, n)]",
+     "for s in range(j + 2, n)]"),
+    ("closed-k-rowonly", "the same-column letters are dropped from k",
+     "src/qdet/algebra.py",
+     "line = [*range(g + 1, (i + 1) * n), *range(g + n, m * n, n)]",
+     "line = [*range(g + 1, (i + 1) * n)]"),
     ("concat-unmirrored", "the rho route multiplies unmirrored tuples",
      "src/qdet/algebra.py",
      "e1, e2 = e2[::-1], e1[::-1]",
