@@ -47,7 +47,6 @@ itself and the shared table.
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
@@ -347,8 +346,9 @@ def _nf_concat(m, n, e1, e2):
         nxt = {}
         for exps, c in terms:
             for exps2, c2 in _nf_mono_gen(m, n, exps, g):
+                t = c if c2 is ONE else c2 if c is ONE else c * c2
                 acc = nxt.get(exps2)
-                acc = c * c2 if acc is None else acc + c * c2
+                acc = t if acc is None else acc + t
                 if acc.is_zero:
                     nxt.pop(exps2, None)
                 else:
@@ -391,8 +391,6 @@ class NCPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                if isinstance(c, (int, Fraction)):
-                    c = LaurentScalar.from_rational(c)
                 if not c.is_zero:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -413,8 +411,6 @@ class NCPoly:
 
     @classmethod
     def scalar(cls, shape, c):
-        if isinstance(c, (int, Fraction)):
-            c = LaurentScalar.from_rational(c)
         if c.is_zero:
             return cls(shape)
         return cls(shape, {(0,) * shape.ngens: c})
@@ -448,8 +444,9 @@ class NCPoly:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = LaurentScalar.from_rational(c)
+        """Multiply by a LaurentScalar or an int."""
+        if not isinstance(c, LaurentScalar):
+            c = LaurentScalar({0: c})
         if c.is_zero:
             return NCPoly.zero(self.shape)
         r = NCPoly.__new__(NCPoly)
@@ -458,7 +455,7 @@ class NCPoly:
         return r
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentScalar)):
+        if isinstance(other, (int, LaurentScalar)):
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -528,7 +525,7 @@ class NCPoly:
         return r
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentScalar)):
+        if isinstance(other, (int, LaurentScalar)):
             return self.scale(other)
         return NotImplemented
 
@@ -565,7 +562,8 @@ class NCPoly:
         return self.terms.get(tuple(exps), ZERO)
 
     def specialize(self, q0):
-        """Coefficientwise evaluation; returns dict exps -> Fraction."""
+        """Coefficientwise evaluation at q0 (see LaurentScalar.specialize);
+        returns dict exps -> value."""
         out = {}
         for e, c in self.terms.items():
             v = c.specialize(q0)
@@ -589,12 +587,12 @@ def normal_form(shape, word):
 
 
 def commutative_product(a, b):
-    """Product of two specialized term dicts (exps -> Fraction)."""
+    """Product of two specialized term dicts (exps -> value)."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -644,7 +642,7 @@ def graded_dim(shape, d):
 class TorusElement:
     """Diagonal torus element acting by x[i,j] -> alpha_i * beta_j * x[i,j].
 
-    Entries are invertible single-term Laurent scalars.
+    Entries are units +-q^k of Z[q, q^-1].
     """
 
     __slots__ = ("shape", "alphas", "betas")
@@ -655,7 +653,7 @@ class TorusElement:
         if len(alphas) != shape.m or len(betas) != shape.n:
             raise ShapeMismatch("torus element does not match %s" % shape)
         for v in alphas + betas:
-            if not isinstance(v, LaurentScalar) or not v.is_single_term:
+            if not isinstance(v, LaurentScalar) or not v.is_unit:
                 raise ZeroInput("torus entries must be single-term units")
         self.shape = shape
         self.alphas = alphas
@@ -716,12 +714,13 @@ def render_monomial(shape, exps):
             parts.append(atom if e == 1 else atom + "^%d" % e)
     return "*".join(parts) if parts else "1"
 
-def render_poly(p):
+def render_poly(p, den=1):
     """Deterministic text form matching the expression grammar.
 
     Terms are sorted by descending lex order on exponent vectors; multi-term
     coefficients are parenthesized, and a leading minus is pulled out of a
-    coefficient whose highest q-power has a negative coefficient.
+    coefficient whose highest q-power has a negative coefficient.  The text
+    is that of p / den, den a positive int (see `render_laurent`).
     """
     if not p.terms:
         return "0"
@@ -734,17 +733,16 @@ def render_poly(p):
             negative = rat < 0
             if negative:
                 rat = -rat
-            unit = LaurentScalar({exp: rat})
-            if unit == ONE and mono != "1":
+            if exp == 0 and rat == den and mono != "1":
                 body = mono
             else:
-                ctext = render_laurent(unit)
+                ctext = render_laurent(LaurentScalar({exp: rat}), den)
                 body = ctext if mono == "1" else "%s*%s" % (ctext, mono)
         else:
             negative = c.leading_coeff < 0
             if negative:
                 c = -c
-            ctext = "(%s)" % render_laurent(c)
+            ctext = "(%s)" % render_laurent(c, den)
             body = ctext if mono == "1" else "%s*%s" % (ctext, mono)
         chunks.append(("-" if negative else "+", body))
     sign, body = chunks[0]

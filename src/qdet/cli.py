@@ -104,11 +104,11 @@ def _cmd_compute(args):
     shape = MatrixShape(args.m, args.n)
     if args.what == "minor":
         rows, cols = parse_index_pair(args.text)
-        value = minor_value(Minor(shape, rows, cols))
+        value, den = minor_value(Minor(shape, rows, cols)), 1
     else:
-        value = parse_expression(args.text, shape)
+        value, den = parse_expression(args.text, shape)
     try:
-        text = render_poly(value)
+        text = render_poly(value, den)
     except ValueError as exc:   # an int past sys.get_int_max_str_digits()
         raise DegreeTooLarge("result too large to print: %s" % exc) from None
     print(text)

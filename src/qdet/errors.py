@@ -34,11 +34,6 @@ class BasisMismatch(WorkbenchError):
     """Coefficient vectors over different graded bases were combined."""
 
 
-class NonIntegralRow(WorkbenchError):
-    """A polynomial with a non-integral coefficient met the integer rows
-    of the elimination engine."""
-
-
 class DegreeTooLarge(WorkbenchError):
     """An input or a graded component exceeds a size guard."""
 

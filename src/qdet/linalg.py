@@ -5,10 +5,10 @@ nonzero int, so the coordinate of a row at column i is the Laurent
 polynomial sum(c * q^e) over its keys (i, e).  A row holds the
 coordinates of a homogeneous polynomial over the ordered monomial basis
 of one graded component, as `poly_row` writes them; a graded basis is
-the exponent tuples of its monomials, in descending lex order.  The
-rows are integer-only: `poly_row`, the one boundary from NCPoly, refuses
-a non-integral coefficient, so no Fraction and no LaurentScalar ever
-enters the engine.
+the exponent tuples of its monomials, in descending lex order.
+`poly_row` is the one way in from NCPoly: LaurentScalar coefficients are
+ints, so it copies them as they are and no LaurentScalar enters the
+engine.
 
 There is one eliminator, the fraction-free `Echelon` in the sense of
 Bareiss: rows stay in Z[q, q^-1], a combined row is rescaled by its
@@ -38,7 +38,7 @@ rewritten or stored.
 from functools import lru_cache
 from math import gcd
 
-from .errors import BasisMismatch, NonIntegralRow, ShapeMismatch
+from .errors import BasisMismatch, ShapeMismatch
 from .algebra import MatrixShape, _Memo, _nf_mono_gen_raw, graded_basis
 
 
@@ -188,8 +188,7 @@ def _image_sum(images, g):
 def poly_row(p, basis):
     """A homogeneous NCPoly as an integer row ((column, exponent) -> int).
 
-    basis is a GradedBasis or LocalColumns of p's degree.  Raises
-    NonIntegralRow on a coefficient that is not an int.
+    basis is a GradedBasis or LocalColumns of p's degree.
     """
     if p.shape != basis.shape:
         raise ShapeMismatch("polynomial over %s, basis over %s"
@@ -201,9 +200,6 @@ def poly_row(p, basis):
         if i is None:
             i = basis.new_column(e)
         for f, c in s.terms.items():
-            if type(c) is not int:
-                raise NonIntegralRow("coefficient %s of q^%d is not an "
-                                     "integer" % (c, f))
             row[i, f] = c
     return row
 

@@ -17,6 +17,10 @@ rationals and single-term Laurent scalars such as q or 2*q^3.  Every
 syntax or semantic problem raises ExprSyntaxError carrying the character
 offset where it was detected.
 
+Rationals enter the workbench only here: a value is a pair (p, den),
+p an NCPoly over Z[q, q^-1] and den a positive int, reduced after each
+operation so that den and p's coefficients have no common factor.
+
 A power p^k raises DegreeTooLarge before anything is multiplied when
 |k| times the size of p's largest coefficient (its bits plus its span of
 q exponents) exceeds POWER_SIZE_GUARD, or when p is not a scalar and the
@@ -32,13 +36,13 @@ shape nor a product of two guarded powers runs unbounded.
 """
 
 import re
-from fractions import Fraction
+from math import gcd
 
 from .errors import (DegreeTooLarge, ExprSyntaxError, IndexOutOfShape,
                      SizeMismatch)
 from .algebra import DIM_GUARD, NCPoly, graded_dim
 from .minors import Minor, minor_value
-from .scalars import Q
+from .scalars import LaurentScalar, Q
 
 #: bound on |k| * (size of the base's largest coefficient) for p^k
 POWER_SIZE_GUARD = 2000
@@ -69,16 +73,21 @@ def _tokenize(text):
     return tokens
 
 
-def _coefficient_size(c):
-    """Bits of a LaurentScalar's largest coefficient plus its q-span."""
-    bits = max(abs(v.numerator).bit_length() + v.denominator.bit_length() - 1
-               for v in c.terms.values())
+def _coefficient_size(c, den):
+    """Bits of c's largest coefficient v / den, in lowest terms, plus the
+    q-span of the LaurentScalar c."""
+    bits = 0
+    for v in c.terms.values():
+        g = gcd(v, den)
+        num, d = abs(v) // g, den // g
+        bits = max(bits, num.bit_length() + d.bit_length() - 1)
     return bits + max(c.terms) - min(c.terms)
 
 
-def _check_power(p, k):
-    """Raise DegreeTooLarge if p^k would be too large to compute."""
-    size = max(map(_coefficient_size, p.terms.values()), default=1)
+def _check_power(p, den, k):
+    """Raise DegreeTooLarge if (p / den)^k would be too large to compute."""
+    size = max((_coefficient_size(c, den) for c in p.terms.values()),
+               default=1)
     if abs(k) * size > POWER_SIZE_GUARD:
         raise DegreeTooLarge(
             "power %d of a base with coefficients of size %d exceeds the "
@@ -92,6 +101,16 @@ def _check_power(p, k):
 
 def _laurent_terms(p):
     return sum(len(c.terms) for c in p.terms.values())
+
+
+def _reduced(p, den):
+    """(p, den) with the gcd of den and p's coefficients divided out."""
+    g = gcd(den, *[v for c in p.terms.values() for v in c.terms.values()])
+    if g == 1:
+        return p, den
+    return NCPoly(p.shape, {
+        e: LaurentScalar({k: v // g for k, v in c.terms.items()})
+        for e, c in p.terms.items()}), den // g
 
 
 class _Parser:
@@ -110,11 +129,13 @@ class _Parser:
                 "terms" % TERM_BUDGET)
 
     def multiply(self, a, b):
-        """a * b, charged to the term budget before and after."""
-        self.charge(_laurent_terms(a) * _laurent_terms(b))
-        p = a * b
+        """a * b for two (p, den) pairs, charged to the term budget
+        before and after."""
+        (pa, da), (pb, db) = a, b
+        self.charge(_laurent_terms(pa) * _laurent_terms(pb))
+        p = pa * pb
         self.charge(_laurent_terms(p))
-        return p
+        return _reduced(p, da * db)
 
     # token plumbing ----------------------------------------------------
 
@@ -148,11 +169,13 @@ class _Parser:
             negate = True
         p = self.term()
         if negate:
-            p = -p
+            p = (-p[0], p[1])
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.term()
-            p = p + rhs if op == "+" else p - rhs
+            (pa, da), (pb, db) = p, self.term()
+            if op == "-":
+                pb = -pb
+            p = _reduced(pa.scale(db) + pb.scale(da), da * db)
         return p
 
     def term(self):
@@ -172,16 +195,20 @@ class _Parser:
             self.advance()
             sign = -1
         k = sign * self.expect("int", "an integer exponent")[1]
-        _check_power(p, k)
+        poly, den = p
+        _check_power(poly, den, k)
         if k >= 0:
-            out = NCPoly.one(self.shape)
+            out = (NCPoly.one(self.shape), 1)
             for _ in range(k):
                 out = self.multiply(out, p)
             return out
-        if len(p.terms) == 1:
-            (exps, c), = p.terms.items()
-            if not any(exps) and c.is_single_term:
-                return NCPoly.scalar(self.shape, c.unit_inverse() ** (-k))
+        if len(poly.terms) == 1:
+            (exps, c), = poly.terms.items()
+            if not any(exps) and len(c.terms) == 1:
+                # (v q^e / den)^-1 = +-den q^-e / |v|, v and den coprime
+                (e, v), = c.terms.items()
+                inv = LaurentScalar({-e: den if v > 0 else -den}) ** -k
+                return NCPoly.scalar(self.shape, inv), abs(v) ** -k
         raise ExprSyntaxError("negative power of a non-invertible expression",
                               caret[2])
 
@@ -193,16 +220,16 @@ class _Parser:
             self.expect(")", "a closing parenthesis")
             return p
         if kind == "int":
-            num = value
+            num = NCPoly.scalar(self.shape, LaurentScalar({0: value}))
             if self.peek()[0] == "/":
                 self.advance()
                 dtok = self.expect("int", "a denominator")
                 if dtok[1] == 0:
                     raise ExprSyntaxError("zero denominator", dtok[2])
-                return NCPoly.scalar(self.shape, Fraction(num, dtok[1]))
-            return NCPoly.scalar(self.shape, Fraction(num))
+                return _reduced(num, dtok[1])
+            return num, 1
         if kind == "name" and value == "q":
-            return NCPoly.scalar(self.shape, Q)
+            return NCPoly.scalar(self.shape, Q), 1
         if kind == "name" and value == "x":
             self.expect("[", "'['")
             i = self.expect("int", "a row index")[1]
@@ -210,7 +237,7 @@ class _Parser:
             j = self.expect("int", "a column index")[1]
             self.expect("]", "']'")
             try:
-                return NCPoly.generator(self.shape, i, j)
+                return NCPoly.generator(self.shape, i, j), 1
             except IndexOutOfShape as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
         if kind == "name" and value == "minor":
@@ -220,7 +247,7 @@ class _Parser:
             cols = self._int_list()
             self.expect("]", "']'")
             try:
-                return minor_value(Minor(self.shape, rows, cols))
+                return minor_value(Minor(self.shape, rows, cols)), 1
             except (IndexOutOfShape, SizeMismatch) as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
         raise ExprSyntaxError("expected a value", pos)
@@ -236,7 +263,9 @@ class _Parser:
 
 
 def parse_expression(text, shape):
-    """Evaluate the expression text to an NCPoly over the shape."""
+    """Evaluate the expression text over the shape to a pair (p, den):
+    p an NCPoly over Z[q, q^-1], den a positive int, the value p / den
+    with no common factor left between den and p's coefficients."""
     return _Parser(text, shape).parse()
 
 

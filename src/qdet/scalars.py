@@ -1,20 +1,21 @@
 """Exact coefficient arithmetic: Laurent polynomials in q over the
-rationals, the one scalar type of the workbench.
+integers, the one scalar type of the workbench.
 
 Every identity the workbench certifies is checked with q transcendental,
 so a verified identity holds under any nonzero specialization of q.
-All structure constants of the algebra live in Z[q, q^-1], elimination
+All structure constants of the algebra, the quantum minors, the torus
+eigenvalues +-q^k and the normality scalars live in Z[q, q^-1]; elimination
 is fraction-free, and every scalar a check predicts (normality scalars,
 straightening coefficients) is a LaurentScalar proved by an exact
 product comparison.  Nothing here divides one polynomial by another:
-the only inverse is that of a unit c*q^e.
+the only inverse is that of a unit +-q^e.
 
-Coefficients are Python ints whenever they are integral, and a
-`fractions.Fraction` only when they are not (parser rationals, unit
-inverses, specialization).  Structure constants, minors and ideal rows
-are therefore pure int arithmetic.  Every coefficient division goes
-through `_exact_div`, which stays in the integers when the division is
-exact and never yields a float.
+Coefficients are Python ints, and the constructor refuses anything else
+with TypeError, so structure constants, minors and ideal rows are pure
+int arithmetic.  Rationals enter the workbench only through the
+expression parser, which keeps a common denominator beside an integer
+polynomial; `specialize`, the value at a rational q0, is the one result
+that leaves Z[q, q^-1].
 
 Instances are immutable: no code may mutate `terms` after construction.
 The caching layers hand one result to every caller, and every internal
@@ -26,58 +27,33 @@ kernel skip multiplications by ONE with an `is` test.
 """
 
 import warnings
-from fractions import Fraction
+from math import gcd
 
 
 class DegenerateSpecializationWarning(UserWarning):
     """q0 in {1, -1} collapses the quantum relations to classical ones."""
 
 
-def _coerce_fraction(x):
-    """An int or Fraction coefficient as an int when integral."""
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError("expected int or Fraction, got %r" % (x,))
-
-
-def _exact_div(a, b):
-    """a / b for int or Fraction coefficients, never a float.
-
-    An int when b divides a in the integers, otherwise a Fraction.
-    """
-    if type(a) is int and type(b) is int:
-        quot, rem = divmod(a, b)
-        return quot if not rem else Fraction(a, b)
-    return _coerce_fraction(Fraction(a) / b)
-
-
 def _as_laurent(x):
-    """A LaurentScalar operand from a LaurentScalar, int or Fraction."""
+    """A LaurentScalar operand from a LaurentScalar or an int."""
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentScalar.from_rational(x)
+    if isinstance(x, int):
+        return LaurentScalar({0: x})
     return NotImplemented
 
 
 def _laurent(terms):
-    """A LaurentScalar over a terms dict with no zero coefficients.
+    """A LaurentScalar over a terms dict of nonzero int coefficients.
 
-    +-q^k with |k| <= UNIT_RANGE is the shared instance from _UNITS.
-    Otherwise the dict is taken over, not copied: all-int dicts (the hot
-    path) are used as they are; any other goes through the constructor,
-    which turns integral Fractions into ints.
+    +-q^k with |k| <= UNIT_RANGE is the shared instance from _UNITS;
+    any other dict is taken over, not copied.
     """
     if len(terms) == 1:
         (item,) = terms.items()
         unit = _UNITS.get(item)
         if unit is not None:
             return unit
-    # int + Fraction is a Fraction, so the sum is an int iff every term is
-    if type(sum(terms.values())) is not int:
-        return LaurentScalar(terms)
     r = LaurentScalar.__new__(LaurentScalar)
     r.terms = terms
     r._hash = None
@@ -85,12 +61,11 @@ def _laurent(terms):
 
 
 class LaurentScalar:
-    """Sparse Laurent polynomial in q with rational coefficients.
+    """Sparse Laurent polynomial in q with integer coefficients.
 
-    terms maps integer exponents to nonzero coefficients: an int when
-    integral, otherwise a Fraction.  The zero polynomial is the empty map.
-    The representation is canonical, so structural equality is
-    mathematical equality.
+    terms maps integer exponents to nonzero int coefficients; the zero
+    polynomial is the empty map.  The representation is canonical, so
+    structural equality is mathematical equality.
     """
 
     __slots__ = ("terms", "_hash")
@@ -99,16 +74,12 @@ class LaurentScalar:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_fraction(c)
+                if type(c) is not int:
+                    raise TypeError("coefficients are ints, got %r" % (c,))
                 if c:
                     clean[e] = c
         self.terms = clean
         self._hash = None
-
-    @classmethod
-    def from_rational(cls, c):
-        c = _coerce_fraction(c)
-        return cls({0: c}) if c else ZERO
 
     # ------------------------------------------------------------------
     # ring structure
@@ -151,13 +122,11 @@ class LaurentScalar:
 
     def __mul__(self, other):
         if type(other) is not LaurentScalar:
-            if isinstance(other, (int, Fraction)):
-                other = _coerce_fraction(other)
-                if not other:
-                    return ZERO
-                return _laurent({e: c * other for e, c in self.terms.items()})
-            if not isinstance(other, LaurentScalar):
+            if not isinstance(other, int):
                 return NotImplemented
+            if not other:
+                return ZERO
+            return _laurent({e: c * other for e, c in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
@@ -203,10 +172,6 @@ class LaurentScalar:
         return bool(self.terms)
 
     @property
-    def is_single_term(self):
-        return len(self.terms) == 1
-
-    @property
     def leading_coeff(self):
         """Coefficient of the highest power of q."""
         return self.terms[max(self.terms)]
@@ -218,10 +183,17 @@ class LaurentScalar:
         (e, c), = self.terms.items()
         return e, c
 
+    @property
+    def is_unit(self):
+        """True for the units +-q^e of Z[q, q^-1]."""
+        return len(self.terms) == 1 and abs(self.leading_coeff) == 1
+
     def unit_inverse(self):
-        """Inverse of a one-term scalar c*q^e, namely (1/c)*q^-e."""
-        e, c = self.single_term()
-        return _laurent({-e: _exact_div(1, c)})
+        """Inverse of a unit +-q^e, namely +-q^-e."""
+        if not self.is_unit:
+            raise ValueError("not a unit of Z[q, q^-1]: %s" % self)
+        (e, c), = self.terms.items()
+        return _laurent({-e: c})
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -234,7 +206,10 @@ class LaurentScalar:
 
         Warns when q0 is 1 or -1, where the quantum structure degenerates.
         """
-        q0 = _coerce_fraction(q0)
+        from fractions import Fraction
+        if not isinstance(q0, (int, Fraction)):
+            raise TypeError("expected an int or Fraction q0, got %r" % (q0,))
+        q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("cannot specialize a Laurent polynomial at q = 0")
         if q0 == 1 or q0 == -1:
@@ -243,10 +218,7 @@ class LaurentScalar:
                 DegenerateSpecializationWarning,
                 stacklevel=2,
             )
-        total = 0
-        for e, c in self.terms.items():
-            total += c * q0 ** e if e >= 0 else _exact_div(c, q0 ** -e)
-        return Fraction(total)
+        return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
 
     # ------------------------------------------------------------------
     # comparisons and rendering
@@ -290,8 +262,12 @@ def minus_q_power(k):
     return _laurent({k: 1 if k % 2 == 0 else -1})
 
 
-def render_laurent(a):
-    """Deterministic text form, exponents descending: 'q - q^-1', '1 - q^-2'."""
+def render_laurent(a, den=1):
+    """Deterministic text form, exponents descending: 'q - q^-1', '1 - q^-2'.
+
+    The text is that of a / den, den a positive int: each coefficient
+    c prints as the fraction c/den in lowest terms ('1/2*q + 1/3').
+    """
     if not a.terms:
         return "0"
     parts = []
@@ -299,11 +275,13 @@ def render_laurent(a):
         c = a.terms[e]
         sign = "-" if c < 0 else "+"
         c = abs(c)
+        g = gcd(c, den)
+        c = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
         if e == 0:
-            body = str(c)
+            body = c
         else:
             qpow = "q" if e == 1 else "q^%d" % e
-            body = qpow if c == 1 else "%s*%s" % (c, qpow)
+            body = qpow if c == "1" else "%s*%s" % (c, qpow)
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

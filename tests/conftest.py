@@ -11,7 +11,6 @@ it to check predicted relations against solved ones.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -98,8 +97,7 @@ def random_word(rng, shape, max_len):
 def random_scalar(rng, max_terms=2, exp_range=2):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        terms[rng.randint(-exp_range, exp_range)] = Fraction(
-            rng.randint(-4, 4), rng.randint(1, 3))
+        terms[rng.randint(-exp_range, exp_range)] = rng.randint(-4, 4)
     return LaurentScalar(terms)
 
 

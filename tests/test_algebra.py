@@ -67,6 +67,15 @@ class TestRelations:
         assert normal_form(shape22, [(1, 2), (1, 1)]) == (a * b).scale(Q_INV)
         assert normal_form(shape22, []) == NCPoly.one(shape22)
 
+    def test_scale_takes_ints_and_laurent_scalars_only(self, shape22):
+        a = NCPoly.generator(shape22, 1, 1)
+        assert a.scale(2) == a.scale(LaurentScalar({0: 2})) == 2 * a
+        for c in (Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError):
+                a.scale(c)
+            with pytest.raises(TypeError):
+                a * c
+
     def test_nf_against_leftmost_oracle(self, rng, shape22, shape33):
         for shape, trials, max_len in ((shape22, 60, 6), (shape33, 60, 5)):
             for _ in range(trials):
@@ -452,6 +461,13 @@ class TestTorus:
         with pytest.raises(ShapeMismatch):
             TorusElement(shape22, (Q,), (ONE, ONE))
 
+    def test_non_unit_single_term_entry_refused(self, shape22):
+        two_q = LaurentScalar({1: 2})
+        with pytest.raises(ZeroInput, match="single-term units"):
+            TorusElement(shape22, (two_q, ONE), (ONE, ONE))
+        with pytest.raises(ZeroInput, match="single-term units"):
+            TorusElement(shape22, (ONE, ONE), (ONE, -two_q))
+
 
 class TestRendering:
     def test_examples(self, shape22):
@@ -459,7 +475,10 @@ class TestRendering:
         dq = a * d - (b * c).scale(Q)
         assert render_poly(dq) == "x[1,1]*x[2,2] - q*x[1,2]*x[2,1]"
         assert render_poly((a * a).scale(
-            LaurentScalar({-2: Fraction(2, 3)}))) == "2/3*q^-2*x[1,1]^2"
+            LaurentScalar({-2: 2})), 3) == "2/3*q^-2*x[1,1]^2"
+        assert render_poly(a.scale(-3) + d.scale(QHAT * 3), 3) == \
+            "-x[1,1] + (q - q^-1)*x[2,2]"
+        assert render_poly(NCPoly.one(shape22).scale(-4), 6) == "-2/3"
         assert render_poly(NCPoly.zero(shape22)) == "0"
         assert render_poly(NCPoly.one(shape22)) == "1"
         assert render_poly(a + d.scale(QHAT)) == \

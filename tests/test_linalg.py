@@ -1,16 +1,12 @@
 """Exact linear algebra over the Laurent coefficient field."""
 
-from fractions import Fraction
-from math import lcm
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import express, int_row, laurent_row, random_poly
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
-from qdet.errors import (BasisMismatch, NonIntegralRow, ShapeMismatch,
-                         WorkbenchError)
+from qdet.errors import BasisMismatch, ShapeMismatch
 from qdet.linalg import (Echelon, LocalColumns, _combine, _entry,
                          component_basis, generator_images,
                          generator_products, poly_row, rank, row_normalized)
@@ -22,13 +18,6 @@ def monomial_rows(basis):
     return [{(i, 0): 1} for i in range(len(basis))]
 
 
-def integral(p):
-    """p times the lcm of its coefficient denominators."""
-    den = lcm(*[Fraction(c).denominator for v in p.terms.values()
-                for c in v.terms.values()])
-    return p.scale(den)
-
-
 def homogeneous_rows(rng, shape, degree, count):
     """`count` random nonzero degree-`degree` rows over that component."""
     basis = component_basis(shape, degree)
@@ -37,7 +26,7 @@ def homogeneous_rows(rng, shape, degree, count):
         p = random_poly(rng, shape, max_degree=degree)
         p = p.homogeneous_components().get(degree)
         if p is not None:
-            rows.append(poly_row(integral(p), basis))
+            rows.append(poly_row(p, basis))
     return rows
 
 
@@ -203,15 +192,6 @@ class TestIntegerRows:
         with pytest.raises(ShapeMismatch):
             poly_row(NCPoly.generator(shape33, 1, 1)
                      * NCPoly.generator(shape33, 1, 1), basis)
-
-    def test_poly_row_refuses_a_fraction(self, shape22):
-        basis = component_basis(shape22, 1)
-        half = NCPoly.generator(shape22, 1, 2).scale(
-            LaurentScalar({1: Fraction(1, 2)}))
-        for columns in (basis, LocalColumns(shape22, 1)):
-            with pytest.raises(NonIntegralRow, match=r"1/2 of q\^1"):
-                poly_row(half, columns)
-        assert issubclass(NonIntegralRow, WorkbenchError)
 
     def test_local_columns_number_in_first_seen_order(self, shape22):
         columns = LocalColumns(shape22, 2)

@@ -1,7 +1,5 @@
 """The expression language and index-pair parsing."""
 
-from fractions import Fraction
-
 import pytest
 
 from conftest import random_poly
@@ -12,35 +10,52 @@ from qdet.parser import parse_expression, parse_index_pair
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT
 
 
+def scalar(shape, terms):
+    return NCPoly.scalar(shape, LaurentScalar(terms))
+
+
 class TestExpressions:
     def test_determinant_both_spellings(self, shape22):
         direct = parse_expression("x[1,1]*x[2,2] - q*x[1,2]*x[2,1]", shape22)
         named = parse_expression("minor[1,2|1,2]", shape22)
-        assert direct == named == minor_value(Minor(shape22, (1, 2), (1, 2)))
+        assert direct == named == \
+            (minor_value(Minor(shape22, (1, 2), (1, 2))), 1)
 
     def test_scalars_and_powers(self, shape22):
         x11 = NCPoly.generator(shape22, 1, 1)
         got = parse_expression("q^-2*(2/3)*x[1,1]^2", shape22)
-        assert got == (x11 * x11).scale(LaurentScalar({-2: Fraction(2, 3)}))
-        assert parse_expression("2/3", shape22) == \
-            NCPoly.scalar(shape22, Fraction(2, 3))
-        assert parse_expression("5", shape22) == NCPoly.scalar(shape22, 5)
+        assert got == ((x11 * x11).scale(LaurentScalar({-2: 2})), 3)
+        assert parse_expression("2/3", shape22) == (scalar(shape22, {0: 2}), 3)
+        assert parse_expression("5", shape22) == (scalar(shape22, {0: 5}), 1)
         assert parse_expression("1 - q^-2", shape22) == \
-            NCPoly.scalar(shape22, ONE - LaurentScalar({-2: 1}))
+            (NCPoly.scalar(shape22, ONE - LaurentScalar({-2: 1})), 1)
         assert parse_expression("(3*q)^-1", shape22) == \
-            NCPoly.scalar(shape22, LaurentScalar({-1: Fraction(1, 3)}))
+            (scalar(shape22, {-1: 1}), 3)
+
+    def test_values_are_pairs_in_lowest_terms(self, shape22):
+        x12 = NCPoly.generator(shape22, 1, 2)
+        assert parse_expression("6/4", shape22) == (scalar(shape22, {0: 3}), 2)
+        assert parse_expression("(4/6*q)^-3", shape22) == \
+            (scalar(shape22, {-3: 27}), 8)
+        assert parse_expression("(-2*q)^-3", shape22) == \
+            (scalar(shape22, {-3: -1}), 8)
+        assert parse_expression("1/2*x[1,2] + 1/2*x[1,2]", shape22) == (x12, 1)
+        assert parse_expression("(q + 1/2)*(q - 1/2)", shape22) == \
+            (scalar(shape22, {2: 4, 0: -1}), 4)
+        assert parse_expression("1/3 - 1/3 + 0*x[1,1]", shape22) == \
+            (NCPoly.zero(shape22), 1)
 
     def test_sums_products_parens(self, shape22):
         a = NCPoly.generator(shape22, 1, 1)
         d = NCPoly.generator(shape22, 2, 2)
         got = parse_expression("(x[1,1]+x[2,2])^2", shape22)
-        assert got == (a + d) * (a + d)
-        assert parse_expression("-x[1,1] + x[2,2]", shape22) == -a + d
+        assert got == ((a + d) * (a + d), 1)
+        assert parse_expression("-x[1,1] + x[2,2]", shape22) == (-a + d, 1)
         assert parse_expression("x[1,1] - x[2,2] - x[1,1]", shape22) == \
-            -d  # left associative
+            (-d, 1)  # left associative
 
     def test_empty_minor(self, shape22):
-        assert parse_expression("minor[|]", shape22) == NCPoly.one(shape22)
+        assert parse_expression("minor[|]", shape22) == (NCPoly.one(shape22), 1)
 
     def test_whitespace_is_free(self, shape22):
         tight = parse_expression("q*x[1,2]-x[2,1]", shape22)
@@ -50,9 +65,9 @@ class TestExpressions:
     def test_precedence(self, shape22):
         a = NCPoly.generator(shape22, 1, 1)
         got = parse_expression("2*x[1,1]^2", shape22)
-        assert got == (a * a).scale(LaurentScalar({0: 2}))
+        assert got == ((a * a).scale(LaurentScalar({0: 2})), 1)
         assert parse_expression("q + q*q", shape22) == \
-            NCPoly.scalar(shape22, Q + Q * Q)
+            (NCPoly.scalar(shape22, Q + Q * Q), 1)
 
 
 class TestErrors:
@@ -90,13 +105,14 @@ class TestRoundTrips:
         for shape in (shape22, shape33):
             for _ in range(25):
                 p = random_poly(rng, shape)
-                assert parse_expression(render_poly(p), shape) == p
+                assert parse_expression(render_poly(p), shape) == (p, 1)
 
     def test_special_coefficients(self, shape22):
         x12 = NCPoly.generator(shape22, 1, 2)
-        for c in (QHAT, -Q, Q_INV - 1, LaurentScalar({3: Fraction(-5, 2)})):
-            p = x12.scale(c) + NCPoly.one(shape22)
-            assert parse_expression(render_poly(p), shape22) == p
+        for c, den in ((QHAT, 1), (-Q, 1), (Q_INV - 1, 1),
+                       (LaurentScalar({3: -5}), 2), (QHAT - 4, 6)):
+            p = x12.scale(c) + NCPoly.one(shape22).scale(den)
+            assert parse_expression(render_poly(p, den), shape22) == (p, den)
 
 
 class TestIndexPairs:

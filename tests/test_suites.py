@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdet
 from qdet import cache as disk
 from qdet import cli, factor
 from qdet import minors as minors_mod
@@ -607,6 +609,51 @@ class TestCLI:
         assert rc == 0
         assert capsys.readouterr().out == want + "\n"
 
+    @pytest.mark.parametrize("text,want", [
+        ("q^-2*(2/3)*x[1,1]^2 + 1/2*x[1,2] - (2*q^3)^-2",
+         "2/3*q^-2*x[1,1]^2 + 1/2*x[1,2] - 1/4*q^-6"),
+        ("(1/2*q + 1/3)*x[1,1] - 6/4", "(1/2*q + 1/3)*x[1,1] - 3/2"),
+        ("(2*q)^-1*x[2,2]*x[1,1]",
+         "1/2*q^-1*x[1,1]*x[2,2] - (1/2 - 1/2*q^-2)*x[1,2]*x[2,1]"),
+        ("(1/3 + q)^3", "(q^3 + q^2 + 1/3*q + 1/27)"),
+        ("(2/3*q)^-2", "9/4*q^-2"),
+        ("(-2*q^3)^-1", "-1/2*q^-3"),
+        ("0*x[1,1] + 1/3 - 1/3", "0"),
+    ], ids=["mixed", "sum-of-fractions", "inverse", "cube", "inverse-square",
+            "negative-inverse", "cancel"])
+    def test_compute_rational_expressions(self, capsys, text, want):
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
+        assert rc == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_compute_rational_guards(self, capsys):
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "(1/2)^1000"])
+        assert rc == 0
+        assert capsys.readouterr().out == "1/%d\n" % 2 ** 1000
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "(1/2)^1001"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: power 1001 of a base with coefficients of size 2 "
+            "exceeds the guard 2000\n")
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", "1/0"])
+        assert rc == 2
+        assert "zero denominator" in capsys.readouterr().err
+        # the size of 1/2*q + 1/3 is that of 1/2 and 1/3 (2 bits) plus its
+        # q-span, not that of 3/6 and 2/6 over the common denominator
+        rc = cli.main(["compute", "expr", "--m", "1", "--n", "1",
+                       "(1/2*q + 1/3)^667"])
+        assert rc == 2
+        assert "coefficients of size 3 exceeds" in capsys.readouterr().err
+
+    def test_cli_import_leaves_out_fractions_and_decimal(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qdet.__file__)))
+        code = ("import sys, qdet.cli; "
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "[]\n"
+
     def test_compute_oversized_literal_and_result(self, capsys):
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this interpreter has no int string-length limit")
@@ -620,6 +667,11 @@ class TestCLI:
             # 9^4990 has 4762 digits
             rc = cli.main(["compute", "expr", "--m", "2", "--n", "2",
                            "*".join(["9^499"] * 10)])
+            assert rc == 2
+            assert "too large to print" in capsys.readouterr().err
+            # and so has the denominator 9^4990
+            rc = cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                           "*".join(["(1/9)^499"] * 10)])
             assert rc == 2
             assert "too large to print" in capsys.readouterr().err
         finally:

@@ -178,6 +178,25 @@ MUTANTS = (
      "    return -diagonal_commutator(values, (other.i, other.j),\n"
      "                                (member.i, member.j))\n",
      "    return zero\n"),
+    ("sum-uncrossed",
+     "a sum adds numerators without scaling by the other denominator",
+     "src/qdet/parser.py",
+     "_reduced(pa.scale(db) + pb.scale(da), da * db)",
+     "_reduced(pa + pb, da * db)"),
+    ("inverse-sign-in-den", "a negative power keeps the sign in den",
+     "src/qdet/parser.py",
+     "inv = LaurentScalar({-e: den if v > 0 else -den}) ** -k\n"
+     "                return NCPoly.scalar(self.shape, inv), abs(v) ** -k\n",
+     "inv = LaurentScalar({-e: den}) ** -k\n"
+     "                return NCPoly.scalar(self.shape, inv), v ** -k\n"),
+    ("pair-unreduced", "a value's pair keeps its common factor",
+     "src/qdet/parser.py",
+     "    if g == 1:\n        return p, den\n",
+     "    if g:\n        return p, den\n"),
+    ("size-over-den", "the power guard sizes v / den without reducing it",
+     "src/qdet/parser.py",
+     "g = gcd(v, den)",
+     "g = 1"),
 )
 
 #: tests/test_tools.py checks this file's anchors against the checkout; a
