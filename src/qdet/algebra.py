@@ -24,30 +24,36 @@ A monomial times a generator, x^e * x_g, is written down in closed form
 when no letter of x^e lies strictly southeast of x_g (row and column
 both larger): no diagonal correction arises, and the product is
 q^-k * x^(e+g), k the letters of x^e after x_g in its row or column.
-Only a product with a southeast letter runs the word machine
-`_nf_word_raw` (also the reference behind `normal_form`).
+A product of two monomials is written down the same way when no letter
+of the longer factor lies strictly southeast of a letter of the shorter
+one: q^-K * x^(e1+e2), K the sum of those k over the shorter factor's
+letters (`_nf_concat_closed`).  Only the other products run the word
+machine `_nf_word_raw` (also the reference behind `normal_form`).
 
-Each stored rewriting result is held once, and compactly.  The
+A product's terms travel as one flat tuple (e0, c0, e1, c1, ...),
+read pairwise with `it = iter(t); zip(it, it)`; `_nf_word_raw` alone
+returns (exps, scalar) pairs.  No memo stores a product that has a
+closed form, and each stored result is held once, and compactly.  The
 monomial-times-generator memo `_nf_mono_gen` stores only what the word
 machine computes and recomputes a closed-form product on each lookup.
 A product whose shorter factor has one letter is a single
 `_nf_mono_gen` call (its exponent tuples read backwards on the mirrored
 side), and a product with a scalar factor needs no rewriting at all;
 neither gets a memo entry of its own.  Only products whose shorter
-factor has two or more letters, which chain several lookups, are
-memoised (`_nf_concat`).  Both memos are plain dicts per shape:
-`_nf_mono_gen` is keyed by generator and then by exponent tuple,
+factor has two or more letters and no closed form, which chain several
+lookups, are memoised (`_nf_concat`).  Both memos are plain dicts per
+shape: `_nf_mono_gen` is keyed by generator and then by exponent tuple,
 `_nf_concat` by the pair of exponent tuples, so an entry costs one dict
-slot.  Every exponent tuple and every scalar a memo stores, keys
-included, is the one object the shared table `_SHARED` holds for its
-value, so equal monomials in many results are one tuple (the +-q^k units
-are shared by `scalars` already).  A memo that reaches its cap clears
-itself and the shared table.
+slot and one flat tuple.  Every exponent tuple and every scalar a memo
+stores, keys included, is the one object the shared table `_SHARED`
+holds for its value, so equal monomials in many results are one tuple
+(the +-q^k units are shared by `scalars` already).  A memo that reaches
+its cap clears itself and the shared table.
 """
 
 import itertools
 from collections import namedtuple
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from .scalars import (LaurentScalar, ZERO, ONE, Q_INV, QHAT, UNIT_RANGE,
@@ -185,14 +191,15 @@ def _lines(m, n):
 
 
 def _nf_mono_gen_closed(m, n, exps, g):
-    """x^e * x_g in closed form, or None when a letter of x^e lies
-    strictly southeast of x_g (row and column both larger).
+    """x^e * x_g in closed form as the pair (exps, coeff), or None when a
+    letter of x^e lies strictly southeast of x_g (row and column both
+    larger).
 
     With no southeast letter no diagonal correction arises: x_g moves
     left past each later letter, paying q^-1 for one in its row or
     column and nothing for one southwest of it (they commute).  So
     x^e * x_g = q^-k * x^(e+g), k the letters of x^e after x_g in its
-    row or column.
+    row or column.  The pair is also the flat terms tuple of the product.
     """
     southeast, line = (_LINES.get((m, n)) or _lines(m, n))[g]
     if any(southeast(exps)):
@@ -200,11 +207,36 @@ def _nf_mono_gen_closed(m, n, exps, g):
     k = sum(line(exps))
     e = list(exps)
     e[g] += 1
-    return ((tuple(e), _Q_INV_POWERS[k] if k <= UNIT_RANGE else Q_INV ** k),)
+    return tuple(e), _Q_INV_POWERS[k] if k <= UNIT_RANGE else Q_INV ** k
+
+
+def _nf_concat_closed(m, n, e1, e2):
+    """x^e1 * x^e2 in closed form as the pair (exps, coeff), or None; e2
+    is the factor `_nf_concat` rewrites, after the rho mirror.
+
+    When no letter of x^e1 lies strictly southeast of any letter of x^e2,
+    the letters g1 <= g2 <= ... of x^e2 go in by the closed form of
+    `_nf_mono_gen_closed`: an earlier letter is never southeast of a
+    later one, nor after it in its row or column, so each step counts
+    only the letters of x^e1.  So x^e1 * x^e2 = q^-K * x^(e1+e2), K the
+    sum over the letters g of x^e2, with multiplicity, of the letters of
+    x^e1 after g in its row or column.
+    """
+    plans = _LINES.get((m, n)) or _lines(m, n)
+    k = 0
+    for g, count in enumerate(e2):
+        if count:
+            southeast, line = plans[g]
+            if any(southeast(e1)):
+                return None
+            k += count * sum(line(e1))
+    return (tuple(map(add, e1, e2)),
+            _Q_INV_POWERS[k] if k <= UNIT_RANGE else Q_INV ** k)
 
 
 def _nf_mono_gen_raw(m, n, exps, g):
-    """Normal form of (ordered monomial) * x_g, g a lex generator index.
+    """Normal form of (ordered monomial) * x_g, g a lex generator index,
+    as the flat terms tuple (e0, c0, e1, c1, ...).
 
     The closed form when it applies, otherwise the word machine on the
     ordered word of x^e followed by x_g.  Not memoised; `_nf_mono_gen`
@@ -218,7 +250,7 @@ def _nf_mono_gen_raw(m, n, exps, g):
         if e:
             word.extend([(idx // n + 1, idx % n + 1)] * e)
     word.append((g // n + 1, g % n + 1))
-    return _nf_word_raw(m, n, word)
+    return tuple(itertools.chain.from_iterable(_nf_word_raw(m, n, word)))
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +323,8 @@ _CONCAT = _Memo(1 << 15)
 
 
 def _nf_mono_gen(m, n, exps, g):
-    """Normal form of (ordered monomial) * x_g, g a lex generator index.
+    """Normal form of (ordered monomial) * x_g, g a lex generator index,
+    as the flat terms tuple (e0, c0, e1, c1, ...).
 
     A closed-form product is recomputed on every call and never stored;
     only what the word machine computes is memoised, per shape and
@@ -308,8 +341,7 @@ def _nf_mono_gen(m, n, exps, g):
         _MONO_GEN.hits += 1
         return terms
     _MONO_GEN.miss()
-    terms = tuple([(_share(e), _share(c))
-                   for e, c in _nf_mono_gen_raw(m, n, exps, g)])
+    terms = tuple([_share(x) for x in _nf_mono_gen_raw(m, n, exps, g)])
     table[_share(exps)] = terms
     return terms
 
@@ -319,33 +351,43 @@ _nf_mono_gen.cache_clear = _MONO_GEN.cache_clear
 
 
 def _nf_concat(m, n, e1, e2):
-    """Normal form of x^e1 * x^e2 for ordered monomials; memoised.
+    """Normal form of x^e1 * x^e2 for ordered monomials, as the flat terms
+    tuple (e0, c0, e1, c1, ...); memoised unless it has a closed form.
 
     NCPoly.__mul__ calls this only on a miss, and only when the shorter
     factor has two or more letters; a shorter factor of one letter is
-    one _nf_mono_gen lookup, which a memo here would only copy.  The
-    letters of the shorter factor are multiplied in one at a time, each
-    through _nf_mono_gen, so a product costs one rewriting pass per
-    letter of its shorter factor.  When the left factor is the shorter,
-    the mirrored product x^rev(e2) * x^rev(e1) is taken instead and each
-    of its exponent tuples read backwards (rho, see the module
-    docstring).
+    one _nf_mono_gen lookup, which a memo here would only copy.  When
+    the left factor is the shorter, the mirrored product
+    x^rev(e2) * x^rev(e1) is taken instead and each of its exponent
+    tuples read backwards (rho, see the module docstring).  A product
+    with no letter of the longer factor strictly southeast of a letter
+    of the shorter one is one term, written down by `_nf_concat_closed`
+    and never stored, and counts neither as a hit nor as a miss.  Any
+    other product multiplies the letters of the shorter factor in one
+    at a time, each through _nf_mono_gen, so it costs one rewriting pass
+    per letter of its shorter factor, and is stored.
     """
-    table = _CONCAT.dicts(m, n, 1)[0]
     key = (e1, e2)
+    mirrored = sum(e1) < sum(e2)
+    if mirrored:
+        e1, e2 = e2[::-1], e1[::-1]
+    closed = _nf_concat_closed(m, n, e1, e2)
+    if closed is not None:
+        e, c = closed
+        return (e[::-1], c) if mirrored else closed
+    table = _CONCAT.dicts(m, n, 1)[0]
     terms = table.get(key)
     if terms is not None:
         _CONCAT.hits += 1
         return terms
-    mirrored = sum(e1) < sum(e2)
-    if mirrored:
-        e1, e2 = e2[::-1], e1[::-1]
     letters = [g for g, e in enumerate(e2) for _ in range(e)]
     terms = _nf_mono_gen(m, n, e1, letters[0])
     for g in letters[1:]:
         nxt = {}
-        for exps, c in terms:
-            for exps2, c2 in _nf_mono_gen(m, n, exps, g):
+        it = iter(terms)
+        for exps, c in zip(it, it):
+            it2 = iter(_nf_mono_gen(m, n, exps, g))
+            for exps2, c2 in zip(it2, it2):
                 t = c if c2 is ONE else c2 if c is ONE else c * c2
                 acc = nxt.get(exps2)
                 acc = t if acc is None else acc + t
@@ -353,11 +395,14 @@ def _nf_concat(m, n, e1, e2):
                     nxt.pop(exps2, None)
                 else:
                     nxt[exps2] = acc
-        terms = tuple(nxt.items())
-    if mirrored:
-        terms = [(e[::-1], c) for e, c in terms]
+        terms = tuple(itertools.chain.from_iterable(nxt.items()))
     _CONCAT.miss()
-    terms = tuple([(_share(e), _share(c)) for e, c in terms])
+    if mirrored:
+        it = iter(terms)
+        terms = tuple([x for e, c in zip(it, it)
+                       for x in (_share(e[::-1]), _share(c))])
+    else:
+        terms = tuple([_share(x) for x in terms])
     table[_share(key[0]), _share(key[1])] = terms
     return terms
 
@@ -462,8 +507,8 @@ class NCPoly:
         self._check(other)
         m, n = self.shape.m, self.shape.n
         # the memos are read here directly, hits counted locally; a miss
-        # goes through _nf_mono_gen (a closed form, or an entry it stores)
-        # or _nf_concat, which stores the entry
+        # goes through _nf_mono_gen or _nf_concat (a closed form, or an
+        # entry it stores); every terms tuple is flat, (e0, c0, e1, ...)
         mono_gen = _MONO_GEN.dicts(m, n, m * n)
         concat = _CONCAT.dicts(m, n, 1)[0]
         mono_gen_hits = concat_hits = 0
@@ -493,7 +538,7 @@ class NCPoly:
                         else:
                             mono_gen_hits += 1
                     else:
-                        terms = ((e1, ONE),)
+                        terms = (e1, ONE)
                 elif d1:
                     # x_g * x^e2 = rho(x^rev(e2) * rho(x_g)), rho(x_g) being
                     # the generator of lex index last - g
@@ -506,8 +551,10 @@ class NCPoly:
                         mono_gen_hits += 1
                     flip = True
                 else:
-                    terms = ((e2, ONE),)
-                for e, c in terms:
+                    terms = (e2, ONE)
+                # most products are one term; read a longer one pairwise
+                it = iter(terms)
+                for e, c in (terms,) if len(terms) == 2 else zip(it, it):
                     if flip:
                         e = e[::-1]
                     t = c if c12 is ONE else c12 if c is ONE else c12 * c

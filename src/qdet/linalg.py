@@ -25,8 +25,9 @@ is dependent and is dropped without a combination.
 
 Multiplication by a generator is a linear map from one graded component
 to the next; `generator_images` holds its right half column by column,
-so `generator_products` takes a product with a generator on rows
-without an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
+each image one flat tuple of (column, exponent, int) triples, so
+`generator_products` takes a product with a generator on rows without
+an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
 reverses the lex order of the generators, so it sends the ordered monomial
 x^e to x^reverse(e) with coefficient 1, and x_g * b = rho(rho(b) * rho(x_g)).
 On rows, rho is the permutation `GradedBasis.reversal` of each component,
@@ -110,16 +111,18 @@ _IMAGES = _Memo(1 << 16)
 
 
 def generator_images(shape, degree, col):
-    """b * x_g for every generator x_g, as (column, exponent, int) triples.
+    """b * x_g for every generator x_g, each as one flat tuple
+    (column, exponent, int, column, exponent, int, ...).
 
     b is monomial `col` of component_basis(shape, degree - 1).  Returns a
     tuple over the generators g in lex order; entry g is the row of
-    b * x_g over component_basis(shape, degree), as a tuple of triples.
-    Left images x_g * b are not held: generator_products reads them from
-    the right images of the reversed column (see the module docstring).
-    Memoised per shape, degree and column, so only the columns a product
-    touches are ever built; the rewriting it reads is the uncached
-    _nf_mono_gen_raw, so each image is stored here and nowhere else.
+    b * x_g over component_basis(shape, degree), one (column, exponent,
+    int) triple after another.  Left images x_g * b are not held:
+    generator_products reads them from the right images of the reversed
+    column (see the module docstring).  Memoised per shape, degree and
+    column, so only the columns a product touches are ever built; the
+    rewriting it reads is the uncached _nf_mono_gen_raw, so each image
+    is stored here and nowhere else.
     """
     m, n = shape.m, shape.n
     table = _IMAGES.dicts(m, n, 1)[0]
@@ -131,11 +134,13 @@ def generator_images(shape, degree, col):
     exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
     _IMAGES.miss()
-    images = tuple([tuple([(index[e], f, c)
-                           for e, s in _nf_mono_gen_raw(m, n, exps, g)
-                           for f, c in s.terms.items()])
-                    for g in range(m * n)])
-    table[key] = images
+    images = []
+    for g in range(m * n):
+        it = iter(_nf_mono_gen_raw(m, n, exps, g))
+        images.append(tuple([x for e, s in zip(it, it)
+                             for f, c in s.terms.items()
+                             for x in (index[e], f, c)]))
+    images = table[key] = tuple(images)
     return images
 
 
@@ -177,7 +182,8 @@ def _image_sum(images, g):
     out = {}
     get = out.get
     for terms, image in images:
-        for j, f, d in image[g]:
+        it = iter(image[g])
+        for j, f, d in zip(it, it, it):
             for e, c in terms:
                 key = (j, e + f)
                 acc = get(key)

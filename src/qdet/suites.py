@@ -39,6 +39,10 @@ from .tower import (Frame, build_frame, check_h_actions,
 
 REPORT_VERSION = 1
 
+#: most generator triples, (mn)^3, the pbw associativity check multiplies
+#: before DegreeTooLarge
+PBW_TRIPLE_GUARD = 10 ** 5
+
 @dataclass
 class WorkbenchConfig:
     """Validated parameters of one verification run."""
@@ -161,6 +165,10 @@ def emit_report(run, fh):
 
 def _suite_pbw(config):
     shape = config.shape()
+    triples = shape.ngens ** 3
+    if triples > PBW_TRIPLE_GUARD:
+        raise DegreeTooLarge("%s has %d generator triples (guard %d)"
+                             % (shape, triples, PBW_TRIPLE_GUARD))
     rep = SuiteReport("pbw", {"shape": str(shape)})
     gens = shape.gens()
     for a in range(len(gens)):

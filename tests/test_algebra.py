@@ -18,6 +18,7 @@ from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, UNIT_RANGE,
                           DegenerateSpecializationWarning)
+from qdet.suites import WorkbenchConfig, run_suite
 
 
 def gens22(shape22):
@@ -149,6 +150,16 @@ class TestAntiAutomorphism:
                 assert self.rho(minor_value(mn)) == minor_value(mirrored), mn
 
 
+def pairs(terms):
+    """The (exps, coeff) terms of a flat terms tuple (e0, c0, e1, c1, ...)."""
+    return tuple(zip(terms[::2], terms[1::2]))
+
+
+def flat(terms):
+    """The flat terms tuple of a tuple of (exps, coeff) pairs."""
+    return tuple(x for term in terms for x in term)
+
+
 def letter_by_letter(shape, e1, e2):
     """x^e1 * x^e2 as a terms dict: every letter of the right factor, in
     order, multiplied into the product so far through _nf_mono_gen."""
@@ -158,7 +169,7 @@ def letter_by_letter(shape, e1, e2):
         for _ in range(e):
             nxt = {}
             for exps, c in poly.items():
-                for exps2, c2 in _nf_mono_gen(m, n, exps, g):
+                for exps2, c2 in pairs(_nf_mono_gen(m, n, exps, g)):
                     acc = nxt.get(exps2)
                     acc = c * c2 if acc is None else acc + c * c2
                     if acc.is_zero:
@@ -185,7 +196,9 @@ class TestProductKernel:
 
     def test_one_letter_factors_add_no_concat_entry(self):
         """A one-letter factor on either side reads _nf_mono_gen and adds
-        no _nf_concat entry; a shorter factor of two letters adds one."""
+        no _nf_concat entry; a shorter factor of two letters adds one
+        when a letter of the longer factor lies southeast of one of its
+        letters (x[2,2] and x[3,3] southeast of x[1,1], on both sides)."""
         shape = MatrixShape(3, 3)
         monos = [e for d in range(4) for e in graded_basis(shape, d)]
         _nf_concat.cache_clear()
@@ -196,7 +209,8 @@ class TestProductKernel:
                 assert x * p == NCPoly(shape, letter_by_letter(shape, g, e))
                 assert p * x == NCPoly(shape, letter_by_letter(shape, e, g))
         assert _nf_concat.cache_info().currsize == 0
-        ea, eb = graded_basis(shape, 2)[-1], graded_basis(shape, 3)[0]
+        ea = _word_exps(9, 3, [(1, 1), (3, 3)])
+        eb = _word_exps(9, 3, [(1, 1), (2, 2), (3, 3)])
         a, b = NCPoly(shape, {ea: ONE}), NCPoly(shape, {eb: ONE})
         assert a * b == NCPoly(shape, letter_by_letter(shape, ea, eb))
         assert b * a == NCPoly(shape, letter_by_letter(shape, eb, ea))
@@ -244,7 +258,7 @@ class TestCompactMemos:
         for memo in (algebra._MONO_GEN, algebra._CONCAT):
             for key, terms in memo_entries(memo, 2, 3):
                 keys = key if isinstance(key[0], tuple) else (key,)
-                for x in keys + tuple(v for term in terms for v in term):
+                for x in keys + terms:
                     assert seen.setdefault(x, x) is x, x
                     scalars += isinstance(x, LaurentScalar) and len(x.terms) > 1
         # the diagonal swaps put many equal non-unit scalars in the results
@@ -286,7 +300,9 @@ class TestCompactMemos:
         assert p * x == p * x
         info = _nf_mono_gen.cache_info()
         assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
-        assert p * p == p * p
+        # x[3,3] is southeast of x[2,2], so x[2,2]x[3,3] squared is stored
+        r = NCPoly(shape, {_word_exps(9, 3, [(2, 2), (3, 3)]): ONE})
+        assert r * r == r * r
         info = _nf_concat.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert info.maxsize == 1 << 15
@@ -317,7 +333,7 @@ class TestClosedFormProducts:
                         southeast = any(r > i and s > j for r, s in word)
                         got = _nf_mono_gen_closed(m, n, e, g)
                         assert (got is None) == southeast, (m, n, e, g)
-                        assert _nf_mono_gen_raw(m, n, e, g) == want
+                        assert _nf_mono_gen_raw(m, n, e, g) == flat(want)
                         cases += 1
                         closed += got is not None
         assert (cases, closed) == (4740, 3851)
@@ -326,7 +342,7 @@ class TestClosedFormProducts:
         shape = MatrixShape(1, 2)
         assert 70 > UNIT_RANGE
         want = LaurentScalar({-70: 1})
-        assert _nf_mono_gen_raw(1, 2, (0, 70), 0) == (((1, 70), want),)
+        assert _nf_mono_gen_raw(1, 2, (0, 70), 0) == ((1, 70), want)
         p = NCPoly(shape, {(0, 70): ONE}) * NCPoly.generator(shape, 1, 1)
         assert p == NCPoly(shape, {(1, 70): want})
 
@@ -336,19 +352,87 @@ class TestClosedFormProducts:
         (e, _), = p.terms.items()
         # x[2,3] has no letter of e southeast of it; x[3,3] is below it
         assert _nf_mono_gen(3, 3, e, 5) == (
-            (_word_exps(9, 3, [(1, 2), (2, 3), (3, 3)]), Q_INV),)
+            _word_exps(9, 3, [(1, 2), (2, 3), (3, 3)]), Q_INV)
         assert p * NCPoly.generator(shape, 2, 3) == normal_form(
             shape, [(1, 2), (3, 3), (2, 3)])
         info = _nf_mono_gen.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         # x[3,3] is southeast of x[2,1]
-        assert _nf_mono_gen(3, 3, e, 3) == _nf_word_raw(
-            3, 3, ((1, 2), (3, 3), (2, 1)))
+        assert _nf_mono_gen(3, 3, e, 3) == flat(_nf_word_raw(
+            3, 3, ((1, 2), (3, 3), (2, 1))))
         assert _nf_mono_gen.cache_info().currsize == 1
         assert p * NCPoly.generator(shape, 2, 1) == normal_form(
             shape, [(1, 2), (3, 3), (2, 1)])
         info = _nf_mono_gen.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def closed_form_k(shape, e1, e2):
+    """K with x^e1 * x^e2 = q^-K * x^(e1+e2) when no letter of the longer
+    factor lies strictly southeast of a letter of the shorter one, read
+    on letters; None otherwise.  A shorter left factor is read after the
+    rho mirror, as `_nf_concat` rewrites it."""
+    if sum(e1) < sum(e2):
+        e1, e2 = e2[::-1], e1[::-1]
+    longer, shorter = word_of(shape, e1), word_of(shape, e2)
+    if any(r > i and s > j for i, j in shorter for r, s in longer):
+        return None
+    return sum((r == i and s > j) or (s == j and r > i)
+               for i, j in shorter for r, s in longer)
+
+
+class TestClosedFormConcat:
+    """A product of two monomials with no letter of the longer factor
+    strictly southeast of a letter of the shorter one is one term,
+    q^-K * x^(e1+e2), and no memo stores it."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _nf_mono_gen.cache_clear()
+        _nf_concat.cache_clear()
+        yield
+        _nf_mono_gen.cache_clear()
+        _nf_concat.cache_clear()
+
+    @pytest.mark.parametrize("m,n,closed", [(2, 3, 5096), (3, 2, 5096),
+                                            (3, 3, 29416)])
+    def test_equals_the_letter_by_letter_product(self, m, n, closed):
+        """NCPoly products are compared with the same reference in
+        TestProductKernel; here `_nf_concat` itself, and what it stores."""
+        shape = MatrixShape(m, n)
+        monos = [e for d in range(4) for e in graded_basis(shape, d)]
+        count = 0
+        for e1 in monos:
+            for e2 in monos:
+                want = letter_by_letter(shape, e1, e2)
+                k = closed_form_k(shape, e1, e2)
+                if sum(e1) and sum(e2):
+                    misses = _nf_concat.cache_info().misses
+                    got = _nf_concat(m, n, e1, e2)
+                    stored = _nf_concat.cache_info().misses - misses
+                    assert stored == (k is None), (e1, e2)
+                    assert dict(pairs(got)) == want, (e1, e2)
+                if k is not None:
+                    count += 1
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    assert want == {e: Q_INV ** k}, (e1, e2)
+        assert count == closed
+
+    def test_the_3x3_tower_sweep_stores_no_closed_form(self):
+        shape = MatrixShape(3, 3)
+        for gamma in enumerate_minors(shape):
+            config = WorkbenchConfig(m=3, n=3, gamma=(gamma.rows, gamma.cols))
+            for name in ("mfamily", "torus", "ore-tower"):
+                assert run_suite(name, config).passed, (gamma, name)
+        units = graded_basis(shape, 1)
+        mono_gen = [(exps, units[g])
+                    for g, table in enumerate(algebra._MONO_GEN.tables[3, 3])
+                    for exps in table]
+        concat = list(algebra._CONCAT.tables[3, 3][0])
+        # what the sweep stores is what the word machine computes
+        assert (len(mono_gen), len(concat)) == (36, 46)
+        for e1, e2 in mono_gen + concat:
+            assert closed_form_k(shape, e1, e2) is None, (e1, e2)
 
 
 def recursive_basis(shape, d):

@@ -265,7 +265,8 @@ class TestGeneratorImages:
                 for g, x in enumerate(gens):
                     assert products[2 * g] == poly_row(x * b, dst)
                     assert products[2 * g + 1] == poly_row(b * x, dst)
-                    assert {(j, f): c for j, f, c in right[g]} \
+                    it = iter(right[g])
+                    assert {(j, f): c for j, f, c in zip(it, it, it)} \
                         == poly_row(b * x, dst)
 
     def test_reversal_reads_each_monomial_backwards(self):

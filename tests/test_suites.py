@@ -303,6 +303,31 @@ class TestPbwAssociativity:
         assert (check.status, check.witness) == ("fail",
                                                  "216 triples, 1 failures")
 
+    @pytest.mark.parametrize("m, n, triples, checks",
+                             [(6, 6, 46656, 635), (6, 7, 74088, 866)])
+    def test_passes_below_the_triple_guard(self, m, n, triples, checks):
+        assert triples <= suites_mod.PBW_TRIPLE_GUARD
+        rep = run_suite("pbw", WorkbenchConfig(m=m, n=n))
+        assert rep.passed and len(rep.checks) == checks
+        check, = [c for c in rep.checks
+                  if c.name == "associativity on generator triples"]
+        assert check.witness == "%d triples, 0 failures" % triples
+
+    def test_triples_are_guarded_before_any_product(self, capsys,
+                                                    monkeypatch):
+        # 7x7 has 117649 triples; the guard refuses before any product
+        def refuse(*args):
+            raise AssertionError("product formed")
+
+        monkeypatch.setattr(NCPoly, "__mul__", refuse)
+        start = time.perf_counter()
+        rc = cli.main(["verify", "--m", "7", "--n", "7", "--suites", "pbw"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: suite pbw: 7x7 has 117649 generator triples "
+            "(guard 100000)")
+
 
 class TestCLI:
 

@@ -53,8 +53,23 @@ MUTANTS = (
      "e1, e2 = e2, e1"),
     ("concat-unreversed", "the rho route's result is not read backwards",
      "src/qdet/algebra.py",
-     "terms = [(e[::-1], c) for e, c in terms]",
-     "terms = [(e, c) for e, c in terms]"),
+     "for x in (_share(e[::-1]), _share(c))]",
+     "for x in (_share(e), _share(c))]"),
+    ("concat-closed-unreversed",
+     "the rho route's closed-form product is not read backwards",
+     "src/qdet/algebra.py",
+     "return (e[::-1], c) if mirrored else closed",
+     "return closed"),
+    ("concat-closed-k-shorter",
+     "a closed-form product counts K from the shorter factor's own letters",
+     "src/qdet/algebra.py",
+     "k += count * sum(line(e1))",
+     "k += count * sum(line(e2))"),
+    ("concat-closed-southeast",
+     "a closed-form product is taken despite a southeast letter",
+     "src/qdet/algebra.py",
+     "            if any(southeast(e1)):\n                return None\n",
+     ""),
     ("one-letter-left-unreversed",
      "a one-letter left factor keeps the mirrored tuples",
      "src/qdet/algebra.py",
@@ -77,6 +92,10 @@ MUTANTS = (
      "src/qdet/minors.py",
      "Minor(shape, f.cols, f.rows)",
      "Minor(shape, f.rows, f.cols)"),
+    ("pbw-guard-pairs", "the pbw guard counts generator pairs, not triples",
+     "src/qdet/suites.py",
+     "triples = shape.ngens ** 3",
+     "triples = shape.ngens ** 2"),
     ("pbw-pairs-transposed", "pbw reads pairs[c][b] for v * w",
      "src/qdet/suites.py",
      "u * pairs[b][c]",
