@@ -9,15 +9,16 @@ degree by degree, as
     I_d = x * I_{d-1} + I_{d-1} * x + (new generators of degree d)
 
 and kept in a fraction-free echelon.  The products with a generator are
-taken in column space: each echelon row of I_{d-1} goes through
-linalg.generator_products, whose right generator images are built only
-for the columns those rows touch and their reversals (the left products
-are read from them through rho), so no row is turned back into a
-polynomial.  Equality in the quotient, Hilbert dimensions, the standard
-monomial basis and regularity of gamma reduce to residues against these
-spans.  The rewriting of an ambient variable through gamma into base
-variables and family minors needs none: each term it drops ends in a
-generator of the ideal.
+taken in column space: the echelon rows of I_{d-1} go through
+linalg.generator_products, which builds right generator images once per
+build, only for the columns those rows touch and their reversals (the
+left products are read from them through rho), and drops each after the
+last row that reads it; no row is turned back into a polynomial.
+Equality in the quotient, Hilbert dimensions, the standard monomial
+basis and regularity of gamma reduce to residues against these spans.
+The rewriting of an ambient variable through gamma into base variables
+and family minors needs none: each term it drops ends in a generator of
+the ideal.
 
 The normalizing scalar of a minor tau above gamma is predicted in closed
 form, q^(|K - I| + |L - J|) for gamma = (I|J) and tau = (K|L) (set
@@ -132,10 +133,9 @@ def _build_echelon(gamma, degree, basis, key):
     shape = gamma.shape
     ech = Echelon()
     if degree > 0:
-        prev = ideal_component(gamma, degree - 1)
-        for row in prev.echelon.rows():
-            for product in generator_products(shape, degree, row):
-                ech.insert(product)
+        rows = ideal_component(gamma, degree - 1).echelon.rows()
+        for product in generator_products(shape, degree, rows):
+            ech.insert(product)
     for mn in _excluded_by_degree(shape, gamma.rows, gamma.cols).get(degree, ()):
         ech.insert(poly_row(minor_value(mn), basis))
     _disk.store_rows(("ideal",) + key, ech.rows())

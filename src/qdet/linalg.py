@@ -24,10 +24,11 @@ An incoming row equal to the stored one at its pivot, both normalized,
 is dependent and is dropped without a combination.
 
 Multiplication by a generator is a linear map from one graded component
-to the next; `generator_images` holds its right half column by column,
-each image one flat tuple of (column, exponent, int) triples, so
-`generator_products` takes a product with a generator on rows without
-an NCPoly.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
+to the next; `generator_images` builds its right half for one column,
+each image one flat tuple of (column, exponent, int) triples, and
+`generator_products` takes products with a generator on rows without an
+NCPoly, holding a column's images from the first row that reads them to
+the last.  The anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j]
 reverses the lex order of the generators, so it sends the ordered monomial
 x^e to x^reverse(e) with coefficient 1, and x_g * b = rho(rho(b) * rho(x_g)).
 On rows, rho is the permutation `GradedBasis.reversal` of each component,
@@ -40,7 +41,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import BasisMismatch, ShapeMismatch
-from .algebra import MatrixShape, _Memo, _nf_mono_gen_raw, graded_basis
+from .algebra import MatrixShape, _nf_mono_gen_raw, graded_basis
 
 
 class GradedBasis:
@@ -107,9 +108,6 @@ def component_basis(shape, degree):
     return _basis_cached(shape.m, shape.n, degree)
 
 
-_IMAGES = _Memo(1 << 16)
-
-
 def generator_images(shape, degree, col):
     """b * x_g for every generator x_g, each as one flat tuple
     (column, exponent, int, column, exponent, int, ...).
@@ -117,61 +115,63 @@ def generator_images(shape, degree, col):
     b is monomial `col` of component_basis(shape, degree - 1).  Returns a
     tuple over the generators g in lex order; entry g is the row of
     b * x_g over component_basis(shape, degree), one (column, exponent,
-    int) triple after another.  Left images x_g * b are not held:
+    int) triple after another.  Left images x_g * b are not built:
     generator_products reads them from the right images of the reversed
-    column (see the module docstring).  Memoised per shape, degree and
-    column, so only the columns a product touches are ever built; the
-    rewriting it reads is the uncached _nf_mono_gen_raw, so each image
-    is stored here and nowhere else.
+    column (see the module docstring).  Nothing is stored: the rewriting
+    it reads is the uncached _nf_mono_gen_raw, and generator_products
+    holds each image only while its rows read it.
     """
     m, n = shape.m, shape.n
-    table = _IMAGES.dicts(m, n, 1)[0]
-    key = (degree, col)
-    images = table.get(key)
-    if images is not None:
-        _IMAGES.hits += 1
-        return images
     exps = component_basis(shape, degree - 1).monomials[col]
     index = component_basis(shape, degree).index
-    _IMAGES.miss()
     images = []
     for g in range(m * n):
         it = iter(_nf_mono_gen_raw(m, n, exps, g))
         images.append(tuple([x for e, s in zip(it, it)
                              for f, c in s.terms.items()
                              for x in (index[e], f, c)]))
-    images = table[key] = tuple(images)
-    return images
+    return tuple(images)
 
 
-generator_images.cache_info = _IMAGES.cache_info
-generator_images.cache_clear = _IMAGES.cache_clear
+def generator_products(shape, degree, rows):
+    """x_g * row, then row * x_g, per row and per generator x_g in lex order.
 
-
-def generator_products(shape, degree, row):
-    """x_g * row, then row * x_g, for each generator x_g in lex order.
-
-    row is an integer row over component_basis(shape, degree - 1); the
-    2 * ngens products are rows over component_basis(shape, degree).  An
+    rows are integer rows over component_basis(shape, degree - 1), read
+    twice; the products are rows over component_basis(shape, degree).  An
     entry that cancels stays as a zero int; Echelon.insert drops it.
     x_g * row = rho(rho(row) * rho(x_g)): the right images of the reversed
     columns, by the generator of lex index ngens - 1 - g, with their
-    columns read back through the reversal.
+    columns read back through the reversal.  A column's images are built
+    at the first row that reads them and dropped after the last.
     """
     flip = component_basis(shape, degree - 1).reversal()
     back = component_basis(shape, degree).reversal()
-    by_col = {}
-    for (i, e), c in row.items():
-        by_col.setdefault(i, []).append((e, c))
-    rights = [(terms, generator_images(shape, degree, i))
-              for i, terms in by_col.items()]
-    lefts = [(terms, generator_images(shape, degree, flip[i]))
-             for i, terms in by_col.items()]
+    held, uses = {}, [0] * len(flip)
+    for row in rows:
+        for i in {i for i, _ in row}:
+            uses[i] += 1
+            uses[flip[i]] += 1
+
+    def images(col):
+        got = held.get(col)
+        if got is None:
+            got = held[col] = generator_images(shape, degree, col)
+        uses[col] -= 1
+        if not uses[col]:
+            del held[col]
+        return got
+
     last = shape.ngens - 1
-    for g in range(shape.ngens):
-        left = _image_sum(lefts, last - g)
-        yield {(back[j], e): c for (j, e), c in left.items()}
-        yield _image_sum(rights, g)
+    for row in rows:
+        by_col = {}
+        for (i, e), c in row.items():
+            by_col.setdefault(i, []).append((e, c))
+        rights = [(terms, images(i)) for i, terms in by_col.items()]
+        lefts = [(terms, images(flip[i])) for i, terms in by_col.items()]
+        for g in range(shape.ngens):
+            left = _image_sum(lefts, last - g)
+            yield {(back[j], e): c for (j, e), c in left.items()}
+            yield _image_sum(rights, g)
 
 
 def _image_sum(images, g):

@@ -11,10 +11,11 @@ it to check predicted relations against solved ones.
 """
 
 import random
+import weakref
 
 import pytest
 
-from qdet import MatrixShape, NCPoly, normal_form
+from qdet import MatrixShape, NCPoly, linalg, normal_form
 from qdet.linalg import Echelon
 from qdet.scalars import LaurentScalar, ONE, Q_INV, QHAT, ZERO
 
@@ -65,6 +66,30 @@ def laurent_row(row):
 def int_row(laurent):
     """{column: LaurentScalar} with int coefficients as an integer row."""
     return {(i, e): c for i, v in laurent.items() for e, c in v.terms.items()}
+
+
+class _Images(list):
+    """Generator images as a list, which (unlike a tuple) is weakly
+    referenceable."""
+
+
+def watch_images(monkeypatch):
+    """Record each build of linalg.generator_images.
+
+    Returns a list that gets one ((degree, col), weakref) pair per build;
+    the images are handed out as an equal list, so the weak reference
+    tells whether anything still holds them.
+    """
+    built = []
+    real = linalg.generator_images
+
+    def recording(shape, degree, col):
+        images = _Images(real(shape, degree, col))
+        built.append(((degree, col), weakref.ref(images)))
+        return images
+
+    monkeypatch.setattr(linalg, "generator_images", recording)
+    return built
 
 
 def express(target, spanning, width):

@@ -4,10 +4,11 @@ import hashlib
 import itertools
 import json
 import os
+from collections import Counter
 
 import pytest
 
-from conftest import laurent_row
+from conftest import laurent_row, watch_images
 from qdet import cache, cli, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
 from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
@@ -121,46 +122,89 @@ class TestColumnSpaceBuild:
     def test_images_only_of_touched_columns(self, m, n, rows, cols, degrees,
                                             monkeypatch):
         """The degree-d build takes right images of I_{d-1}'s row columns
-        and of their reversals (the left images) only."""
+        and of their reversals (the left images) only, each exactly once."""
         gamma = Minor(MatrixShape(m, n), rows, cols)
-        images = linalg.generator_images
-        asked = set()
-
-        def recording(shape, degree, col):
-            asked.add((degree, col))
-            return images(shape, degree, col)
-
-        monkeypatch.setattr(linalg, "generator_images", recording)
+        built = watch_images(monkeypatch)
         for d in degrees:
             spans_clear()
             prev = ideal_component(gamma, d - 1).echelon
-            images.cache_clear()
-            asked.clear()
+            built.clear()
             ideal_component(gamma, d)
             rev = linalg.component_basis(gamma.shape, d - 1).reversal()
             touched = {c for row in prev.rows() for c, _ in row}
-            assert asked == {(d, c) for c in touched | {rev[c] for c in touched}}
+            assert Counter(key for key, _ in built) == Counter(
+                {(d, c): 1 for c in touched | {rev[c] for c in touched}})
+
+    @pytest.mark.parametrize("m, n, rows, cols, d", [
+        (3, 3, (1, 3), (1, 2), 4),
+        (4, 4, (2, 4), (1, 3), 3),
+    ], ids=["3x3-13|12-4", "4x4-24|13-3"])
+    def test_images_live_from_first_to_last_reading_row(self, m, n, rows,
+                                                         cols, d,
+                                                         monkeypatch):
+        """While row r of I_{d-1} has its products inserted, the images
+        alive are exactly those of the columns that a row at or before r
+        and a row at or after r read; none outlives the build."""
+        gamma = Minor(MatrixShape(m, n), rows, cols)
+        spans_clear()
+        prev = ideal_component(gamma, d - 1).echelon.rows()
+        rev = linalg.component_basis(gamma.shape, d - 1).reversal()
+        first, last = {}, {}
+        for r, row in enumerate(prev):
+            for c, _ in row:
+                for col in (c, rev[c]):
+                    first.setdefault(col, r)
+                    last[col] = r
+        built = watch_images(monkeypatch)
+        per_row = 2 * gamma.shape.ngens
+        live = []
+        real = Echelon.insert
+
+        def watching(self, row):
+            if len(live) < per_row * len(prev):
+                live.append({key[1] for key, ref in built
+                             if ref() is not None})
+            return real(self, row)
+
+        monkeypatch.setattr(Echelon, "insert", watching)
+        ideal_component(gamma, d)
+        assert len(live) == per_row * len(prev)
+        for k, cols_alive in enumerate(live):
+            r = k // per_row
+            assert cols_alive == {c for c in first
+                                  if first[c] <= r <= last[c]}, k
+        assert all(ref() is None for _, ref in built)
+
+
+def degree_4_build(gamma, monkeypatch):
+    """(Echelon.insert calls, rank) of gamma's degree-4 build alone."""
+    spans_clear()
+    ideal_component(gamma, 3)
+    calls = []
+    real = Echelon.insert
+
+    def counting(self, row):
+        calls.append(None)
+        return real(self, row)
+
+    monkeypatch.setattr(Echelon, "insert", counting)
+    try:
+        rank = ideal_component(gamma, 4).rank
+    finally:
+        spans_clear()
+    return len(calls), rank
 
 
 class TestInsertSequence:
-    """The smoke run's degree-4 build, pinned as the benchmark pins it."""
+    """The benchmark's degree-4 builds, pinned as it pins them: the smoke
+    run's 3x3 build and the ideal-4x4 workload's traced one."""
 
     def test_3x3_1312_degree_4_makes_450_inserts(self, g1312, monkeypatch):
-        spans_clear()
-        ideal_component(g1312, 3)
-        calls = []
-        real = Echelon.insert
+        assert degree_4_build(g1312, monkeypatch) == (450, 117)
 
-        def counting(self, row):
-            calls.append(None)
-            return real(self, row)
-
-        monkeypatch.setattr(Echelon, "insert", counting)
-        try:
-            assert ideal_component(g1312, 4).rank == 117
-        finally:
-            spans_clear()
-        assert len(calls) == 450
+    def test_4x4_2413_degree_4_makes_17153_inserts(self, monkeypatch):
+        gamma = Minor(MatrixShape(4, 4), (2, 4), (1, 3))
+        assert degree_4_build(gamma, monkeypatch) == (17153, 2994)
 
 
 class TestSizeGuard:

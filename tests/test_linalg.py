@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import express, int_row, laurent_row, random_poly
+from conftest import (express, int_row, laurent_row, random_poly,
+                      watch_images)
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
 from qdet.errors import BasisMismatch, ShapeMismatch
+from qdet.factor import ideal_component, spans_clear
 from qdet.linalg import (Echelon, LocalColumns, _combine, _entry,
                          component_basis, generator_images,
                          generator_products, poly_row, rank, row_normalized)
@@ -258,7 +260,7 @@ class TestGeneratorImages:
             dst = component_basis(shape, d)
             for i, e in enumerate(component_basis(shape, d - 1).monomials):
                 right = generator_images(shape, d, i)
-                products = list(generator_products(shape, d, {(i, 0): 1}))
+                products = list(generator_products(shape, d, [{(i, 0): 1}]))
                 assert len(right) == len(gens)
                 assert len(products) == 2 * len(gens)
                 b = NCPoly(shape, {e: ONE})
@@ -277,19 +279,26 @@ class TestGeneratorImages:
                 assert basis.monomials[rev[k]] == e[::-1]
                 assert rev[rev[k]] == k
 
-    def test_images_skip_the_product_memo(self):
-        # generator_images keeps its own memo, so the rewriting it reads
-        # must not be stored a second time in _nf_mono_gen, and the left
-        # products read the right images only
+    def test_images_skip_the_product_memo(self, monkeypatch):
+        # the rewriting the images read is not stored in _nf_mono_gen, the
+        # left products read the right images only, each column's once,
+        # and no image outlives the span build that made it
         shape = MatrixShape(3, 3)
-        generator_images.cache_clear()
+        built = watch_images(monkeypatch)
         _nf_mono_gen.cache_clear()
-        for i in range(len(component_basis(shape, 2))):
-            generator_images(shape, 3, i)
-            list(generator_products(shape, 3, {(i, 0): 1}))
+        rows = monomial_rows(component_basis(shape, 2))
+        products = list(generator_products(shape, 3, rows))
+        assert len(products) == 2 * shape.ngens * len(rows)
         assert _nf_mono_gen.cache_info().currsize == 0
-        assert generator_images.cache_info().currsize == len(
-            component_basis(shape, 2))
+        assert sorted(key for key, _ in built) == [(3, i) for i in
+                                                   range(len(rows))]
+        built.clear()
+        spans_clear()
+        gamma = Minor(shape, (1, 3), (1, 2))
+        ideal_component(gamma, 2)
+        built.clear()
+        ideal_component(gamma, 3)
+        assert built and all(ref() is None for _, ref in built)
 
     def test_products_of_a_row(self):
         shape = MatrixShape(3, 3)
@@ -297,7 +306,7 @@ class TestGeneratorImages:
         dst = component_basis(shape, 3)
         p = (minor_value(Minor(shape, (1, 2), (1, 3)))
              + minor_value(Minor(shape, (2, 3), (2, 3))).scale(Q))
-        products = list(generator_products(shape, 3, poly_row(p, src)))
+        products = list(generator_products(shape, 3, [poly_row(p, src)]))
         expected = []
         for a, b in shape.gens():
             x = NCPoly.generator(shape, a, b)

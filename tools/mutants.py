@@ -102,8 +102,8 @@ MUTANTS = (
      "u * pairs[c][b]"),
     ("left-is-right", "the left generator products are the right ones",
      "src/qdet/linalg.py",
-     "        yield {(back[j], e): c for (j, e), c in left.items()}\n",
-     "        yield _image_sum(rights, g)\n"),
+     "            yield {(back[j], e): c for (j, e), c in left.items()}\n",
+     "            yield _image_sum(rights, g)\n"),
     ("unmirrored-generator",
      "the left products read x_g's images, not rho(x_g)'s",
      "src/qdet/linalg.py",
@@ -114,6 +114,15 @@ MUTANTS = (
      "src/qdet/linalg.py",
      "{(back[j], e): c for (j, e), c in left.items()}",
      "left"),
+    ("images-kept", "a column's images are kept after its last reading row",
+     "src/qdet/linalg.py",
+     "            del held[col]\n",
+     "            pass\n"),
+    ("images-released-early",
+     "a column's images are dropped after each read and built again",
+     "src/qdet/linalg.py",
+     "        if not uses[col]:\n",
+     "        if True:\n"),
     ("memo-without-shape", "the rewriting memos are keyed without (m, n)",
      "src/qdet/algebra.py",
      "        key = (m, n)\n",
