@@ -598,25 +598,8 @@ class NCPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def homogeneous_components(self):
-        """dict degree -> homogeneous NCPoly, over the nonzero components."""
-        comps = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return {d: NCPoly(self.shape, t) for d, t in sorted(comps.items())}
-
     def coeff(self, exps):
         return self.terms.get(tuple(exps), ZERO)
-
-    def specialize(self, q0):
-        """Coefficientwise evaluation at q0 (see LaurentScalar.specialize);
-        returns dict exps -> value."""
-        out = {}
-        for e, c in self.terms.items():
-            v = c.specialize(q0)
-            if v:
-                out[e] = v
-        return out
 
     def __str__(self):
         return render_poly(self)
@@ -631,20 +614,6 @@ def normal_form(shape, word):
         shape.check(i, j)
     pairs = _nf_word_raw(shape.m, shape.n, tuple(word))
     return NCPoly(shape, dict(pairs))
-
-
-def commutative_product(a, b):
-    """Product of two specialized term dicts (exps -> value)."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 # ----------------------------------------------------------------------

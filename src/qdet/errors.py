@@ -31,7 +31,8 @@ class ZeroInput(WorkbenchError):
 
 
 class BasisMismatch(WorkbenchError):
-    """Coefficient vectors over different graded bases were combined."""
+    """A term's degree differs from that of the graded component it is
+    written in (GradedBasis.new_column, LocalColumns.new_column)."""
 
 
 class DegreeTooLarge(WorkbenchError):

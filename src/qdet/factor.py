@@ -84,11 +84,6 @@ class IdealComponent:
 _ECHELONS = {}
 
 
-def spans_clear():
-    """Drop all cached ideal spans (mainly for tests)."""
-    _ECHELONS.clear()
-
-
 @lru_cache(maxsize=512)
 def _excluded_by_degree(shape, rows, cols):
     by = {}
@@ -146,19 +141,6 @@ def _build_echelon(gamma, degree, basis, key):
 # the quotient J_gamma
 
 
-def quotient_is_zero(gamma, p):
-    """Does p map to zero in J_gamma?  Works degree by degree."""
-    if p.is_zero:
-        return True
-    if p.shape != gamma.shape:
-        raise ShapeMismatch("polynomial over %s, minor over %s"
-                            % (p.shape, gamma.shape))
-    for d, comp in sorted(p.homogeneous_components().items()):
-        if not ideal_component(gamma, d).contains(comp):
-            return False
-    return True
-
-
 def hilbert_function(gamma, max_degree):
     """Graded dimensions of J_gamma for degrees 0..max_degree."""
     return [graded_dim(gamma.shape, d) - ideal_component(gamma, d).rank
@@ -188,21 +170,23 @@ class StandardMonomial:
         return "".join(str(f)[len("minor"):] for f in self.factors)
 
 
-def standard_monomials(shape, degree, floor=None):
-    """All chains alpha_1 <=st ... <=st alpha_k of total size `degree`.
+def standard_monomials(floor, degree):
+    """All chains alpha_1 <=st ... <=st alpha_k of total size `degree`
+    whose members sit above the floor minor.
 
-    With a floor minor, only chains whose members sit above the floor are
-    produced; these are exactly the monomials whose images form the
-    candidate basis of J_floor.  Order is deterministic: factors are tried
-    in enumerate_minors order at every position.  A tuple, memoised.
+    Their images form the candidate basis of J_floor.  The full-size
+    leading minor [1..t|1..t], t = min(m, n), sits below every minor, so
+    its chains are those of the whole ring.  Order is deterministic:
+    factors are tried in enumerate_minors order at every position.  A
+    tuple, memoised.
     """
-    return _standard_monomials_cached(shape, degree, floor)
+    return _standard_monomials_cached(floor, degree)
 
 
 @lru_cache(maxsize=256)
-def _standard_monomials_cached(shape, degree, floor):
-    pool = [mn for mn in enumerate_minors(shape)
-            if floor is None or std_le(floor, mn)]
+def _standard_monomials_cached(floor, degree):
+    shape = floor.shape
+    pool = [mn for mn in enumerate_minors(shape) if std_le(floor, mn)]
     if degree == 0:
         return (StandardMonomial(shape, ()),)
     out = []
@@ -253,32 +237,22 @@ def standard_monomial_counts(shape, max_degree, floor=None):
                   for d in range(1, max_degree + 1)]
 
 
-def basis_check(shape, degree, gamma=None):
-    """Standard monomials of one degree form a basis.
+def basis_check(gamma, degree):
+    """Standard monomials of one degree form a basis of J_gamma there.
 
-    Without gamma: their values are independent and count the full graded
-    dimension.  With gamma: their residues are independent modulo the
-    ideal component and fill the quotient dimension exactly.
+    Their residues are independent modulo the ideal component and fill
+    the quotient dimension exactly.  For the full-size leading minor the
+    ideal is zero, and this checks the standard basis of the ambient
+    component.
     """
-    if gamma is not None and gamma.shape != shape:
-        raise ShapeMismatch("minor over %s in a %s check" % (gamma.shape, shape))
-    params = {"shape": str(shape), "degree": degree}
-    if gamma is not None:
-        params["gamma"] = str(gamma)
-    rep = SuiteReport("standard_basis", params)
+    rep = SuiteReport("standard_basis", {"shape": str(gamma.shape),
+                                         "degree": degree,
+                                         "gamma": str(gamma)})
     # the ideal component comes first: its guard trips before any expansion
-    ic = None if gamma is None else ideal_component(gamma, degree)
-    basis = component_basis(shape, degree) if ic is None else ic.basis
-    stds = standard_monomials(shape, degree, gamma)
-    ambient = graded_dim(shape, degree)
-    rows = [poly_row(s.value(), basis) for s in stds]
-    if ic is None:
-        r = rank(rows)
-        rep.add("independent", r == len(stds),
-                "rank %d of %d monomials" % (r, len(stds)))
-        rep.add("spanning", len(stds) == ambient,
-                "%d monomials, dimension %d" % (len(stds), ambient))
-        return rep
+    ic = ideal_component(gamma, degree)
+    stds = standard_monomials(gamma, degree)
+    ambient = graded_dim(gamma.shape, degree)
+    rows = [poly_row(s.value(), ic.basis) for s in stds]
     total = ic.extended_rank(rows)
     quotient_dim = ambient - ic.rank
     rep.add("independent mod ideal", total == ic.rank + len(stds),
@@ -481,7 +455,7 @@ def zero_divisor_check(gamma, max_degree):
         raise DegreeTooLarge(
             "zero-divisor check of %s through degree %d has %d pairs "
             "(guard %d)" % (gamma, max_degree, pairs, DIM_GUARD))
-    stds = {d: standard_monomials(shape, d, gamma)
+    stds = {d: standard_monomials(gamma, d)
             for d in range(1, max_degree)}
     # (name, value) per standard monomial, each rendered once
     named = {d: [(str(s), s.value()) for s in ms] for d, ms in stds.items()}

@@ -14,8 +14,7 @@ Coefficients are Python ints, and the constructor refuses anything else
 with TypeError, so structure constants, minors and ideal rows are pure
 int arithmetic.  Rationals enter the workbench only through the
 expression parser, which keeps a common denominator beside an integer
-polynomial; `specialize`, the value at a rational q0, is the one result
-that leaves Z[q, q^-1].
+polynomial; no result here leaves Z[q, q^-1].
 
 Instances are immutable: no code may mutate `terms` after construction.
 The caching layers hand one result to every caller, and every internal
@@ -26,12 +25,7 @@ the memos from holding many equal one-term scalars, and lets the product
 kernel skip multiplications by ONE with an `is` test.
 """
 
-import warnings
 from math import gcd
-
-
-class DegenerateSpecializationWarning(UserWarning):
-    """q0 in {1, -1} collapses the quantum relations to classical ones."""
 
 
 def _as_laurent(x):
@@ -200,25 +194,6 @@ class LaurentScalar:
         if not k or not self.terms:
             return self
         return _laurent({e + k: c for e, c in self.terms.items()})
-
-    def specialize(self, q0):
-        """Evaluate at a nonzero rational q0; the value is a Fraction.
-
-        Warns when q0 is 1 or -1, where the quantum structure degenerates.
-        """
-        from fractions import Fraction
-        if not isinstance(q0, (int, Fraction)):
-            raise TypeError("expected an int or Fraction q0, got %r" % (q0,))
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise ValueError("cannot specialize a Laurent polynomial at q = 0")
-        if q0 == 1 or q0 == -1:
-            warnings.warn(
-                "specializing at q0 = %s degenerates the quantum relations" % q0,
-                DegenerateSpecializationWarning,
-                stacklevel=2,
-            )
-        return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
 
     # ------------------------------------------------------------------
     # comparisons and rendering

@@ -334,13 +334,12 @@ def _suite_gamma_normal(config):
 
 def _suite_factor_basis(config):
     gamma = config.gamma_minor()
-    shape = config.shape()
     rep = SuiteReport("factor-basis", {"gamma": str(gamma),
                                        "max_degree": config.max_degree})
     # first, so that its guards trip before any other check's work
     zero_divisors = zero_divisor_check(gamma, config.max_degree)
     for d in range(0, config.max_degree + 1):
-        rep.absorb(basis_check(shape, d, gamma))
+        rep.absorb(basis_check(gamma, d))
     rep.absorb(hilbert_check(gamma, config.max_degree))
     rep.absorb(zero_divisors)
     rep.absorb(tower_image_check(gamma, config.max_degree))

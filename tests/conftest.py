@@ -1,4 +1,5 @@
-"""Shared fixtures, a reference rewriter and a reference solver.
+"""Shared fixtures, a reference rewriter, a reference solver and the
+evaluation at a point of q.
 
 The reference rewriter resolves the *leftmost* out-of-order pair by plain
 recursion with no caching, unlike the library's rightmost-first stack
@@ -8,14 +9,21 @@ produce identical normal forms on every input.
 The reference solver (express) writes an integer row over spanning rows
 through provenance columns; the library solves for nothing, so tests use
 it to check predicted relations against solved ones.
+
+at_q sets q to a rational q0 in a polynomial, and commutative_product
+multiplies two such evaluations as commuting monomials; at q0 = 1 the
+quantum product must agree with it.  spans_clear drops the ideal spans
+that factor.ideal_component keeps for the session, so that the next call
+builds its span again.
 """
 
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from qdet import MatrixShape, NCPoly, linalg, normal_form
+from qdet import MatrixShape, NCPoly, factor, linalg, normal_form
 from qdet.linalg import Echelon
 from qdet.scalars import LaurentScalar, ONE, Q_INV, QHAT, ZERO
 
@@ -52,6 +60,37 @@ def naive_normal_form(shape, word):
 
     settle(tuple(word), ONE)
     return result
+
+
+def at_q(p, q0):
+    """An NCPoly with q set to the rational q0: dict exps -> Fraction,
+    zero values dropped."""
+    q0 = Fraction(q0)
+    out = {}
+    for e, c in p.terms.items():
+        v = sum(k * q0 ** x for x, k in c.terms.items())
+        if v:
+            out[e] = v
+    return out
+
+
+def commutative_product(a, b):
+    """Product of two at_q results, the monomials commuting."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def spans_clear():
+    """Drop the ideal spans that factor.ideal_component has cached."""
+    factor._ECHELONS.clear()
 
 
 def laurent_row(row):

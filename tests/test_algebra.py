@@ -2,22 +2,21 @@
 
 import math
 import operator
-import warnings
 from fractions import Fraction
 
 import pytest
 
-from conftest import naive_normal_form, random_poly, random_word
+from conftest import (at_q, commutative_product, naive_normal_form,
+                      random_poly, random_word)
 from qdet import algebra
 from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_concat,
                           _nf_mono_gen, _nf_mono_gen_closed,
                           _nf_mono_gen_raw, _nf_word_raw, _word_exps,
-                          commutative_product, eigenvalue_of, graded_basis,
-                          graded_dim, normal_form, render_poly)
+                          eigenvalue_of, graded_basis, graded_dim,
+                          normal_form, render_poly)
 from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
 from qdet.minors import Minor, enumerate_minors, minor_value
-from qdet.scalars import (LaurentScalar, ONE, Q, Q_INV, QHAT, UNIT_RANGE,
-                          DegenerateSpecializationWarning)
+from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, UNIT_RANGE
 from qdet.suites import WorkbenchConfig, run_suite
 
 
@@ -99,14 +98,11 @@ class TestRelations:
             assert (a * b) * c == a * (b * c)
 
     def test_specialized_at_one_is_commutative(self, rng, shape33):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSpecializationWarning)
-            for _ in range(15):
-                a = random_poly(rng, shape33, max_degree=2)
-                b = random_poly(rng, shape33, max_degree=2)
-                lhs = (a * b).specialize(1)
-                rhs = commutative_product(a.specialize(1), b.specialize(1))
-                assert lhs == rhs
+        for _ in range(15):
+            a = random_poly(rng, shape33, max_degree=2)
+            b = random_poly(rng, shape33, max_degree=2)
+            assert at_q(a * b, 1) == commutative_product(at_q(a, 1),
+                                                         at_q(b, 1))
 
 
 class TestAntiAutomorphism:
@@ -497,14 +493,6 @@ class TestGrading:
             # products of bihomogeneous polynomials stay bihomogeneous
             p = normal_form(shape33, w1) * normal_form(shape33, w2)
             assert all(bidegree(shape33, e) == want for e in p.terms)
-
-    def test_homogeneous_components(self, shape22):
-        a, b, _, _ = gens22(shape22)
-        p = a * b + a + NCPoly.scalar(shape22, Q)
-        comps = p.homogeneous_components()
-        assert sorted(comps) == [0, 1, 2]
-        assert comps[2] == a * b
-        assert sum(comps.values(), NCPoly.zero(shape22)) == p
 
 
 class TestTorus:

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import laurent_row, watch_images
+from conftest import laurent_row, spans_clear, watch_images
 from qdet import cache, cli, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
 from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
@@ -16,7 +16,7 @@ from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
 from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
-                         normality_check, normality_scalar, quotient_is_zero, regularity_check, spans_clear,
+                         normality_check, normality_scalar, regularity_check,
                          standard_monomial_counts, standard_monomials,
                          tower_image_check, zero_divisor_check)
 from qdet.linalg import Echelon, component_basis, poly_row
@@ -63,7 +63,7 @@ class TestIdealComponents:
         ic = ideal_component(g1312, 3)
         assert ic.rank > 0
         for row in ic.echelon.rows():
-            assert quotient_is_zero(g1312, row_poly(ic.basis, row))
+            assert ic.contains(row_poly(ic.basis, row))
 
 
 def row_poly(basis, row):
@@ -227,7 +227,7 @@ class TestSizeGuard:
 
         monkeypatch.setattr(factor, "standard_monomials", expanded)
         with pytest.raises(DegreeTooLarge, match=r"\(guard 10000\)"):
-            basis_check(g2413.shape, 4, g2413)
+            basis_check(g2413, 4)
 
     def test_one_basis_per_component(self, g1312):
         for d in range(4):
@@ -238,18 +238,18 @@ class TestSizeGuard:
 class TestQuotient:
     def test_relations_modulo_corner(self, g11, shape22):
         x = lambda i, j: NCPoly.generator(shape22, i, j)
-        assert quotient_is_zero(g11, NCPoly.zero(shape22))
-        assert quotient_is_zero(g11, x(1, 1) * x(2, 2)
-                                - (x(1, 2) * x(2, 1)).scale(Q))
-        assert not quotient_is_zero(g11, x(1, 1))
-        # mixed degrees are handled component by component
+        assert ideal_component(g11, 2).contains(NCPoly.zero(shape22))
+        assert ideal_component(g11, 2).contains(
+            x(1, 1) * x(2, 2) - (x(1, 2) * x(2, 1)).scale(Q))
+        assert not ideal_component(g11, 1).contains(x(1, 1))
         dq = minor_value(Minor(shape22, (1, 2), (1, 2)))
-        assert quotient_is_zero(g11, dq + x(1, 1) * dq)
-        assert not quotient_is_zero(g11, dq + x(1, 1))
+        assert ideal_component(g11, 3).contains(x(1, 1) * dq)
+        assert not ideal_component(g11, 3).contains(
+            x(1, 1) * dq + x(1, 1) * x(1, 1) * x(1, 1))
 
     def test_shape_guard(self, g11, shape33):
         with pytest.raises(ShapeMismatch):
-            quotient_is_zero(g11, NCPoly.one(shape33))
+            ideal_component(g11, 0).contains(NCPoly.one(shape33))
 
     def test_hilbert_functions(self, g11, shape22):
         assert hilbert_function(g11, 4) == [1, 4, 9, 16, 25]
@@ -278,10 +278,16 @@ class TestQuotient:
             for d in (1, 9, 42, 140)]
 
 
-def brute_chains(shape, degree, floor=None):
+def full_minor(shape):
+    """The full-size leading minor [1..t|1..t], t = min(m, n): it sits
+    below every minor, so its quotient is the whole ring."""
+    t = min(shape.m, shape.n)
+    return Minor(shape, range(1, t + 1), range(1, t + 1))
+
+
+def brute_chains(floor, degree):
     """Exhaustive filter over raw factor tuples, as an oracle."""
-    pool = [mn for mn in enumerate_minors(shape)
-            if floor is None or std_le(floor, mn)]
+    pool = [mn for mn in enumerate_minors(floor.shape) if std_le(floor, mn)]
     found = set()
     for length in range(degree + 1):
         for tup in itertools.product(pool, repeat=length):
@@ -303,25 +309,27 @@ class TestStandardMonomials:
         assert pair.degree == 2
 
     def test_against_exhaustive_oracle(self, shape22, shape33, g11, g1312):
-        cases = [(shape22, 2, None), (shape22, 3, None), (shape22, 2, g11),
-                 (shape22, 3, g11), (shape33, 2, None), (shape33, 2, g1312)]
-        for shape, degree, floor in cases:
-            got = {s.factors for s in standard_monomials(shape, degree, floor)}
-            assert got == brute_chains(shape, degree, floor)
+        full22, full33 = full_minor(shape22), full_minor(shape33)
+        cases = [(full22, 2), (full22, 3), (g11, 2), (g11, 3), (full33, 2),
+                 (g1312, 2)]
+        for floor, degree in cases:
+            got = {s.factors for s in standard_monomials(floor, degree)}
+            assert got == brute_chains(floor, degree)
 
     def test_counts(self, shape22, g11):
-        assert len(standard_monomials(shape22, 2)) == 10
-        assert len(standard_monomials(shape22, 2, floor=g11)) == 9
-        assert [len(standard_monomials(shape22, d, floor=g11))
+        assert len(standard_monomials(full_minor(shape22), 2)) == 10
+        assert len(standard_monomials(g11, 2)) == 9
+        assert [len(standard_monomials(g11, d))
                 for d in range(5)] == [1, 4, 9, 16, 25]
 
     @pytest.mark.parametrize("side", [2, 3])
     def test_recursion_counts_the_chains(self, side):
         shape = MatrixShape(side, side)
-        for floor in [None] + enumerate_minors(shape):
+        assert standard_monomial_counts(shape, 4) == [
+            len(standard_monomials(full_minor(shape), d)) for d in range(5)]
+        for floor in enumerate_minors(shape):
             assert standard_monomial_counts(shape, 4, floor) == [
-                len(standard_monomials(shape, d, floor))
-                for d in range(5)], floor
+                len(standard_monomials(floor, d)) for d in range(5)], floor
 
     def test_enumerated_once(self, shape33, g1312, monkeypatch):
         calls = []
@@ -333,22 +341,22 @@ class TestStandardMonomials:
 
         monkeypatch.setattr(factor, "std_le", counting)
         factor._standard_monomials_cached.cache_clear()
-        first = standard_monomials(shape33, 3, g1312)
+        first = standard_monomials(g1312, 3)
         assert isinstance(first, tuple) and calls
         calls.clear()
-        assert standard_monomials(shape33, 3, floor=g1312) is first
+        assert standard_monomials(floor=g1312, degree=3) is first
         assert not calls
 
     def test_chains_are_nondecreasing(self, shape33):
-        for s in standard_monomials(shape33, 3):
+        for s in standard_monomials(full_minor(shape33), 3):
             for a, b in zip(s.factors, s.factors[1:]):
                 assert std_le(a, b)
 
     def test_order_is_depth_first_in_pool_order(self, shape22, shape33, g11,
                                                 g1312):
-        def recursive(shape, degree, floor):
-            pool = [mn for mn in enumerate_minors(shape)
-                    if floor is None or std_le(floor, mn)]
+        def recursive(floor, degree):
+            pool = [mn for mn in enumerate_minors(floor.shape)
+                    if std_le(floor, mn)]
 
             def rec(chain, remaining):
                 if remaining == 0:
@@ -361,15 +369,15 @@ class TestStandardMonomials:
 
             return list(rec((), degree))
 
-        for shape, degree, floor in [(shape22, 4, None), (shape22, 3, g11),
-                                     (shape33, 3, None), (shape33, 3, g1312),
-                                     (shape22, 0, None), (shape22, -1, None)]:
-            got = [s.factors for s in standard_monomials(shape, degree, floor)]
-            assert got == recursive(shape, degree, floor)
+        full22, full33 = full_minor(shape22), full_minor(shape33)
+        for floor, degree in [(full22, 4), (g11, 3), (full33, 3), (g1312, 3),
+                              (full22, 0), (full22, -1)]:
+            got = [s.factors for s in standard_monomials(floor, degree)]
+            assert got == recursive(floor, degree)
 
     def test_long_chains_need_no_recursion(self):
         shape = MatrixShape(1, 1)
-        chains = standard_monomials(shape, 1500)
+        chains = standard_monomials(full_minor(shape), 1500)
         assert len(chains) == 1
         assert chains[0].factors == (Minor(shape, (1,), (1,)),) * 1500
 
@@ -377,19 +385,15 @@ class TestStandardMonomials:
 class TestBasisChecks:
     def test_full_ring(self, shape22, shape33):
         for d in range(5):
-            assert basis_check(shape22, d).passed
+            assert basis_check(full_minor(shape22), d).passed
         for d in range(3):
-            assert basis_check(shape33, d).passed
+            assert basis_check(full_minor(shape33), d).passed
 
     def test_quotient_bases(self, g11, g1312):
         for d in range(5):
-            assert basis_check(g11.shape, d, gamma=g11).passed
+            assert basis_check(g11, d).passed
         for d in range(4):
-            assert basis_check(g1312.shape, d, gamma=g1312).passed
-
-    def test_shape_guard(self, shape33, g11):
-        with pytest.raises(ShapeMismatch):
-            basis_check(shape33, 2, gamma=g11)
+            assert basis_check(g1312, d).passed
 
 
 class TestNormalityScalars:

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (express, int_row, laurent_row, random_poly,
-                      watch_images)
+                      spans_clear, watch_images)
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
 from qdet.errors import BasisMismatch, ShapeMismatch
-from qdet.factor import ideal_component, spans_clear
+from qdet.factor import ideal_component
 from qdet.linalg import (Echelon, LocalColumns, _combine, _entry,
                          component_basis, generator_images,
                          generator_products, poly_row, rank, row_normalized)
@@ -26,9 +26,9 @@ def homogeneous_rows(rng, shape, degree, count):
     rows = []
     while len(rows) < count:
         p = random_poly(rng, shape, max_degree=degree)
-        p = p.homogeneous_components().get(degree)
-        if p is not None:
-            rows.append(poly_row(p, basis))
+        terms = {e: c for e, c in p.terms.items() if sum(e) == degree}
+        if terms:
+            rows.append(poly_row(NCPoly(shape, terms), basis))
     return rows
 
 

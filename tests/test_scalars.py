@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdet.scalars import (LaurentScalar, ZERO, ONE, Q, Q_INV, QHAT, MINUS_Q,
-                          UNIT_RANGE, DegenerateSpecializationWarning,
-                          _laurent, minus_q_power, render_laurent)
+                          UNIT_RANGE, _laurent, minus_q_power,
+                          render_laurent)
 
 
 def L(**terms):
@@ -77,22 +77,6 @@ class TestLaurentBasics:
             Q + c
 
 
-class TestSpecialize:
-    def test_values(self):
-        assert QHAT.specialize(2) == Fraction(3, 2)
-        assert L(e2=1, e0=-1).specialize(Fraction(1, 2)) == Fraction(-3, 4)
-
-    def test_degenerate_warning(self):
-        with pytest.warns(DegenerateSpecializationWarning):
-            QHAT.specialize(1)
-        with pytest.warns(DegenerateSpecializationWarning):
-            Q.specialize(-1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Q_INV.specialize(0)
-
-
 _scalars = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-5, max_value=5),
@@ -114,13 +98,6 @@ class TestLaurentProperties:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @settings(max_examples=120, deadline=None)
-    @given(_scalars, _scalars)
-    def test_specialize_is_a_homomorphism(self, a, b):
-        q0 = Fraction(7, 3)
-        assert (a + b).specialize(q0) == a.specialize(q0) + b.specialize(q0)
-        assert (a * b).specialize(q0) == a.specialize(q0) * b.specialize(q0)
-
 
 class TestRendering:
     def test_examples(self):
@@ -137,16 +114,6 @@ class TestRendering:
 
 
 class TestIntegerCoefficients:
-    def test_specialize_negative_exponents_is_exact(self):
-        a = LaurentScalar({-2: 3, 1: 1})
-        got = a.specialize(2)
-        assert type(got) is Fraction
-        assert got == Fraction(11, 4)
-        with pytest.warns(DegenerateSpecializationWarning):
-            at_one = QHAT.specialize(1)
-        assert type(at_one) is Fraction and at_one == 0
-        assert type(Q_INV.specialize(-3)) is Fraction
-
     def test_unit_inverse_of_two_q(self):
         """2*q is no unit of Z[q, q^-1]: its inverse is refused."""
         for c in (LaurentScalar({1: 2}), LaurentScalar({0: -3}), ZERO):

@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import spans_clear
 import qdet
 from qdet import cache as disk
 from qdet import cli, factor
@@ -178,7 +179,6 @@ class TestRunWorkbench:
             run_suite("mfamily", config)
 
     def test_cache_directory_is_wired_through(self, tmp_path):
-        from qdet.factor import spans_clear
         target = tmp_path / "spans"
         config = small_config(suites=("factor-basis",), max_degree=1,
                               cache=str(target))
@@ -191,7 +191,6 @@ class TestRunWorkbench:
             disk.set_cache_dir(None)
 
     def test_run_without_cache_clears_an_earlier_directory(self, tmp_path):
-        from qdet.factor import spans_clear
         target = tmp_path / "spans"
         try:
             spans_clear()
@@ -567,7 +566,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path, sub):
-        from qdet.factor import spans_clear
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
         try:
@@ -778,7 +776,7 @@ class TestGoldenReports:
                             lambda key: loaded.append(load_rows(key))
                             or loaded[-1])
         for run in range(2):
-            factor.spans_clear()
+            spans_clear()
             loaded.clear()
             assert cli.main(["verify"] + args + ["--report", "out.json"]) == 0
             capsys.readouterr()
@@ -845,7 +843,7 @@ class TestCacheFiles:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                factor.spans_clear()
+                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     want = fh.read()
@@ -859,7 +857,7 @@ class TestCacheFiles:
                     fh.write(damaged(data, how, at, bit, field))
                 # a damaged file is a miss, unless its rows read back whole
                 assert disk.load_rows(key) in (None, stored)
-                factor.spans_clear()
+                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     assert fh.read() == want
@@ -875,7 +873,7 @@ class TestCacheFiles:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                factor.spans_clear()
+                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     want = fh.read()
@@ -899,7 +897,7 @@ class TestCacheFiles:
                 monkeypatch.setattr(
                     disk, "load_rows",
                     lambda key: loads.append(real(key)) or loads[-1])
-                factor.spans_clear()
+                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     assert fh.read() == want
@@ -907,7 +905,7 @@ class TestCacheFiles:
                 assert loads == [None] * len(names)
             finally:
                 os.chdir(cwd)
-                factor.spans_clear()
+                spans_clear()
 
 
 def format_2_file(key, rows):

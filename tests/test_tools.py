@@ -1,5 +1,8 @@
-"""The mutation tool's anchors match the code they mutate."""
+"""The mutation tool's anchors match the code they mutate, and every
+definition in the package has a caller in the package."""
 
+import ast
+import glob
 import importlib.util
 import os
 
@@ -7,6 +10,7 @@ import pytest
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                     "mutants.py")
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qdet")
 
 
 def _load_mutants():
@@ -27,3 +31,30 @@ def test_anchor_occurs_exactly_once(mutant):
     assert text.count(anchor) == 1, name
     assert replacement != anchor, name
 
+
+def test_every_definition_is_referenced_in_the_package():
+    """A function, method or class that nothing in src/qdet names serves
+    only the tests, and belongs in them.  A name counts as referenced when
+    a Name, an Attribute or an import alias anywhere in the package
+    carries it; dunder methods are called by the language."""
+    defined = []
+    referenced = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((node.name, "%s:%d" % (
+                    os.path.basename(path), node.lineno)))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rsplit(".", 1)[-1])
+    assert defined
+    unused = ["%s (%s)" % (name, where) for name, where in defined
+              if name not in referenced
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused, unused
