@@ -56,7 +56,7 @@ from collections import namedtuple
 from operator import add, itemgetter
 
 from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
-from .scalars import (LaurentScalar, ZERO, ONE, Q_INV, QHAT, UNIT_RANGE,
+from .scalars import (LaurentScalar, ONE, Q_INV, QHAT, UNIT_RANGE,
                       render_laurent)
 
 
@@ -597,9 +597,6 @@ class NCPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
 
     def __str__(self):
         return render_poly(self)

@@ -14,8 +14,8 @@ linalg.generator_products, which builds right generator images once per
 build, only for the columns those rows touch and their reversals (the
 left products are read from them through rho), and drops each after the
 last row that reads it; no row is turned back into a polynomial.
-Equality in the quotient, Hilbert dimensions, the standard monomial
-basis and regularity of gamma reduce to residues against these spans.
+The Hilbert dimensions, the standard monomial basis, regularity of
+gamma and the tower image read a span only through IdealComponent.
 The rewriting of an ambient variable through gamma into base variables
 and family minors needs none: each term it drops ends in a generator of
 the ideal.
@@ -39,15 +39,14 @@ from itertools import accumulate
 from . import cache as _disk
 from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
                      ShapeMismatch)
-from .algebra import DIM_GUARD, NCPoly, graded_dim
+from .algebra import DIM_GUARD, NCPoly, graded_basis, graded_dim
 from .minors import (Minor, bits, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      minors_product, std_le, std_le_masks)
-from .linalg import (Echelon, component_basis, generator_products, poly_row,
-                     rank)
+from .linalg import Echelon, component_basis, generator_products, poly_row
 from .report import SuiteReport
 from .scalars import ONE, LaurentScalar
-from .tower import build_frame, stage_monomials
+from .tower import build_frame, stage_monomials, stage_series_dims
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +54,14 @@ from .tower import build_frame, stage_monomials
 
 
 class IdealComponent:
-    """The degree-d piece of I_gamma as a fraction-free echelon."""
+    """I_gamma(d), answering three questions on J_gamma(d) = A(d)/I_gamma(d):
+    contains(p), whether p vanishes there; quotient_dim, its dimension;
+    and rank_mod(polys), the rank of the images of polys there.
+
+    Held as a fraction-free echelon over component_basis rows, which only
+    this class, ideal_component and _build_echelon know.  `rank`, the
+    dimension of I_gamma(d), is read by the bench tracer.
+    """
 
     __slots__ = ("basis", "echelon")
 
@@ -67,18 +73,22 @@ class IdealComponent:
     def rank(self):
         return self.echelon.rank
 
+    @property
+    def quotient_dim(self):
+        return len(self.basis) - self.echelon.rank
+
     def contains(self, p):
         """Exact membership of a homogeneous polynomial of this degree."""
         if p.is_zero:
             return True
         return not self.echelon.residue(poly_row(p, self.basis))
 
-    def extended_rank(self, rows):
-        """Rank of this span together with extra integer rows."""
+    def rank_mod(self, polys):
+        """Rank in J_gamma(d) of the images of polynomials of degree d."""
         ext = self.echelon.copy()
-        for row in rows:
-            ext.insert(row)
-        return ext.rank
+        for p in polys:
+            ext.insert(poly_row(p, self.basis))
+        return ext.rank - self.echelon.rank
 
 
 _ECHELONS = {}
@@ -143,7 +153,7 @@ def _build_echelon(gamma, degree, basis, key):
 
 def hilbert_function(gamma, max_degree):
     """Graded dimensions of J_gamma for degrees 0..max_degree."""
-    return [graded_dim(gamma.shape, d) - ideal_component(gamma, d).rank
+    return [ideal_component(gamma, d).quotient_dim
             for d in range(max_degree + 1)]
 
 
@@ -212,22 +222,21 @@ def _standard_monomials_cached(floor, degree):
     return tuple(out)
 
 
-def standard_monomial_counts(shape, max_degree, floor=None):
-    """len(standard_monomials(shape, d, floor)) for d = 0..max_degree.
+def standard_monomial_counts(floor, max_degree):
+    """len(standard_monomials(floor, d)) for d = 0..max_degree.
 
     Counted without building a chain, on the order masks std_le_masks
     shares per shape: tails[k][r] counts the chains of total size r whose
     members all sit above pool[k] (the empty chain when r == 0), as the
-    sum of tails[b][r - size of b] over the minors b above pool[k].  With
-    a floor only the minors above it are counted; the order is
-    transitive, so every minor above one of them is above the floor too.
-    Costs pool^2 * max_degree steps, whatever the number of chains.
+    sum of tails[b][r - size of b] over the minors b above pool[k].  Only
+    the minors above the floor are counted; the order is transitive, so
+    every minor above one of them is above the floor too.  Costs
+    pool^2 * max_degree steps, whatever the number of chains.
     """
-    pool = enumerate_minors(shape)
-    up = std_le_masks(shape)
-    keep = (1 << len(pool)) - 1 if floor is None else up[pool.index(floor)]
+    pool = enumerate_minors(floor.shape)
+    up = std_le_masks(floor.shape)
     sizes = [mn.size for mn in pool]
-    above = {a: list(bits(up[a])) for a in bits(keep)}
+    above = {a: list(bits(up[a])) for a in bits(up[pool.index(floor)])}
     tails = {a: [1] + [0] * max_degree for a in above}
     for r in range(1, max_degree + 1):
         for k, ups in above.items():
@@ -251,14 +260,12 @@ def basis_check(gamma, degree):
     # the ideal component comes first: its guard trips before any expansion
     ic = ideal_component(gamma, degree)
     stds = standard_monomials(gamma, degree)
-    ambient = graded_dim(gamma.shape, degree)
-    rows = [poly_row(s.value(), ic.basis) for s in stds]
-    total = ic.extended_rank(rows)
-    quotient_dim = ambient - ic.rank
-    rep.add("independent mod ideal", total == ic.rank + len(stds),
-            "rank grew %d of %d" % (total - ic.rank, len(stds)))
-    rep.add("spanning mod ideal", total == ambient and len(stds) == quotient_dim,
-            "count %d, quotient dimension %d" % (len(stds), quotient_dim))
+    grew = ic.rank_mod(s.value() for s in stds)
+    dim = ic.quotient_dim
+    rep.add("independent mod ideal", grew == len(stds),
+            "rank grew %d of %d" % (grew, len(stds)))
+    rep.add("spanning mod ideal", grew == dim and len(stds) == dim,
+            "count %d, quotient dimension %d" % (len(stds), dim))
     return rep
 
 
@@ -270,7 +277,7 @@ def hilbert_check(gamma, max_degree):
     """
     rep = SuiteReport("hilbert", {"gamma": str(gamma), "max_degree": max_degree})
     dims = hilbert_function(gamma, max_degree)
-    counts = standard_monomial_counts(gamma.shape, max_degree, gamma)
+    counts = standard_monomial_counts(gamma, max_degree)
     for d in range(max_degree + 1):
         rep.add("degree %d" % d, dims[d] == counts[d],
                 "dimension %d, standard monomials %d" % (dims[d], counts[d]))
@@ -410,23 +417,19 @@ def generator_image_suite(gamma):
 def regularity_check(gamma, max_degree):
     """Left multiplication by gamma is injective on J_gamma.
 
-    For each degree dp with gamma.size + dp <= max_degree, the span of
-    gamma times the ambient monomials of degree dp adds exactly
-    dim J_gamma(dp) new rows on top of the ideal component.
+    For each degree dp with gamma.size + dp <= max_degree, the images of
+    gamma times the ambient monomials of degree dp have rank
+    dim J_gamma(dp) in J_gamma(gamma.size + dp).
     """
     rep = SuiteReport("regularity", {"gamma": str(gamma),
                                      "max_degree": max_degree})
-    shape = gamma.shape
     t = gamma.size
     gval = minor_value(gamma)
     for dp in range(0, max_degree - t + 1):
-        total_deg = t + dp
-        ic = ideal_component(gamma, total_deg)
-        j_dim = graded_dim(shape, dp) - ideal_component(gamma, dp).rank
-        src = component_basis(shape, dp)
-        rows = [poly_row(gval * NCPoly(shape, {e: ONE}), ic.basis)
-                for e in src.monomials]
-        grew = ic.extended_rank(rows) - ic.rank
+        ic = ideal_component(gamma, t + dp)
+        j_dim = ideal_component(gamma, dp).quotient_dim
+        grew = ic.rank_mod(gval * NCPoly(gamma.shape, {e: ONE})
+                           for e in graded_basis(gamma.shape, dp))
         rep.add("degree %d" % dp, grew == j_dim,
                 "image rank %d, quotient dimension %d" % (grew, j_dim))
     return rep
@@ -446,7 +449,7 @@ def zero_divisor_check(gamma, max_degree):
     shape = gamma.shape
     for d in range(max_degree + 1):
         _dim_guard(shape, d)
-    counts = standard_monomial_counts(shape, max_degree, gamma)
+    counts = standard_monomial_counts(gamma, max_degree)
     # below[k]: standard monomials of positive degree at most k
     below = list(accumulate(counts[1:], initial=0))
     pairs = sum(counts[da] * below[max_degree - da]
@@ -474,18 +477,19 @@ def zero_divisor_check(gamma, max_degree):
 def tower_image_check(gamma, max_degree):
     """The tower subalgebra embeds into J_gamma with its full dimensions.
 
-    For each degree, the ordered products of the final tower stage add as
-    many new rows over the ideal component as their span has on its own.
+    For each degree, the ordered products of the final tower stage have
+    images of rank equal to their number, the tower's series coefficient
+    (which ore_step_check certifies against their own rank): image rank
+    <= own rank <= number, so they stay independent in the quotient.
     """
     rep = SuiteReport("tower_image", {"gamma": str(gamma),
                                       "max_degree": max_degree})
     frame = build_frame(gamma)
-    top = len(frame.generators())
+    gens = frame.generators()
+    dims = stage_series_dims([g.degree for g in gens], max_degree)
     for d in range(max_degree + 1):
-        ic = ideal_component(gamma, d)
-        rows = [poly_row(p, ic.basis) for p in stage_monomials(frame, top, d)]
-        own = rank(rows)
-        grew = ic.extended_rank(rows) - ic.rank
-        rep.add("degree %d" % d, grew == own,
-                "tower dimension %d, image dimension %d" % (own, grew))
+        grew = ideal_component(gamma, d).rank_mod(
+            stage_monomials(frame, len(gens), d))
+        rep.add("degree %d" % d, grew == dims[d],
+                "tower dimension %d, image dimension %d" % (dims[d], grew))
     return rep

@@ -337,11 +337,3 @@ class Echelon:
         ech = Echelon()
         ech.pivots = dict(self.pivots)
         return ech
-
-
-def rank(rows):
-    """Rank of integer rows, by fraction-free elimination over Q[q, q^-1]."""
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.rank

@@ -189,12 +189,6 @@ class LaurentScalar:
         (e, c), = self.terms.items()
         return _laurent({-e: c})
 
-    def shift(self, k):
-        """Multiply by q^k."""
-        if not k or not self.terms:
-            return self
-        return _laurent({e + k: c for e, c in self.terms.items()})
-
     # ------------------------------------------------------------------
     # comparisons and rendering
 

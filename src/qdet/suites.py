@@ -18,6 +18,7 @@ values, so reports keep their version-1 bytes.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from . import cache as _disk
@@ -39,9 +40,13 @@ from .tower import (Frame, build_frame, check_h_actions,
 
 REPORT_VERSION = 1
 
-#: most generator triples, (mn)^3, the pbw associativity check multiplies
-#: before DegreeTooLarge
+#: most generator triples, (mn)^3, before DegreeTooLarge: pbw multiplies
+#: that many, and laplace, centrality and minors grow with the shape alone
 PBW_TRIPLE_GUARD = 10 ** 5
+
+#: most steps, pool^2 * max(max_degree, 1) for the pool of minors, of the
+#: counts suite's order masks and chain recursion before DegreeTooLarge
+COUNTS_STEP_GUARD = 10 ** 7
 
 @dataclass
 class WorkbenchConfig:
@@ -163,12 +168,18 @@ def emit_report(run, fh):
 # the individual suites
 
 
-def _suite_pbw(config):
+def _guarded_shape(config):
+    """The config's shape, refused above PBW_TRIPLE_GUARD before any work."""
     shape = config.shape()
     triples = shape.ngens ** 3
     if triples > PBW_TRIPLE_GUARD:
         raise DegreeTooLarge("%s has %d generator triples (guard %d)"
                              % (shape, triples, PBW_TRIPLE_GUARD))
+    return shape
+
+
+def _suite_pbw(config):
+    shape = _guarded_shape(config)
     rep = SuiteReport("pbw", {"shape": str(shape)})
     gens = shape.gens()
     for a in range(len(gens)):
@@ -206,7 +217,7 @@ def _suite_pbw(config):
 
 
 def _suite_laplace(config):
-    shape = config.shape()
+    shape = _guarded_shape(config)
     rep = SuiteReport("laplace", {"shape": str(shape)})
     cap = min(shape.m, shape.n - 1, 2)
     for k in range(1, cap + 1):
@@ -228,7 +239,7 @@ def _suite_laplace(config):
 
 
 def _suite_centrality(config):
-    shape = config.shape()
+    shape = _guarded_shape(config)
     rep = SuiteReport("centrality", {"shape": str(shape)})
     if shape.m == shape.n:
         dq = minor_value(quantum_determinant(shape))
@@ -250,7 +261,7 @@ def _suite_centrality(config):
 
 
 def _suite_minors(config):
-    shape = config.shape()
+    shape = _guarded_shape(config)
     rep = SuiteReport("minors", {"shape": str(shape)})
     pool = enumerate_minors(shape)
     rep.add("poset size", True, "%d minors" % len(pool))
@@ -275,6 +286,11 @@ def _suite_minors(config):
 
 def _suite_counts(config):
     shape = config.shape()
+    pool = math.comb(shape.m + shape.n, shape.m) - 1
+    steps = pool ** 2 * max(config.max_degree, 1)
+    if steps > COUNTS_STEP_GUARD:
+        raise DegreeTooLarge("%s has %d minors: %d counting steps (guard %d)"
+                             % (shape, pool, steps, COUNTS_STEP_GUARD))
     rep = SuiteReport("counts", {"shape": str(shape),
                                  "max_degree": config.max_degree})
     for mn in enumerate_minors(shape):
@@ -285,7 +301,10 @@ def _suite_counts(config):
             rep.add("generators over %s" % mn, False, str(exc))
             continue
         rep.add("generators over %s" % mn, True, "%d generators" % count)
-    counts = standard_monomial_counts(shape, config.max_degree)
+    # the full-size leading minor sits below every minor: all chains count
+    t = min(shape.m, shape.n)
+    counts = standard_monomial_counts(
+        Minor(shape, range(1, t + 1), range(1, t + 1)), config.max_degree)
     for d, stds in enumerate(counts):
         rep.add("standard monomials degree %d" % d, stds == graded_dim(shape, d),
                 "%d standard, dimension %d" % (stds, graded_dim(shape, d)))

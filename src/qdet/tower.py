@@ -118,13 +118,6 @@ class Frame:
                               for pos, (kind, i, j, mn) in enumerate(members))
         return self._members
 
-    def member(self, kind, i, j):
-        for mb in self.family():
-            if (mb.kind, mb.i, mb.j) == (kind, i, j):
-                return mb
-        raise UndefinedMember("%s[%d,%d] is not defined for %s"
-                              % (kind, i, j, self.minor))
-
     def generators(self):
         """The tower generators, built once: the t*t base variables x[a,b]
         (row-major over rows x cols), then one per family member."""

@@ -15,6 +15,10 @@ multiplies two such evaluations as commuting monomials; at q0 = 1 the
 quantum product must agree with it.  spans_clear drops the ideal spans
 that factor.ideal_component keeps for the session, so that the next call
 builds its span again.
+
+rank, coeff and member read what the library computes but never asks
+for itself: the rank of integer rows, one coefficient of a polynomial,
+and one member of a minor's swap family.
 """
 
 import random
@@ -24,6 +28,7 @@ from fractions import Fraction
 import pytest
 
 from qdet import MatrixShape, NCPoly, factor, linalg, normal_form
+from qdet.errors import UndefinedMember
 from qdet.linalg import Echelon
 from qdet.scalars import LaurentScalar, ONE, Q_INV, QHAT, ZERO
 
@@ -91,6 +96,29 @@ def commutative_product(a, b):
 def spans_clear():
     """Drop the ideal spans that factor.ideal_component has cached."""
     factor._ECHELONS.clear()
+
+
+def rank(rows):
+    """Rank of integer rows, by the library's fraction-free Echelon."""
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
+
+
+def coeff(p, exps):
+    """The coefficient of the ordered monomial x^exps in p."""
+    return p.terms.get(tuple(exps), ZERO)
+
+
+def member(frame, kind, i, j):
+    """The family member kind[i, j] of a tower frame; UndefinedMember
+    when the swap is not defined for the frame's minor."""
+    for mb in frame.family():
+        if (mb.kind, mb.i, mb.j) == (kind, i, j):
+            return mb
+    raise UndefinedMember("%s[%d,%d] is not defined for %s"
+                          % (kind, i, j, frame.minor))
 
 
 def laurent_row(row):

@@ -235,6 +235,35 @@ class TestSizeGuard:
                     is ideal_component(g1312, d).basis)
 
 
+class TestThreeQuestions:
+    """IdealComponent's contains, quotient_dim and rank_mod against the
+    standard monomials, which count and span J_gamma independently."""
+
+    @pytest.mark.parametrize("gamma", enumerate_minors(MatrixShape(3, 3)),
+                             ids=str)
+    def test_every_3x3_minor_through_degree_3(self, gamma):
+        counts = standard_monomial_counts(gamma, 3)
+        for d in range(4):
+            ic = ideal_component(gamma, d)
+            assert ic.quotient_dim == counts[d] == \
+                graded_dim(gamma.shape, d) - ic.rank
+            values = [s.value() for s in standard_monomials(gamma, d)]
+            assert ic.rank_mod(values) == counts[d]
+            assert ic.rank_mod(values + values) == counts[d]
+
+    def test_rank_mod_counts_images_not_polynomials(self, g11, shape22):
+        ic = ideal_component(g11, 2)
+        dq = minor_value(Minor(shape22, (1, 2), (1, 2)))
+        x11x22 = NCPoly.generator(shape22, 1, 1) * NCPoly.generator(shape22,
+                                                                    2, 2)
+        assert ic.contains(dq) and not ic.contains(x11x22)
+        assert ic.rank_mod([]) == ic.rank_mod([dq]) == 0
+        assert ic.rank_mod([dq, x11x22, x11x22.scale(Q) + dq]) == 1
+        assert ic.rank_mod(iter([x11x22])) == 1
+        # asking leaves the component as it was
+        assert ic.rank == 1 and ic.quotient_dim == 9
+
+
 class TestQuotient:
     def test_relations_modulo_corner(self, g11, shape22):
         x = lambda i, j: NCPoly.generator(shape22, i, j)
@@ -325,10 +354,8 @@ class TestStandardMonomials:
     @pytest.mark.parametrize("side", [2, 3])
     def test_recursion_counts_the_chains(self, side):
         shape = MatrixShape(side, side)
-        assert standard_monomial_counts(shape, 4) == [
-            len(standard_monomials(full_minor(shape), d)) for d in range(5)]
         for floor in enumerate_minors(shape):
-            assert standard_monomial_counts(shape, 4, floor) == [
+            assert standard_monomial_counts(floor, 4) == [
                 len(standard_monomials(floor, d)) for d in range(5)], floor
 
     def test_enumerated_once(self, shape33, g1312, monkeypatch):

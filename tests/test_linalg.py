@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (express, int_row, laurent_row, random_poly,
+from conftest import (express, int_row, laurent_row, random_poly, rank,
                       spans_clear, watch_images)
 from qdet.algebra import (MatrixShape, NCPoly, _nf_mono_gen, graded_dim,
                           normal_form)
@@ -11,7 +11,7 @@ from qdet.errors import BasisMismatch, ShapeMismatch
 from qdet.factor import ideal_component
 from qdet.linalg import (Echelon, LocalColumns, _combine, _entry,
                          component_basis, generator_images,
-                         generator_products, poly_row, rank, row_normalized)
+                         generator_products, poly_row, row_normalized)
 from qdet.minors import Minor, minor_value
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, ZERO
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import coeff
 from qdet.algebra import MatrixShape, NCPoly, _word_exps
 from qdet.errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
                          SizeMismatch)
@@ -54,10 +55,10 @@ class TestMinorBasics:
     def test_determinant_coefficients(self, shape33):
         d = minor_value(quantum_determinant(shape33))
         assert len(d.terms) == 6
-        assert d.coeff(mono(shape33, ((1, 1), (2, 2), (3, 3)))) == ONE
-        assert d.coeff(mono(shape33, ((1, 3), (2, 2), (3, 1)))) == \
+        assert coeff(d, mono(shape33, ((1, 1), (2, 2), (3, 3)))) == ONE
+        assert coeff(d, mono(shape33, ((1, 3), (2, 2), (3, 1)))) == \
             minus_q_power(3)
-        assert d.coeff(mono(shape33, ((1, 2), (2, 1), (3, 3)))) == \
+        assert coeff(d, mono(shape33, ((1, 2), (2, 1), (3, 3)))) == \
             minus_q_power(1)
 
     def test_expansion_methods_agree(self, shape33, shape34):
@@ -75,7 +76,7 @@ class TestMinorBasics:
 
     def test_size_guard(self):
         ok = quantum_determinant(MatrixShape(8, 8))
-        assert minor_value(ok).coeff(mono(ok.shape, tuple(
+        assert coeff(minor_value(ok), mono(ok.shape, tuple(
             (i, 9 - i) for i in range(1, 9)))) == minus_q_power(28)
         big = quantum_determinant(MatrixShape(9, 9))
         for method in ("perm_sum", "laplace_first_row"):

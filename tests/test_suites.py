@@ -380,6 +380,47 @@ class TestCLI:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "pass 925 / fail 0"
 
+    @pytest.mark.parametrize("suite", ["laplace", "centrality", "minors"])
+    def test_shape_suites_refuse_before_any_work(self, suite, capsys,
+                                                 monkeypatch):
+        # 9x9 has 81^3 generator triples, above the pbw bound they share
+        def refuse(*args, **kwargs):
+            raise AssertionError("work before the shape guard")
+
+        for name in ("enumerate_minors", "laplace_relation",
+                     "laplace_row_relation", "minor_value",
+                     "quantum_determinant"):
+            monkeypatch.setattr(suites_mod, name, refuse)
+        monkeypatch.setattr(NCPoly, "__mul__", refuse)
+        start = time.perf_counter()
+        rc = cli.main(["verify", "--m", "9", "--n", "9", "--suites", suite,
+                       "--max-degree", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite %s: 9x9 has 531441 generator triples "
+            "(guard 100000)\n" % suite)
+
+    @pytest.mark.parametrize("m, degree, pool, steps", [
+        (9, 1, 48619, 2363807161), (2, 10 ** 7, 5, 25 * 10 ** 7)],
+        ids=["9x9-degree-1", "2x2-degree-1e7"])
+    def test_counts_refuse_before_any_work(self, m, degree, pool, steps,
+                                           capsys, monkeypatch):
+        # pool^2 * max_degree steps, the pool counted as C(m + n, m) - 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("work before the counts guard")
+
+        monkeypatch.setattr(suites_mod, "enumerate_minors", refuse)
+        monkeypatch.setattr(suites_mod, "standard_monomial_counts", refuse)
+        start = time.perf_counter()
+        rc = cli.main(["verify", "--m", str(m), "--n", str(m), "--suites",
+                       "counts", "--max-degree", str(degree)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite counts: %dx%d has %d minors: %d counting steps "
+            "(guard 10000000)\n" % (m, m, pool, steps))
+
     def test_counts_enumerate_no_standard_monomial(self, capsys,
                                                     monkeypatch):
         # the counts come from the shared order masks; no chain is built

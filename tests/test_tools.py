@@ -34,27 +34,36 @@ def test_anchor_occurs_exactly_once(mutant):
 
 def test_every_definition_is_referenced_in_the_package():
     """A function, method or class that nothing in src/qdet names serves
-    only the tests, and belongs in them.  A name counts as referenced when
-    a Name, an Attribute or an import alias anywhere in the package
-    carries it; dunder methods are called by the language."""
+    only the tests, and belongs in them.  A function or class counts as
+    referenced when a Name, an Attribute or an import alias anywhere in
+    the package carries its name; a method (a def in a class body) only
+    when an Attribute does, since a bare name never reaches it.  Dunder
+    methods are called by the language."""
     defined = []
-    referenced = set()
+    methods = set()
+    names = set()
+    attributes = set()
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                defined.append((node.name, "%s:%d" % (
+                defined.append((node, "%s:%d" % (
                     os.path.basename(path), node.lineno)))
+            if isinstance(node, ast.ClassDef):
+                methods.update(item for item in node.body if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef)))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.add(node.name.rsplit(".", 1)[-1])
-    assert defined
-    unused = ["%s (%s)" % (name, where) for name, where in defined
-              if name not in referenced
-              and not (name.startswith("__") and name.endswith("__"))]
+                names.add(node.name.rsplit(".", 1)[-1])
+    assert defined and methods
+    unused = ["%s (%s)" % (node.name, where) for node, where in defined
+              if node.name not in attributes
+              and (node in methods or node.name not in names)
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))]
     assert not unused, unused

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from conftest import express
+from conftest import express, member, rank
 from qdet.algebra import MatrixShape, NCPoly, TorusElement, eigenvalue_of
 from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
                          WorkbenchError, ZeroInput)
@@ -54,9 +54,9 @@ class TestFrame:
     def test_swap_defined_iff_removed_below_added(self, frame1312):
         # removing row 3 would bring in the smaller row 2: undefined
         with pytest.raises(UndefinedMember):
-            frame1312.member("row_swap", 1, 2)
+            member(frame1312, "row_swap", 1, 2)
         with pytest.raises(UndefinedMember):
-            frame1312.member("col_swap", 2, 1)
+            member(frame1312, "col_swap", 2, 1)
 
     def test_base_generators(self, frame1312):
         base = frame1312.generators()[:4]
@@ -78,12 +78,12 @@ class TestFrame:
 
 class TestTorusElements:
     def test_col_swap_entries(self, frame1312):
-        h = member_torus(frame1312, frame1312.member("col_swap", 1, 1))
+        h = member_torus(frame1312, member(frame1312, "col_swap", 1, 1))
         assert h.alphas == (ONE, Q_INV, ONE)
         assert h.betas == (Q, ONE, LaurentScalar({-2: 1}))
 
     def test_row_swap_entries(self, frame1312):
-        h = member_torus(frame1312, frame1312.member("row_swap", 1, 1))
+        h = member_torus(frame1312, member(frame1312, "row_swap", 1, 1))
         assert h.alphas == (Q, LaurentScalar({-2: 1}), ONE)
         assert h.betas == (ONE, ONE, Q_INV)
 
@@ -99,11 +99,11 @@ class TestTorusElements:
         # but it cannot scale the earlier swap minors correctly; the q^-1
         # entries on outside rows and columns are forced
         fr = build_frame(Minor(shape33, (2,), (1,)))
-        mb = fr.member("col_swap", 2, 1)
+        mb = member(fr, "col_swap", 2, 1)
         naive = TorusElement(shape33, (ONE, ONE, ONE), (Q, ONE, ONE))
         base = minor_value(fr.minor)
         assert naive.act(base) == base.scale(Q)
-        earlier = minor_value(fr.member("col_swap", 1, 1).minor)
+        earlier = minor_value(member(fr, "col_swap", 1, 1).minor)
         assert naive.act(earlier) != earlier.scale(Q_INV)
         real = member_torus(fr, mb)
         assert real.act(earlier) == earlier.scale(Q_INV)
@@ -405,7 +405,8 @@ class TestOreSteps:
             run_suite("ore-tower", config)
 
     def test_dims_match_a_rank_from_scratch(self, shape33):
-        """The walk's dims equal linalg.rank over each stage's products."""
+        """The walk's dims equal a rank from scratch over each stage's
+        products."""
         for fr in product_frames(shape33):
             steps = ore_step_check(fr, max_degree=4)
             assert len(steps) == len(fr.family())
@@ -413,8 +414,8 @@ class TestOreSteps:
                 k = fr.size ** 2 + out.member.position + 1
                 for d, _, actual in out.dims:
                     basis = linalg.component_basis(fr.shape, d)
-                    want = linalg.rank(linalg.poly_row(p, basis)
-                                       for p in stage_monomials(fr, k, d))
+                    want = rank(linalg.poly_row(p, basis)
+                                for p in stage_monomials(fr, k, d))
                     assert actual == want, (fr, out.member.label, d)
 
 
@@ -522,8 +523,8 @@ class TestDeltaPrediction:
 
     def test_other_kind_under_a_col_swap_raises(self, shape33):
         frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
-        col = frame.member("col_swap", 1, 1)
-        row = frame.member("row_swap", 1, 1)
+        col = member(frame, "col_swap", 1, 1)
+        row = member(frame, "row_swap", 1, 1)
         idx = frame.size ** 2 + row.position
         with pytest.raises(WorkbenchError):
             predicted_delta(frame, col, idx, frame.member_values(col.kind))

@@ -33,7 +33,7 @@ MUTANTS = (
     ("same-line-q", "same-row/column swap costs q instead of q^-1",
      "src/qdet/algebra.py",
      "stack.append((coeff * Q_INV, swapped))",
-     "stack.append((coeff.shift(1), swapped))"),
+     "stack.append((coeff * Q_INV.unit_inverse(), swapped))"),
     ("diagonal-sign", "diagonal correction carries +(q - q^-1)",
      "src/qdet/algebra.py",
      "_MINUS_QHAT = -QHAT",
@@ -171,8 +171,23 @@ MUTANTS = (
      "elif std_le(gamma, tail) or len(factors) == 1:"),
     ("counts-floorless", "standard_monomial_counts ignores its floor",
      "src/qdet/factor.py",
-     "keep = (1 << len(pool)) - 1 if floor is None else up[pool.index(floor)]",
-     "keep = (1 << len(pool)) - 1"),
+     "for a in bits(up[pool.index(floor)])}",
+     "for a in range(len(pool))}"),
+    ("rank-mod-unsubtracted",
+     "rank_mod returns the extended rank, the ideal's rank included",
+     "src/qdet/factor.py",
+     "return ext.rank - self.echelon.rank",
+     "return ext.rank"),
+    ("quotient-dim-ambient", "quotient_dim returns the ambient dimension",
+     "src/qdet/factor.py",
+     "return len(self.basis) - self.echelon.rank",
+     "return len(self.basis)"),
+    ("tower-image-base-series",
+     "the tower image is compared with the base stage's series",
+     "src/qdet/factor.py",
+     "stage_series_dims([g.degree for g in gens], max_degree)",
+     "stage_series_dims([g.degree for g in gens[:frame.size ** 2]],"
+     " max_degree)"),
     ("straighten-shift", "straightening predicts (-q)^(j - s + 1)",
      "src/qdet/tower.py",
      "c = QHAT * minus_q_power(mb.j - s)",
