@@ -13,22 +13,25 @@ product is rewritten onto it by adjacent transpositions.  Each transposition
 removes one lexicographic inversion, which is why the rewriting terminates;
 the diagonal case queues a correction word with two fresh letters.
 
-A product of two ordered monomials rewrites only its shorter factor, one
-letter at a time, into the longer one.  The anti-automorphism
-rho: x[i,j] -> x[m+1-i, n+1-j] maps each defining relation onto itself and
-reverses the lex order of the generators, so it sends x^e to x^reverse(e)
-with coefficient 1 and x^a * x^b = rho(x^rev(b) * x^rev(a)): a shorter left
-factor is rewritten as the right factor of the mirrored product.
+A product of two ordered monomials rewrites its right factor, one
+letter at a time, into the left one.  Only a one-letter left factor is
+flipped: the anti-automorphism rho: x[i,j] -> x[m+1-i, n+1-j] maps each
+defining relation onto itself and reverses the lex order of the
+generators, so it sends x^e to x^reverse(e) with coefficient 1, and
+x_g * x^e = rho(x^rev(e) * rho(x_g)) is one right product.
 
 A monomial times a generator, x^e * x_g, is written down in closed form
 when no letter of x^e lies strictly southeast of x_g (row and column
 both larger): no diagonal correction arises, and the product is
 q^-k * x^(e+g), k the letters of x^e after x_g in its row or column.
 A product of two monomials is written down the same way when no letter
-of the longer factor lies strictly southeast of a letter of the shorter
-one: q^-K * x^(e1+e2), K the sum of those k over the shorter factor's
+of the left factor lies strictly southeast of a letter of the right
+one: q^-K * x^(e1+e2), K the sum of those k over the right factor's
 letters (`_nf_concat_closed`).  Only the other products run the word
-machine `_nf_word_raw` (also the reference behind `normal_form`).
+machine `_nf_word_raw` (also the reference behind `normal_form`).  The
+letters each closed-form test reads come from one table per shape
+(`_lines`) of about (mn)^2 / 4 indices, so a shape whose table would
+pass LINES_GUARD entries is refused before any table of it is built.
 
 A product's terms travel as one flat tuple (e0, c0, e1, c1, ...),
 read pairwise with `it = iter(t); zip(it, it)`; `_nf_word_raw` alone
@@ -36,12 +39,12 @@ returns (exps, scalar) pairs.  No memo stores a product that has a
 closed form, and each stored result is held once, and compactly.  The
 monomial-times-generator memo `_nf_mono_gen` stores only what the word
 machine computes and recomputes a closed-form product on each lookup.
-A product whose shorter factor has one letter is a single
-`_nf_mono_gen` call (its exponent tuples read backwards on the mirrored
-side), and a product with a scalar factor needs no rewriting at all;
-neither gets a memo entry of its own.  Only products whose shorter
-factor has two or more letters and no closed form, which chain several
-lookups, are memoised (`_nf_concat`).  Both memos are plain dicts per
+A product with a one-letter factor is a single `_nf_mono_gen` call
+(its exponent tuples read backwards when the letter is on the left),
+and a product with a scalar factor needs no rewriting at all; neither
+gets a memo entry of its own.  Only products whose factors both have
+two or more letters and no closed form, which chain several lookups,
+are memoised (`_nf_concat`).  Both memos are plain dicts per
 shape: `_nf_mono_gen` is keyed by generator and then by exponent tuple,
 `_nf_concat` by the pair of exponent tuples, so an entry costs one dict
 slot and one flat tuple.  Every exponent tuple and every scalar a memo
@@ -52,10 +55,11 @@ its cap clears itself and the shared table.
 """
 
 import itertools
+import math
 from collections import namedtuple
 from operator import add, itemgetter
 
-from .errors import IndexOutOfShape, ShapeMismatch, ZeroInput
+from .errors import DegreeTooLarge, IndexOutOfShape, ShapeMismatch, ZeroInput
 from .scalars import (LaurentScalar, ONE, Q_INV, QHAT, UNIT_RANGE,
                       render_laurent)
 
@@ -166,6 +170,10 @@ _MINUS_QHAT = -QHAT
 #: column, each returning a tuple
 _LINES = {}
 
+#: most index entries `_lines` builds for one shape (about 40 bytes and
+#: 1 us each), above which a product on the shape is refused
+LINES_GUARD = 10 ** 6
+
 #: the shared q^-k, 0 <= k <= UNIT_RANGE
 _Q_INV_POWERS = tuple(Q_INV ** k for k in range(UNIT_RANGE + 1))
 
@@ -178,7 +186,18 @@ def _getter(indices):
                       else slice(0))
 
 
+def _refuse_wide(m, n):
+    """Raise DegreeTooLarge when the `_lines` table of m x n would hold
+    more than LINES_GUARD indices; nothing is built."""
+    entries = (math.comb(m, 2) * math.comb(n, 2)
+               + m * math.comb(n, 2) + n * math.comb(m, 2))
+    if entries > LINES_GUARD:
+        raise DegreeTooLarge("a product on %dx%d needs a table of %d entries "
+                             "(guard %d)" % (m, n, entries, LINES_GUARD))
+
+
 def _lines(m, n):
+    _refuse_wide(m, n)
     plans = []
     for g in range(m * n):
         i, j = divmod(g, n)
@@ -211,11 +230,10 @@ def _nf_mono_gen_closed(m, n, exps, g):
 
 
 def _nf_concat_closed(m, n, e1, e2):
-    """x^e1 * x^e2 in closed form as the pair (exps, coeff), or None; e2
-    is the factor `_nf_concat` rewrites, after the rho mirror.
+    """x^e1 * x^e2 in closed form as the pair (exps, coeff), or None.
 
     When no letter of x^e1 lies strictly southeast of any letter of x^e2,
-    the letters g1 <= g2 <= ... of x^e2 go in by the closed form of
+    the letters g1 <= g2 <= ... of x^e2 go into x^e1 by the closed form of
     `_nf_mono_gen_closed`: an earlier letter is never southeast of a
     later one, nor after it in its row or column, so each step counts
     only the letters of x^e1.  So x^e1 * x^e2 = q^-K * x^(e1+e2), K the
@@ -238,13 +256,16 @@ def _nf_mono_gen_raw(m, n, exps, g):
     """Normal form of (ordered monomial) * x_g, g a lex generator index,
     as the flat terms tuple (e0, c0, e1, c1, ...).
 
-    The closed form when it applies, otherwise the word machine on the
-    ordered word of x^e followed by x_g.  Not memoised; `_nf_mono_gen`
-    stores what the word machine computes.
+    The closed form when it applies, otherwise the word machine.  Not
+    memoised; `_nf_mono_gen` stores what the word machine computes.
     """
-    terms = _nf_mono_gen_closed(m, n, exps, g)
-    if terms is not None:
-        return terms
+    return (_nf_mono_gen_closed(m, n, exps, g)
+            or _nf_mono_gen_word(m, n, exps, g))
+
+
+def _nf_mono_gen_word(m, n, exps, g):
+    """x^e * x_g by the word machine on the ordered word of x^e followed
+    by x_g, as a flat terms tuple."""
     word = []
     for idx, e in enumerate(exps):
         if e:
@@ -290,6 +311,7 @@ class _Memo:
         key = (m, n)
         t = self.tables.get(key)
         if t is None:
+            _refuse_wide(m, n)
             t = self.tables[key] = [{} for _ in range(width)]
         return t
 
@@ -341,7 +363,7 @@ def _nf_mono_gen(m, n, exps, g):
         _MONO_GEN.hits += 1
         return terms
     _MONO_GEN.miss()
-    terms = tuple([_share(x) for x in _nf_mono_gen_raw(m, n, exps, g)])
+    terms = tuple([_share(x) for x in _nf_mono_gen_word(m, n, exps, g)])
     table[_share(exps)] = terms
     return terms
 
@@ -352,34 +374,20 @@ _nf_mono_gen.cache_clear = _MONO_GEN.cache_clear
 
 def _nf_concat(m, n, e1, e2):
     """Normal form of x^e1 * x^e2 for ordered monomials, as the flat terms
-    tuple (e0, c0, e1, c1, ...); memoised unless it has a closed form.
+    tuple (e0, c0, e1, c1, ...); stored unless it has a closed form.
 
-    NCPoly.__mul__ calls this only on a miss, and only when the shorter
-    factor has two or more letters; a shorter factor of one letter is
-    one _nf_mono_gen lookup, which a memo here would only copy.  When
-    the left factor is the shorter, the mirrored product
-    x^rev(e2) * x^rev(e1) is taken instead and each of its exponent
-    tuples read backwards (rho, see the module docstring).  A product
-    with no letter of the longer factor strictly southeast of a letter
-    of the shorter one is one term, written down by `_nf_concat_closed`
-    and never stored, and counts neither as a hit nor as a miss.  Any
-    other product multiplies the letters of the shorter factor in one
-    at a time, each through _nf_mono_gen, so it costs one rewriting pass
-    per letter of its shorter factor, and is stored.
+    NCPoly.__mul__ reads the memo and calls this only on a miss, and
+    only when both factors have two or more letters; a one-letter factor
+    is one _nf_mono_gen lookup, which a memo here would only copy.  A
+    product with no letter of x^e1 strictly southeast of a letter of
+    x^e2 is one term, written down by `_nf_concat_closed` and never
+    stored, and counts as no miss.  Any other product multiplies the
+    letters of x^e2 into x^e1 one at a time, each through _nf_mono_gen,
+    so it costs one rewriting pass per letter of x^e2, and is stored.
     """
-    key = (e1, e2)
-    mirrored = sum(e1) < sum(e2)
-    if mirrored:
-        e1, e2 = e2[::-1], e1[::-1]
     closed = _nf_concat_closed(m, n, e1, e2)
     if closed is not None:
-        e, c = closed
-        return (e[::-1], c) if mirrored else closed
-    table = _CONCAT.dicts(m, n, 1)[0]
-    terms = table.get(key)
-    if terms is not None:
-        _CONCAT.hits += 1
-        return terms
+        return closed
     letters = [g for g, e in enumerate(e2) for _ in range(e)]
     terms = _nf_mono_gen(m, n, e1, letters[0])
     for g in letters[1:]:
@@ -397,13 +405,8 @@ def _nf_concat(m, n, e1, e2):
                     nxt[exps2] = acc
         terms = tuple(itertools.chain.from_iterable(nxt.items()))
     _CONCAT.miss()
-    if mirrored:
-        it = iter(terms)
-        terms = tuple([x for e, c in zip(it, it)
-                       for x in (_share(e[::-1]), _share(c))])
-    else:
-        terms = tuple([_share(x) for x in terms])
-    table[_share(key[0]), _share(key[1])] = terms
+    terms = tuple([_share(x) for x in terms])
+    _CONCAT.dicts(m, n, 1)[0][_share(e1), _share(e2)] = terms
     return terms
 
 
@@ -520,8 +523,9 @@ class NCPoly:
             d2 = sum(e2)
             for e1, c1, d1 in lefts:
                 c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-                # rewrite the shorter factor; a one-letter or scalar factor
-                # reads _nf_mono_gen directly and is not memoised again
+                # rewrite the right factor into the left one; a one-letter
+                # or scalar factor reads _nf_mono_gen directly and is not
+                # memoised again
                 flip = False
                 if d1 > 1 and d2 > 1:
                     terms = concat.get((e1, e2))
@@ -642,7 +646,6 @@ DIM_GUARD = 10000
 
 def graded_dim(shape, d):
     """Dimension of the degree-d component, computed combinatorially."""
-    import math
     if d < 0:
         return 0
     return math.comb(d + shape.ngens - 1, shape.ngens - 1)
@@ -653,9 +656,10 @@ def graded_dim(shape, d):
 
 
 class TorusElement:
-    """Diagonal torus element acting by x[i,j] -> alpha_i * beta_j * x[i,j].
+    """Diagonal torus element acting by x[i,j] -> q^(a_i + b_j) * x[i,j].
 
-    Entries are units +-q^k of Z[q, q^-1].
+    alphas and betas are the integer q-exponents a_i, one per row, and
+    b_j, one per column.
     """
 
     __slots__ = ("shape", "alphas", "betas")
@@ -665,26 +669,18 @@ class TorusElement:
         betas = tuple(betas)
         if len(alphas) != shape.m or len(betas) != shape.n:
             raise ShapeMismatch("torus element does not match %s" % shape)
-        for v in alphas + betas:
-            if not isinstance(v, LaurentScalar) or not v.is_unit:
-                raise ZeroInput("torus entries must be single-term units")
         self.shape = shape
         self.alphas = alphas
         self.betas = betas
 
     def weight(self, exps):
-        """The scalar this element multiplies a monomial by."""
+        """The unit q^k this element multiplies a monomial by."""
         n = self.shape.n
-        exp_total = 0
-        coeff = 1
+        k = 0
         for idx, e in enumerate(exps):
-            if not e:
-                continue
-            ea, ca = self.alphas[idx // n].single_term()
-            eb, cb = self.betas[idx % n].single_term()
-            exp_total += (ea + eb) * e
-            coeff *= (ca * cb) ** e
-        return LaurentScalar({exp_total: coeff})
+            if e:
+                k += (self.alphas[idx // n] + self.betas[idx % n]) * e
+        return LaurentScalar({k: 1})
 
     def act(self, p):
         """Apply to an NCPoly; the action is by algebra automorphisms."""
@@ -695,9 +691,8 @@ class TorusElement:
                       {e: c * self.weight(e) for e, c in p.terms.items()})
 
     def __repr__(self):
-        return "TorusElement(alphas=[%s], betas=[%s])" % (
-            ", ".join(str(a) for a in self.alphas),
-            ", ".join(str(b) for b in self.betas))
+        return "TorusElement(alphas=%s, betas=%s)" % (
+            list(self.alphas), list(self.betas))
 
 
 def eigenvalue_of(h, p):

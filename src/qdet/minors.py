@@ -163,6 +163,21 @@ def enumerate_minors(shape):
     return list(_enumerate_minors_cached(shape.m, shape.n))
 
 
+def minor_count(shape, bound):
+    """len(enumerate_minors(shape)), C(m + n, m) - 1, counted by formula.
+
+    Above bound it raises DegreeTooLarge without forming the binomial in
+    full: C(m + n - k + i, i), k = min(m, n), grows with i = 1..k, so
+    the product stops once it passes bound + 1."""
+    k = min(shape.m, shape.n)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (shape.m + shape.n - k + i) // i
+        if c > bound + 1:
+            raise DegreeTooLarge("%s has more than %d minors" % (shape, bound))
+    return c - 1
+
+
 @lru_cache(maxsize=64)
 def _std_le_masks_cached(m, n):
     pool = _enumerate_minors_cached(m, n)

@@ -170,13 +170,6 @@ class LaurentScalar:
         """Coefficient of the highest power of q."""
         return self.terms[max(self.terms)]
 
-    def single_term(self):
-        """Return (exponent, coefficient) for a one-term scalar."""
-        if len(self.terms) != 1:
-            raise ValueError("not a single-term scalar: %s" % self)
-        (e, c), = self.terms.items()
-        return e, c
-
     @property
     def is_unit(self):
         """True for the units +-q^e of Z[q, q^-1]."""

@@ -18,15 +18,14 @@ values, so reports keep their version-1 bytes.
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 from . import cache as _disk
 from .errors import ConfigError, DegreeTooLarge, EmptyMinor, WorkbenchError
 from .algebra import MatrixShape, NCPoly, graded_basis, graded_dim
 from .minors import (Minor, bits, enumerate_minors, excluded_minors,
-                     laplace_relation, laplace_row_relation, minor_value,
-                     quantum_determinant, std_le_masks)
+                     laplace_relation, laplace_row_relation, minor_count,
+                     minor_value, quantum_determinant, std_le_masks)
 from .factor import (basis_check, generator_image_suite, hilbert_check,
                      normality_check, regularity_check,
                      standard_monomial_counts, tower_image_check,
@@ -47,6 +46,9 @@ PBW_TRIPLE_GUARD = 10 ** 5
 #: most steps, pool^2 * max(max_degree, 1) for the pool of minors, of the
 #: counts suite's order masks and chain recursion before DegreeTooLarge
 COUNTS_STEP_GUARD = 10 ** 7
+
+#: most minors the ctau suite lists (it tests every one against gamma)
+CTAU_POOL_GUARD = 10 ** 5
 
 @dataclass
 class WorkbenchConfig:
@@ -136,7 +138,7 @@ class WorkbenchRun:
 
     @property
     def ok(self):
-        return self.counts()[1] == 0
+        return all(suite.passed for suite in self.suites)
 
     def summary_line(self):
         passed, failed = self.counts()
@@ -286,7 +288,7 @@ def _suite_minors(config):
 
 def _suite_counts(config):
     shape = config.shape()
-    pool = math.comb(shape.m + shape.n, shape.m) - 1
+    pool = minor_count(shape, COUNTS_STEP_GUARD)
     steps = pool ** 2 * max(config.max_degree, 1)
     if steps > COUNTS_STEP_GUARD:
         raise DegreeTooLarge("%s has %d minors: %d counting steps (guard %d)"
@@ -336,7 +338,7 @@ def _suite_ore_tower(config):
                                     "max_degree": config.max_degree})
     steps = ore_step_check(frame, max(config.max_degree, frame.size))
     for idx, step in enumerate(steps):
-        rep.absorb(step.report, prefix="stage %d" % idx)
+        rep.absorb(step, prefix="stage %d" % idx)
     rep.add("generator count", True,
             "%d" % generator_count(frame))
     return rep
@@ -367,6 +369,7 @@ def _suite_factor_basis(config):
 
 def _suite_ctau(config):
     gamma = config.gamma_minor()
+    minor_count(gamma.shape, CTAU_POOL_GUARD)
     rep = SuiteReport("ctau", {"gamma": str(gamma)})
     rep.absorb(normality_check(gamma))
     return rep

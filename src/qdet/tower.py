@@ -33,12 +33,10 @@ from .algebra import DIM_GUARD, NCPoly, TorusElement, eigenvalue_of
 from .minors import Minor, minor_value
 from .linalg import Echelon, LocalColumns, poly_row
 from .report import SuiteReport
-from .scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
+from .scalars import ONE, Q, Q_INV, QHAT, minus_q_power
 
 #: build_frame refuses shapes with more ambient generators than this
 SHAPE_GUARD = 25
-
-_Q_INV2 = LaurentScalar({-2: 1})
 
 
 @dataclass(frozen=True)
@@ -179,10 +177,10 @@ def generator_count(frame):
 
 
 def _torus_entries(count, kept, added=None, removed=None):
-    """Entries for indices 1..count: q^-2 at `added`, q at `removed`, 1 at
-    the other indices in `kept` and q^-1 outside it."""
-    return tuple(_Q_INV2 if s == added else Q if s == removed
-                 else ONE if s in kept else Q_INV
+    """q-exponents for indices 1..count: -2 at `added`, 1 at `removed`, 0
+    at the other indices in `kept` and -1 outside it."""
+    return tuple(-2 if s == added else 1 if s == removed
+                 else 0 if s in kept else -1
                  for s in range(1, count + 1))
 
 
@@ -438,22 +436,10 @@ def predicted_delta(frame, member, idx, values):
                                 (member.i, member.j))
 
 
-@dataclass
-class OreStepReport:
-    member: FamilyMember
-    report: SuiteReport
-    eigenvalues: list      # (label, h-eigenvalue as LaurentScalar)
-    dims: list             # (degree, predicted, actual)
-
-    @property
-    def passed(self):
-        return self.report.passed
-
-
 def ore_step_check(frame, max_degree):
     """Certify every tower extension as a skew polynomial step.
 
-    Walks the tower once and returns one OreStepReport per family member,
+    Walks the tower once and returns one SuiteReport per family member,
     in family order.  For the member x of each stage: (a) every earlier
     generator is an exact eigenvector of the member's torus element h, so
     conjugation data is the diagonal automorphism sigma = h^-1; (b) for
@@ -476,16 +462,23 @@ def ore_step_check(frame, max_degree):
     (linalg.LocalColumns); no ambient basis is built.  The top stage holds
     the most products in every degree, so before any product is built
     the check raises DegreeTooLarge when its count in some degree up to
-    max_degree, read off the generating series, is above DIM_GUARD.  A
-    frame without members builds no product and is never refused.
+    max_degree, read off the generating series, is above DIM_GUARD.
+    The base variables have degree 1 and a frame with members has two
+    generators or more, so the coefficients never decrease and the one
+    in degree DIM_GUARD is above it: the series is
+    summed only up to min(max_degree, DIM_GUARD).  A frame without
+    members builds no product, sums no series and is never refused.
     """
     if max_degree < frame.size:
         raise StageOutOfRange("max_degree below the new generator's degree")
+    family = frame.family()
+    if not family:
+        return []
     gens = frame.generators()
     base = frame.size ** 2
-    family = frame.family()
-    count = max(stage_series_dims([g.degree for g in gens], max_degree))
-    if family and count > DIM_GUARD:
+    count = stage_series_dims([g.degree for g in gens],
+                              min(max_degree, DIM_GUARD))[-1]
+    if count > DIM_GUARD:
         raise DegreeTooLarge(
             "the tower of %s has %d ordered products in one degree up to "
             "%d (guard %d)" % (frame.minor, count, max_degree, DIM_GUARD))
@@ -516,13 +509,13 @@ def ore_step_check(frame, max_degree):
             lam = eigenvalue_of(h, g.value)
             rep.add("eigenvector %s" % g.label, lam is not None,
                     "" if lam is not None else "not an h-eigenvector")
-            eigen.append((g.label, lam))
+            eigen.append(lam)
 
         values = frame.member_values(member.kind)
         # ordered products of the previous stage, by degree
         counts = stage_series_dims([g.degree for g in prior],
                                    2 * x_ref.degree)
-        for idx, (g, (_, lam)) in enumerate(zip(prior, eigen)):
+        for idx, (g, lam) in enumerate(zip(prior, eigen)):
             if lam is None:
                 continue
             sigma_a = g.value.scale(lam.unit_inverse())
@@ -542,15 +535,13 @@ def ore_step_check(frame, max_degree):
 
         predicted = stage_series_dims([g.degree for g in gens[:k + 1]],
                                       max_degree)
-        dims = []
         for d in range(max_degree + 1):
             actual, count = rank_at(k + 1, d)
-            dims.append((d, predicted[d], actual))
             rep.add("dim degree %d" % d,
                     actual == predicted[d] == count,
                     "predicted %d, rank %d, products %d"
                     % (predicted[d], actual, count))
-        steps.append(OreStepReport(member, rep, eigen, dims))
+        steps.append(rep)
     return steps
 
 

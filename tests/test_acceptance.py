@@ -19,7 +19,7 @@ from qdet.minors import (Minor, enumerate_minors, laplace_relation,
                          quantum_determinant)
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV
 from qdet.tower import (build_frame, check_h_actions, family_relations_check,
-                        generator_count, ore_step_check,
+                        generator_count, ore_step_check, stage_series_dims,
                         subalgebra_commutation_check)
 
 SHAPE22 = MatrixShape(2, 2)
@@ -139,10 +139,16 @@ def test_criterion_06_ore_tower_stages_match_predicted_dimensions():
     }
     steps = ore_step_check(frame, max_degree=4)
     ok = len(steps) == 3
+    gens = frame.generators()
     for idx, step in enumerate(steps):
+        # a dimension check passes only when rank == predicted == count
         ok = ok and step.passed
-        ok = ok and [p for _, p, _ in step.dims] == expected[idx]
-        ok = ok and [a for _, _, a in step.dims] == expected[idx]
+        ok = ok and stage_series_dims([g.degree for g in gens[:5 + idx]],
+                                      4) == expected[idx]
+        ok = ok and [c.witness for c in step.checks
+                     if c.name.startswith("dim degree")] == [
+            "predicted %d, rank %d, products %d" % (w, w, w)
+            for w in expected[idx]]
     ok = ok and expected[2][2] == 13
     ok = ok and generator_count(frame) == 7
     verdict(ok, "all three skew extension stages over minor[1,3|1,2] match "

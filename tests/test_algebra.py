@@ -14,7 +14,8 @@ from qdet.algebra import (MatrixShape, NCPoly, TorusElement, _nf_concat,
                           _nf_mono_gen_raw, _nf_word_raw, _word_exps,
                           eigenvalue_of, graded_basis, graded_dim,
                           normal_form, render_poly)
-from qdet.errors import IndexOutOfShape, ShapeMismatch, ZeroInput
+from qdet.errors import (DegreeTooLarge, IndexOutOfShape, ShapeMismatch,
+                         ZeroInput)
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, UNIT_RANGE
 from qdet.suites import WorkbenchConfig, run_suite
@@ -177,8 +178,9 @@ def letter_by_letter(shape, e1, e2):
 
 
 class TestProductKernel:
-    """Products rewrite only the shorter factor, mirrored through rho when
-    it is the left one; the letter-by-letter product is the reference."""
+    """Products rewrite the right factor into the left one, and a
+    one-letter left factor through rho; the letter-by-letter product is
+    the reference."""
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
     def test_every_pair_of_monomials(self, m, n):
@@ -192,9 +194,10 @@ class TestProductKernel:
 
     def test_one_letter_factors_add_no_concat_entry(self):
         """A one-letter factor on either side reads _nf_mono_gen and adds
-        no _nf_concat entry; a shorter factor of two letters adds one
-        when a letter of the longer factor lies southeast of one of its
-        letters (x[2,2] and x[3,3] southeast of x[1,1], on both sides)."""
+        no _nf_concat entry; two factors of two or more letters add one
+        when a letter of the left factor lies southeast of a letter of
+        the right one (x[2,2] and x[3,3] southeast of x[1,1], in either
+        order)."""
         shape = MatrixShape(3, 3)
         monos = [e for d in range(4) for e in graded_basis(shape, d)]
         _nf_concat.cache_clear()
@@ -211,6 +214,42 @@ class TestProductKernel:
         assert a * b == NCPoly(shape, letter_by_letter(shape, ea, eb))
         assert b * a == NCPoly(shape, letter_by_letter(shape, eb, ea))
         assert _nf_concat.cache_info().currsize == 2
+
+
+class TestLineTableGuard:
+    """A product on a shape whose line table would pass LINES_GUARD
+    entries is refused before any table of the shape is built."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_LINES", {})
+        monkeypatch.setattr(algebra._MONO_GEN, "tables", {})
+        monkeypatch.setattr(algebra._CONCAT, "tables", {})
+
+    @staticmethod
+    def tables():
+        return (algebra._LINES, algebra._MONO_GEN.tables,
+                algebra._CONCAT.tables)
+
+    def test_the_bound_is_the_table_size(self, monkeypatch):
+        # 3x3: 3 * 3 southeast entries and 2 * 3 * 3 line entries
+        shape = MatrixShape(3, 3)
+        x = NCPoly.generator(shape, 1, 1)
+        monkeypatch.setattr(algebra, "LINES_GUARD", 26)
+        with pytest.raises(DegreeTooLarge, match="table of 27 entries"):
+            x * x
+        assert not any(self.tables())
+        monkeypatch.setattr(algebra, "LINES_GUARD", 27)
+        assert x * x == normal_form(shape, [(1, 1), (1, 1)])
+        assert sum(len(a(range(9))) + len(b(range(9)))
+                   for a, b in algebra._LINES[3, 3]) == 27
+
+    def test_a_row_of_1500_is_refused(self):
+        shape = MatrixShape(1, 1500)
+        x = NCPoly.generator(shape, 1, 1)
+        with pytest.raises(DegreeTooLarge, match="table of 1124250 entries"):
+            x * NCPoly.generator(shape, 1, 2)
+        assert not any(self.tables())
 
 
 def word_of(shape, exps):
@@ -364,22 +403,19 @@ class TestClosedFormProducts:
 
 
 def closed_form_k(shape, e1, e2):
-    """K with x^e1 * x^e2 = q^-K * x^(e1+e2) when no letter of the longer
-    factor lies strictly southeast of a letter of the shorter one, read
-    on letters; None otherwise.  A shorter left factor is read after the
-    rho mirror, as `_nf_concat` rewrites it."""
-    if sum(e1) < sum(e2):
-        e1, e2 = e2[::-1], e1[::-1]
-    longer, shorter = word_of(shape, e1), word_of(shape, e2)
-    if any(r > i and s > j for i, j in shorter for r, s in longer):
+    """K with x^e1 * x^e2 = q^-K * x^(e1+e2) when no letter of the left
+    factor lies strictly southeast of a letter of the right one, read on
+    letters; None otherwise."""
+    left, right = word_of(shape, e1), word_of(shape, e2)
+    if any(r > i and s > j for i, j in right for r, s in left):
         return None
     return sum((r == i and s > j) or (s == j and r > i)
-               for i, j in shorter for r, s in longer)
+               for i, j in right for r, s in left)
 
 
 class TestClosedFormConcat:
-    """A product of two monomials with no letter of the longer factor
-    strictly southeast of a letter of the shorter one is one term,
+    """A product of two monomials with no letter of the left factor
+    strictly southeast of a letter of the right one is one term,
     q^-K * x^(e1+e2), and no memo stores it."""
 
     @pytest.fixture(autouse=True)
@@ -498,20 +534,23 @@ class TestGrading:
 class TestTorus:
     def test_action_on_generators(self, shape22):
         a, b, c, d = gens22(shape22)
-        h = TorusElement(shape22, (Q, ONE), (Q_INV, ONE))
+        h = TorusElement(shape22, (1, 0), (-1, 0))
         assert h.act(a) == a
         assert h.act(b) == b.scale(Q)
         assert h.act(c) == c.scale(Q_INV)
         assert h.act(d) == d
 
     def test_weight_multiplies_over_letters(self, shape22):
-        h = TorusElement(shape22, (Q, Q ** 2), (ONE, Q_INV))
-        # x[1,1]*x[2,2]: alpha_1*beta_1 * alpha_2*beta_2 = q * q^2 q^-1 = q^2
+        h = TorusElement(shape22, (1, 2), (0, -1))
+        # x[1,1]*x[2,2]: (a_1 + b_1) + (a_2 + b_2) = 1 + 2 - 1 = 2
         assert h.weight((1, 0, 0, 1)) == Q ** 2
+        # x[1,2]^3: 3 * (a_1 + b_2) = 0; x[2,1]: a_2 + b_1 = 2
+        assert h.weight((0, 3, 0, 0)) == ONE
+        assert h.weight((0, 0, 1, 0)) == Q ** 2
 
     def test_action_is_multiplicative(self, rng, shape33):
-        h = TorusElement(shape33, (Q, ONE, Q_INV), (Q ** 2, ONE, Q_INV))
-        h_inv = TorusElement(shape33, (Q_INV, ONE, Q), (Q_INV ** 2, ONE, Q))
+        h = TorusElement(shape33, (1, 0, -1), (2, 0, -1))
+        h_inv = TorusElement(shape33, (-1, 0, 1), (-2, 0, 1))
         for _ in range(10):
             a = random_poly(rng, shape33, max_degree=2)
             b = random_poly(rng, shape33, max_degree=2)
@@ -520,25 +559,18 @@ class TestTorus:
 
     def test_eigenvalue_of(self, shape22):
         a, b, c, d = gens22(shape22)
-        h = TorusElement(shape22, (Q, ONE), (Q_INV, ONE))
+        h = TorusElement(shape22, (1, 0), (-1, 0))
         assert eigenvalue_of(h, b + NCPoly.zero(shape22) + b) == Q
         assert eigenvalue_of(h, a + d) == ONE
         assert eigenvalue_of(h, a + b) is None
         with pytest.raises(ZeroInput):
             eigenvalue_of(h, NCPoly.zero(shape22))
 
-    def test_entries_must_be_units(self, shape22):
-        with pytest.raises(ZeroInput):
-            TorusElement(shape22, (QHAT, ONE), (ONE, ONE))
+    def test_one_exponent_per_row_and_column(self, shape22):
         with pytest.raises(ShapeMismatch):
-            TorusElement(shape22, (Q,), (ONE, ONE))
-
-    def test_non_unit_single_term_entry_refused(self, shape22):
-        two_q = LaurentScalar({1: 2})
-        with pytest.raises(ZeroInput, match="single-term units"):
-            TorusElement(shape22, (two_q, ONE), (ONE, ONE))
-        with pytest.raises(ZeroInput, match="single-term units"):
-            TorusElement(shape22, (ONE, ONE), (ONE, -two_q))
+            TorusElement(shape22, (1,), (0, 0))
+        with pytest.raises(ShapeMismatch):
+            TorusElement(MatrixShape(2, 3), (0, 0), (0, 0))
 
 
 class TestRendering:

@@ -11,7 +11,7 @@ from qdet.errors import (DegreeTooLarge, EmptyMinor, IndexOutOfShape,
                          SizeMismatch)
 from qdet.minors import (Minor, MinorIdentity, _pos_in, enumerate_minors,
                          excluded_minors, laplace_relation,
-                         laplace_row_relation, minor_value,
+                         laplace_row_relation, minor_count, minor_value,
                          quantum_determinant, std_le)
 from qdet.scalars import ONE, Q, Q_INV, minus_q_power
 
@@ -116,6 +116,21 @@ class TestStandardOrder:
             assert len(minors) == count
             sizes = [a.size for a in minors]
             assert sizes == sorted(sizes)
+
+    def test_minor_count_at_its_bound(self):
+        # exact up to the bound, refused one past it
+        for m in range(1, 6):
+            for n in range(1, 6):
+                pool = len(enumerate_minors(MatrixShape(m, n)))
+                assert pool == math.comb(m + n, m) - 1
+                for bound in (pool, pool + 1, 10 ** 9):
+                    assert minor_count(MatrixShape(m, n), bound) == pool
+                with pytest.raises(DegreeTooLarge, match="more than %d minors"
+                                   % (pool - 1)):
+                    minor_count(MatrixShape(m, n), pool - 1)
+        with pytest.raises(DegreeTooLarge):
+            minor_count(MatrixShape(10 ** 6, 10 ** 6), 10 ** 7)
+        assert minor_count(MatrixShape(1, 3 * 10 ** 6), 10 ** 7) == 3 * 10 ** 6
 
     def test_excluded_minors(self, shape22, shape33):
         assert excluded_minors(M(shape22, (1,), (1,))) == \

@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import spans_clear
 import qdet
 from qdet import cache as disk
-from qdet import cli, factor
+from qdet import algebra, cli, factor
+from qdet import tower as tower_mod
 from qdet import minors as minors_mod
 from qdet import suites as suites_mod
-from qdet.algebra import MatrixShape, NCPoly
+from qdet.algebra import (DIM_GUARD, MatrixShape, NCPoly, normal_form,
+                          render_poly)
 from qdet.errors import ConfigError, DegreeTooLarge
 from qdet.minors import enumerate_minors, std_le
 from qdet.suites import (SUITE_NAMES, SuiteReport, WorkbenchConfig,
@@ -420,6 +422,87 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: suite counts: %dx%d has %d minors: %d counting steps "
             "(guard 10000000)\n" % (m, m, pool, steps))
+
+    @pytest.mark.parametrize("side", [20000, 10 ** 6])
+    def test_counts_refuse_a_huge_shape_at_once(self, side, capsys):
+        # C(2 * side, side) is never formed in full, nor printed
+        start = time.perf_counter()
+        rc = cli.main(["verify", "--m", str(side), "--n", str(side),
+                       "--suites", "counts", "--max-degree", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite counts: %dx%d has more than 10000000 minors\n"
+            % (side, side))
+
+    def test_ctau_refuses_before_listing_the_minors(self, capsys,
+                                                    monkeypatch):
+        # 14x14 has 40116599 minors, counted by formula
+        def refuse(*args):
+            raise AssertionError("minors listed before the ctau guard")
+
+        real = minors_mod._enumerate_minors_cached
+        monkeypatch.setattr(minors_mod, "_enumerate_minors_cached", refuse)
+        start = time.perf_counter()
+        rc = cli.main(["verify", "--m", "14", "--n", "14", "--gamma", "1|1",
+                       "--suites", "ctau"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite ctau: 14x14 has more than 100000 minors\n")
+        monkeypatch.setattr(minors_mod, "_enumerate_minors_cached", real)
+        for m, n, checks in ((6, 6, 36), (1, 40, 40)):
+            rc = cli.main(["verify", "--m", str(m), "--n", str(n),
+                           "--gamma", "1|1", "--suites", "ctau"])
+            assert rc == 0
+            assert capsys.readouterr().out.splitlines()[-1] == (
+                "pass %d / fail 0" % checks)
+
+    @pytest.mark.parametrize("gamma, rc", [("1|1", 2), ("1,2|1,2", 0)])
+    def test_ore_tower_sums_a_bounded_series(self, gamma, rc, capsys,
+                                             monkeypatch):
+        # the coefficients never decrease, so degree 10^4 decides any
+        # higher one; the full determinant has no member and no series
+        real = tower_mod.stage_series_dims
+
+        def bounded(weights, dmax):
+            assert dmax <= DIM_GUARD, "series summed to degree %d" % dmax
+            return real(weights, dmax)
+
+        monkeypatch.setattr(tower_mod, "stage_series_dims", bounded)
+        start = time.perf_counter()
+        got = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", gamma,
+                        "--suites", "ore-tower", "--max-degree",
+                        str(10 ** 9)])
+        assert time.perf_counter() - start < 1.0
+        assert got == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert err == (
+                "error: suite ore-tower: the tower of minor[1|1] has "
+                "50015001 ordered products in one degree up to 1000000000 "
+                "(guard 10000)\n")
+        else:
+            assert out.splitlines()[-1] == "pass 1 / fail 0"
+
+    def test_compute_refuses_a_wide_product_before_any_table(self, capsys):
+        # 45x45 needs 1069200 table entries, 44x44 978164
+        start = time.perf_counter()
+        rc = cli.main(["compute", "expr", "--m", "45", "--n", "45",
+                       "x[1,1]*x[2,2]"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a product on 45x45 needs a table of 1069200 entries "
+            "(guard 1000000)\n")
+        for memo in (algebra._MONO_GEN, algebra._CONCAT):
+            assert (45, 45) not in memo.tables
+        assert (45, 45) not in algebra._LINES
+        rc = cli.main(["compute", "expr", "--m", "8", "--n", "8",
+                       "x[8,8]*x[1,1]*x[2,2]"])
+        assert rc == 0
+        want = normal_form(MatrixShape(8, 8), [(8, 8), (1, 1), (2, 2)])
+        assert capsys.readouterr().out == render_poly(want) + "\n"
 
     def test_counts_enumerate_no_standard_monomial(self, capsys,
                                                     monkeypatch):

@@ -67,3 +67,37 @@ def test_every_definition_is_referenced_in_the_package():
               and not (node.name.startswith("__")
                        and node.name.endswith("__"))]
     assert not unused, unused
+
+
+def test_every_field_is_read_in_the_package():
+    """A dataclass field or a __slots__ entry that no attribute load in
+    src/qdet reads is carried for the tests only.  A field counts as
+    read when an Attribute in a Load context anywhere in the package
+    carries its name."""
+    fields = []
+    loaded = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            where = "%s.%%s (%s:%d)" % (node.name, os.path.basename(path),
+                                         node.lineno)
+            dataclass = any(ast.unparse(d).startswith("dataclass")
+                            for d in node.decorator_list)
+            for item in node.body:
+                if (dataclass and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    fields.append((item.target.id, where))
+                if (isinstance(item, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in item.targets)):
+                    fields.extend((ast.literal_eval(elt), where)
+                                  for elt in item.value.elts)
+    assert len(fields) > 40
+    unread = [where % name for name, where in fields if name not in loaded]
+    assert not unread, unread

@@ -11,7 +11,7 @@ from qdet.errors import (DegreeTooLarge, StageOutOfRange, UndefinedMember,
                          WorkbenchError, ZeroInput)
 from qdet.minors import Minor, enumerate_minors, minor_value
 from qdet import linalg, tower as tower_mod
-from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT, minus_q_power
+from qdet.scalars import Q, Q_INV, QHAT, minus_q_power
 from qdet.suites import WorkbenchConfig, run_suite
 from qdet.tower import (Frame, build_frame, check_h_actions,
                         family_relations_check, gamma_normality_check,
@@ -79,13 +79,13 @@ class TestFrame:
 class TestTorusElements:
     def test_col_swap_entries(self, frame1312):
         h = member_torus(frame1312, member(frame1312, "col_swap", 1, 1))
-        assert h.alphas == (ONE, Q_INV, ONE)
-        assert h.betas == (Q, ONE, LaurentScalar({-2: 1}))
+        assert h.alphas == (0, -1, 0)
+        assert h.betas == (1, 0, -2)
 
     def test_row_swap_entries(self, frame1312):
         h = member_torus(frame1312, member(frame1312, "row_swap", 1, 1))
-        assert h.alphas == (Q, LaurentScalar({-2: 1}), ONE)
-        assert h.betas == (ONE, ONE, Q_INV)
+        assert h.alphas == (1, -2, 0)
+        assert h.betas == (0, 0, -1)
 
     def test_h_actions(self, frame1312, shape33):
         assert check_h_actions(frame1312).passed
@@ -100,7 +100,7 @@ class TestTorusElements:
         # entries on outside rows and columns are forced
         fr = build_frame(Minor(shape33, (2,), (1,)))
         mb = member(fr, "col_swap", 2, 1)
-        naive = TorusElement(shape33, (ONE, ONE, ONE), (Q, ONE, ONE))
+        naive = TorusElement(shape33, (0, 0, 0), (1, 0, 0))
         base = minor_value(fr.minor)
         assert naive.act(base) == base.scale(Q)
         earlier = minor_value(member(fr, "col_swap", 1, 1).minor)
@@ -344,28 +344,47 @@ class TestProductMemo:
         assert top == [stage_monomials(fr, 1, 1199)[0] * x]
 
 
+def stage_dims(frame, idx, max_degree):
+    """The generating-series dimensions of the stage that adjoins the
+    idx-th family member, degrees 0..max_degree."""
+    gens = frame.generators()[:frame.size ** 2 + idx + 1]
+    return stage_series_dims([g.degree for g in gens], max_degree)
+
+
+def dim_checks(out):
+    """The "dim degree d" checks of one Ore step, in degree order; one
+    passes only when rank == predicted == number of products."""
+    return [c for c in out.checks if c.name.startswith("dim degree")]
+
+
 class TestOreSteps:
     def test_full_tower_dims(self, frame1312, shape33):
         want = {0: [1, 4, 11, 24], 1: [1, 4, 12, 28], 2: [1, 4, 13, 32]}
         steps = ore_step_check(frame1312, max_degree=3)
         assert len(steps) == 3
         for idx, out in enumerate(steps):
-            assert out.passed, out.report.failed
-            assert [actual for _, _, actual in out.dims] == want[idx]
-            assert [pred for _, pred, _ in out.dims] == want[idx]
-            assert all(lam is not None for _, lam in out.eigenvalues)
+            assert out.passed, out.failed
+            assert stage_dims(frame1312, idx, 3) == want[idx]
+            assert [c.name for c in dim_checks(out)] == [
+                "dim degree %d" % d for d in range(4)]
+            assert [c.witness for c in dim_checks(out)] == [
+                "predicted %d, rank %d, products %d" % (w, w, w)
+                for w in want[idx]]
+            eigen = [c for c in out.checks if c.name.startswith("eigenvector")]
+            assert len(eigen) == 4 + idx
+            assert all(c.status == "pass" for c in eigen)
         # degree-3 deltas of 1,2|1,2 in two stages, over 24 and then 32
         # ordered products of the previous stage
         frame = build_frame(Minor(shape33, (1, 2), (1, 2)))
         witnessed = {c.witness for out in ore_step_check(frame, max_degree=3)
-                     for c in out.report.checks
+                     for c in out.checks
                      if c.witness.startswith("witness over")}
         assert sorted(witnessed) == ["witness over 24 ordered products",
                                      "witness over 32 ordered products"]
 
     def test_row_swap_fixes_col_swaps(self, frame1312):
         out = ore_step_check(frame1312, max_degree=2)[2]
-        vanish = [c for c in out.report.checks if c.name.endswith("vanishes")]
+        vanish = [c for c in out.checks if c.name.endswith("vanishes")]
         assert len(vanish) == 2
         assert all(c.status == "pass" for c in vanish)
 
@@ -404,19 +423,37 @@ class TestOreSteps:
         with pytest.raises(DegreeTooLarge, match="^suite ore-tower: "):
             run_suite("ore-tower", config)
 
+    def test_product_guard_at_its_bound(self, monkeypatch):
+        """1x2 1|1 has d + 1 ordered products in degree d: degree 9999
+        has DIM_GUARD of them and passes, degree 10000 one more."""
+        class Built(Exception):
+            pass
+
+        def refuse(frame, k, d):
+            raise Built
+        monkeypatch.setattr(tower_mod, "stage_monomials", refuse)
+        frame = build_frame(Minor(MatrixShape(1, 2), (1,), (1,)))
+        with pytest.raises(Built):
+            ore_step_check(frame, max_degree=9999)
+        with pytest.raises(DegreeTooLarge, match="10001 ordered products"):
+            ore_step_check(frame, max_degree=10000)
+
     def test_dims_match_a_rank_from_scratch(self, shape33):
-        """The walk's dims equal a rank from scratch over each stage's
-        products."""
+        """The walk's dimension checks pass, and each stage's series
+        equals a rank from scratch over its products."""
         for fr in product_frames(shape33):
             steps = ore_step_check(fr, max_degree=4)
             assert len(steps) == len(fr.family())
-            for out in steps:
-                k = fr.size ** 2 + out.member.position + 1
-                for d, _, actual in out.dims:
+            for idx, out in enumerate(steps):
+                label = fr.family()[idx].label
+                assert out.params["member"] == label
+                assert all(c.status == "pass" for c in dim_checks(out))
+                k = fr.size ** 2 + idx + 1
+                for d, predicted in enumerate(stage_dims(fr, idx, 4)):
                     basis = linalg.component_basis(fr.shape, d)
                     want = rank(linalg.poly_row(p, basis)
                                 for p in stage_monomials(fr, k, d))
-                    assert actual == want, (fr, out.member.label, d)
+                    assert predicted == want, (fr, label, d)
 
 
     def test_wrong_prediction_fails_instead_of_raising(self, frame1312,
@@ -429,9 +466,9 @@ class TestOreSteps:
 
         monkeypatch.setattr(tower_mod, "predicted_delta", skewed)
         out = ore_step_check(frame1312, max_degree=2)[1]
-        assert [c.name for c in out.report.failed] == [
+        assert [c.name for c in out.failed] == [
             "delta(x[1,2])", "delta(x[3,2])"]
-        assert {c.witness for c in out.report.failed} == {
+        assert {c.witness for c in out.failed} == {
             "differs from the predicted relation"}
 
     def test_no_basis_above_max_degree(self, shape34, monkeypatch):
@@ -446,9 +483,9 @@ class TestOreSteps:
         linalg._basis_cached.cache_clear()
         frame = build_frame(Minor(shape34, (1, 2), (1, 2)))
         out = ore_step_check(frame, max_degree=3)[3]
-        assert out.member.label == "col_swap[2,2]"
+        assert frame.family()[3].label == "col_swap[2,2]"
         assert out.passed
-        diagonal = [c for c in out.report.checks
+        diagonal = [c for c in out.checks
                     if c.name == "delta(col_swap[1,1])"]
         assert [c.witness for c in diagonal] == [
             "witness over %d ordered products"
@@ -510,9 +547,10 @@ class TestDeltaPrediction:
         for gamma in enumerate_minors(shape33):
             frame = build_frame(gamma)
             gens = {g.label: g for g in frame.generators()}
-            for out in ore_step_check(frame, max(3, frame.size)):
-                k = frame.size ** 2 + out.member.position
-                for c in out.report.checks:
+            steps = ore_step_check(frame, max(3, frame.size))
+            for position, out in enumerate(steps):
+                k = frame.size ** 2 + position
+                for c in out.checks:
                     if not c.witness.startswith("witness over"):
                         continue
                     d = gens[c.name[len("delta("):-1]].degree + frame.size

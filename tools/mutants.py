@@ -47,21 +47,12 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "line = [*range(g + 1, (i + 1) * n), *range(g + n, m * n, n)]",
      "line = [*range(g + 1, (i + 1) * n)]"),
-    ("concat-unmirrored", "the rho route multiplies unmirrored tuples",
+    ("concat-letters-left", "a product chains the left factor's letters",
      "src/qdet/algebra.py",
-     "e1, e2 = e2[::-1], e1[::-1]",
-     "e1, e2 = e2, e1"),
-    ("concat-unreversed", "the rho route's result is not read backwards",
-     "src/qdet/algebra.py",
-     "for x in (_share(e[::-1]), _share(c))]",
-     "for x in (_share(e), _share(c))]"),
-    ("concat-closed-unreversed",
-     "the rho route's closed-form product is not read backwards",
-     "src/qdet/algebra.py",
-     "return (e[::-1], c) if mirrored else closed",
-     "return closed"),
+     "letters = [g for g, e in enumerate(e2) for _ in range(e)]",
+     "letters = [g for g, e in enumerate(e1) for _ in range(e)]"),
     ("concat-closed-k-shorter",
-     "a closed-form product counts K from the shorter factor's own letters",
+     "a closed-form product counts K from the right factor's own letters",
      "src/qdet/algebra.py",
      "k += count * sum(line(e1))",
      "k += count * sum(line(e2))"),
@@ -80,6 +71,26 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "g = last - e1.index(1)",
      "g = e1.index(1)"),
+    ("torus-row-by-column", "the torus weight reads a row exponent by column",
+     "src/qdet/algebra.py",
+     "k += (self.alphas[idx // n] + self.betas[idx % n]) * e",
+     "k += (self.alphas[idx % n] + self.betas[idx % n]) * e"),
+    ("torus-column-sign", "the torus weight flips a column exponent's sign",
+     "src/qdet/algebra.py",
+     "k += (self.alphas[idx // n] + self.betas[idx % n]) * e",
+     "k += (self.alphas[idx // n] - self.betas[idx % n]) * e"),
+    ("lines-guard-skipped", "a product's line table is built at any size",
+     "src/qdet/algebra.py",
+     "    if entries > LINES_GUARD:\n",
+     "    if False:\n"),
+    ("lines-guard-off-by-one", "a table of exactly LINES_GUARD is refused",
+     "src/qdet/algebra.py",
+     "    if entries > LINES_GUARD:\n",
+     "    if entries >= LINES_GUARD:\n"),
+    ("lines-guard-late", "the memo tables are made before the shape is refused",
+     "src/qdet/algebra.py",
+     "            _refuse_wide(m, n)\n",
+     ""),
     ("unit-sign", "the shared -q^k is built as +q^k",
      "src/qdet/scalars.py",
      "{(k, c): LaurentScalar({k: c})",
@@ -96,6 +107,18 @@ MUTANTS = (
      "src/qdet/suites.py",
      "triples = shape.ngens ** 3",
      "triples = shape.ngens ** 2"),
+    ("minor-count-unbounded", "the pool binomial is formed in full",
+     "src/qdet/minors.py",
+     "        if c > bound + 1:\n",
+     "        if False:\n"),
+    ("minor-count-off-by-one", "a pool of exactly bound minors is refused",
+     "src/qdet/minors.py",
+     "        if c > bound + 1:\n",
+     "        if c > bound:\n"),
+    ("ctau-guard-skipped", "ctau lists the minors of any shape",
+     "src/qdet/suites.py",
+     "    minor_count(gamma.shape, CTAU_POOL_GUARD)\n",
+     ""),
     ("pbw-pairs-transposed", "pbw reads pairs[c][b] for v * w",
      "src/qdet/suites.py",
      "u * pairs[b][c]",
@@ -208,6 +231,18 @@ MUTANTS = (
      "src/qdet/tower.py",
      "lower = products[(k, e - g.degree)] if e >= g.degree else []",
      "lower = products[(k - 1, e - g.degree)] if e >= g.degree else []"),
+    ("ore-series-unbounded", "the guard sums the series up to max_degree",
+     "src/qdet/tower.py",
+     "min(max_degree, DIM_GUARD))[-1]",
+     "max_degree)[-1]"),
+    ("ore-series-short", "the guard sums the series one degree short",
+     "src/qdet/tower.py",
+     "min(max_degree, DIM_GUARD))[-1]",
+     "min(max_degree, DIM_GUARD - 1))[-1]"),
+    ("ore-memberless-series", "a frame without members is still guarded",
+     "src/qdet/tower.py",
+     "    if not family:\n        return []\n",
+     ""),
     ("delta-no-q-inverse", "the base-variable delta drops its -q^-1 factor",
      "src/qdet/tower.py",
      "return rhs.scale(-Q_INV)",
