@@ -7,6 +7,13 @@ line, then the encoded rows.  A file whose header, digest or row count
 does not match is a miss.  The cache directory is the one given to
 set_cache_dir (run_workbench passes --cache); without one, caching is a
 no-op.
+
+An ideal span's key is ("ideal", m', n', rows', cols', d) of gamma' on
+its southeast rectangle R (see the factor module), so every gamma with
+the same gamma' shares one file; 4x4 2,3|2,3 reads 3x3 1,2|1,2's.  The
+rows under a key are those earlier versions stored under the same key:
+a key that names the whole shape (gamma with row 1 and column 1) was
+built the same way then, and no other key is read now.  So FORMAT stays.
 """
 
 import hashlib

@@ -25,7 +25,8 @@ from .errors import (ConfigError, DegreeTooLarge, ExprSyntaxError,
                      WorkbenchError)
 from .algebra import MatrixShape, render_poly
 from .minors import Minor, minor_value
-from .parser import parse_expression, parse_index_pair
+from .parser import (check_entries, minor_terms, parse_expression,
+                     parse_index_pair)
 from .suites import SUITE_NAMES, WorkbenchConfig, emit_report, run_workbench
 
 #: failing checks printed before the list is elided
@@ -104,7 +105,9 @@ def _cmd_compute(args):
     shape = MatrixShape(args.m, args.n)
     if args.what == "minor":
         rows, cols = parse_index_pair(args.text)
-        value, den = minor_value(Minor(shape, rows, cols)), 1
+        minor = Minor(shape, rows, cols)
+        check_entries(shape, minor_terms(minor))
+        value, den = minor_value(minor), 1
     else:
         value, den = parse_expression(args.text, shape)
     try:

@@ -14,6 +14,41 @@ linalg.generator_products, which builds right generator images once per
 build, only for the columns those rows touch and their reversals (the
 left products are read from them through rho), and drops each after the
 last row that reads it; no row is turned back into a polynomial.
+
+That build runs on gamma's southeast rectangle, not on the whole m x n
+algebra A.  Let gamma = (I|J), r1 = min I, c1 = min J, and R the
+rectangle of rows r1..m and columns c1..n; gamma' is gamma with every
+row index lowered by r1 - 1 and every column index by c1 - 1, a minor
+of the (m - r1 + 1) x (n - c1 + 1) quantum matrices O_q(R).  The projection pi
+drops every PBW monomial with a letter outside R and renumbers the rest
+into R's coordinates.  Then p lies in I_gamma(d) exactly when pi(p) lies
+in I_gamma'(d), so the ideal of gamma' on R is built, cached and queried
+in place of gamma's:
+
+- A generator x[i,j] with i < r1 or j < c1 is a 1x1 minor not above
+  gamma (its row or column is before gamma's first), so it lies in
+  I_gamma.
+- Let M be the span of the PBW monomials that hold such a letter.
+  Rewriting a word keeps such a letter: a same-line swap and an
+  antidiagonal swap only permute letters, and a diagonal pair a > b
+  becomes, besides the swap, the word with (b0, a1) and (a0, b1) in
+  their place; a row before r1 or a column before c1 in a or b is a row
+  or a column of one of those two.  So a monomial with such a letter
+  times any monomial, on either side, is a sum of monomials with one,
+  M is the two-sided ideal those generators generate.  The other PBW
+  monomials span the subalgebra R's letters generate, a copy of O_q(R)
+  (a rewriting uses only the rows and columns of its two letters), so
+  pi is the quotient map A -> A/M = O_q(R), a ring map.
+- An excluded minor with a row before r1 or a column before c1 has a
+  letter of that row or column in every term, so it lies in M.  The
+  others are the excluded minors of gamma' shifted back, since the
+  standard order compares rows and columns position by position.
+- Hence I_gamma = pi^-1(I_gamma'), degree by degree, and J_gamma(d) =
+  J_gamma'(d).  The ambient rank dim I_gamma(d) is
+  graded_dim(m x n, d) - dim J_gamma'(d).
+
+When r1 = c1 = 1, R is the whole algebra and pi the identity.
+
 The Hilbert dimensions, the standard monomial basis, regularity of
 gamma and the tower image read a span only through IdealComponent.
 The rewriting of an ambient variable through gamma into base variables
@@ -24,8 +59,9 @@ The normalizing scalar of a minor tau above gamma is predicted in closed
 form, q^(|K - I| + |L - J|) for gamma = (I|J) and tau = (K|L) (set
 differences), and proved by one membership test in the ideal component.
 
-ideal_component is the one way to a span, and it refuses a component of
-dimension above algebra.DIM_GUARD before any lookup or build.  That test
+ideal_component is the one way to a span, and it refuses a component
+whose ambient dimension (on m x n, not on R) is above algebra.DIM_GUARD,
+before any lookup or build.  That test
 is the size guard of every check here that reads a span; the
 zero-divisor check, whose pair count grows past any component it
 touches, also refuses more than DIM_GUARD pairs.  The generator image
@@ -34,12 +70,13 @@ check reads none and is bounded by the tower's shape guard alone.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import cache as _disk
-from .errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
-                     ShapeMismatch)
-from .algebra import DIM_GUARD, NCPoly, graded_basis, graded_dim
+from .errors import (BasisMismatch, DegreeTooLarge, NoScalarFound,
+                     NotAboveGamma, ShapeMismatch)
+from .algebra import (DIM_GUARD, MatrixShape, NCPoly, graded_basis,
+                      graded_dim)
 from .minors import (Minor, bits, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_value,
                      minors_product, std_le, std_le_masks)
@@ -58,20 +95,24 @@ class IdealComponent:
     contains(p), whether p vanishes there; quotient_dim, its dimension;
     and rank_mod(polys), the rank of the images of polys there.
 
-    Held as a fraction-free echelon over component_basis rows, which only
-    this class, ideal_component and _build_echelon know.  `rank`, the
-    dimension of I_gamma(d), is read by the bench tracer.
+    Held as a fraction-free echelon of I_gamma'(d) over the
+    component_basis rows of R (see the module docstring), which only this
+    class, ideal_component and _build_echelon know; a polynomial over A
+    enters through pi.  `rank`, the dimension of I_gamma(d) in A(d), is
+    read by the bench tracer.
     """
 
-    __slots__ = ("basis", "echelon")
+    __slots__ = ("shape", "cuts", "basis", "echelon")
 
-    def __init__(self, basis, echelon):
+    def __init__(self, shape, cuts, basis, echelon):
+        self.shape = shape
+        self.cuts = cuts
         self.basis = basis
         self.echelon = echelon
 
     @property
     def rank(self):
-        return self.echelon.rank
+        return graded_dim(self.shape, self.basis.degree) - self.quotient_dim
 
     @property
     def quotient_dim(self):
@@ -81,14 +122,40 @@ class IdealComponent:
         """Exact membership of a homogeneous polynomial of this degree."""
         if p.is_zero:
             return True
-        return not self.echelon.residue(poly_row(p, self.basis))
+        return not self.echelon.residue(self._row(p))
 
     def rank_mod(self, polys):
         """Rank in J_gamma(d) of the images of polynomials of degree d."""
         ext = self.echelon.copy()
         for p in polys:
-            ext.insert(poly_row(p, self.basis))
+            ext.insert(self._row(p))
         return ext.rank - self.echelon.rank
+
+    def _row(self, p):
+        """pi(p) as an integer row over R's basis.
+
+        R's letters are the slices `cuts` of an exponent tuple, one per
+        row of R, so the renumbered monomial has this degree exactly when
+        no letter of A lies outside R; any other term lies in I_gamma
+        and is dropped.
+        """
+        if p.shape != self.shape:
+            raise ShapeMismatch("polynomial over %s, ideal over %s"
+                                % (p.shape, self.shape))
+        degree = self.basis.degree
+        index = self.basis.index
+        cuts = self.cuts
+        row = {}
+        for e, s in p.terms.items():
+            if sum(e) != degree:
+                raise BasisMismatch("degree-%d term in a degree-%d component"
+                                    % (sum(e), degree))
+            i = index.get(tuple(chain.from_iterable([e[a:b] for a, b in cuts])))
+            if i is None:
+                continue
+            for f, c in s.terms.items():
+                row[i, f] = c
+        return row
 
 
 _ECHELONS = {}
@@ -102,20 +169,36 @@ def _excluded_by_degree(shape, rows, cols):
     return by
 
 
+@lru_cache(maxsize=512)
+def _corner(shape, rows, cols):
+    """(gamma', cuts) for gamma = (rows|cols) on the shape: gamma' on R,
+    and the (start, stop) slice of R's letters in each row of R, over
+    the exponent tuples of the shape."""
+    r1, c1 = rows[0], cols[0]
+    sub = Minor(MatrixShape(shape.m - r1 + 1, shape.n - c1 + 1),
+                [i - r1 + 1 for i in rows], [j - c1 + 1 for j in cols])
+    n = shape.n
+    cuts = tuple((i * n + c1 - 1, (i + 1) * n) for i in range(r1 - 1, shape.m))
+    return sub, cuts
+
+
 def ideal_component(gamma, degree):
     """The degree-d component of I_gamma, cached per session and on disk.
 
-    Raises DegreeTooLarge before any lookup or build when the ambient
-    component has dimension above DIM_GUARD.
+    Built, cached and queried as the component of gamma' on R; see the
+    module docstring.  Raises DegreeTooLarge before any lookup or build
+    when the ambient component, on gamma's own shape, has dimension
+    above DIM_GUARD.
     """
     shape = gamma.shape
     _dim_guard(shape, degree)
-    key = (shape.m, shape.n, gamma.rows, gamma.cols, degree)
+    sub, cuts = _corner(shape, gamma.rows, gamma.cols)
+    key = (sub.shape.m, sub.shape.n, sub.rows, sub.cols, degree)
     ech = _ECHELONS.get(key)
-    basis = component_basis(shape, degree)
+    basis = component_basis(sub.shape, degree)
     if ech is None:
-        ech = _ECHELONS[key] = _build_echelon(gamma, degree, basis, key)
-    return IdealComponent(basis, ech)
+        ech = _ECHELONS[key] = _build_echelon(sub, degree, basis, key)
+    return IdealComponent(shape, cuts, basis, ech)
 
 
 def _dim_guard(shape, degree):
@@ -127,6 +210,7 @@ def _dim_guard(shape, degree):
 
 
 def _build_echelon(gamma, degree, basis, key):
+    """I_gamma(d) for a gamma whose R is its whole shape (r1 = c1 = 1)."""
     cached = _disk.load_rows(("ideal",) + key)
     if cached is not None:
         ech = Echelon()

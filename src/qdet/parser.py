@@ -33,15 +33,22 @@ operands' Laurent terms, which it must multiply; after, the Laurent terms
 of its result.  DegreeTooLarge is raised as soon as the total passes the
 budget, so neither a coefficient that grows with the power on a thin
 shape nor a product of two guarded powers runs unbounded.
+
+Every term holds an exponent tuple of m*n entries, so a wide shape needs
+no product to run out of memory.  The terms an expression forms, each
+atom's (one, or t! for a minor of size t) before the atom is formed and
+each product's result after, are counted, and DegreeTooLarge is raised
+as soon as that count times m*n passes ENTRY_GUARD (check_entries);
+`compute minor` charges its minor the same way.
 """
 
 import re
-from math import gcd
+from math import factorial, gcd
 
 from .errors import (DegreeTooLarge, ExprSyntaxError, IndexOutOfShape,
                      SizeMismatch)
 from .algebra import DIM_GUARD, NCPoly, graded_dim
-from .minors import Minor, minor_value
+from .minors import MINOR_SIZE_GUARD, Minor, minor_value
 from .scalars import LaurentScalar, Q
 
 #: bound on |k| * (size of the base's largest coefficient) for p^k
@@ -49,6 +56,9 @@ POWER_SIZE_GUARD = 2000
 
 #: Laurent terms the products of one expression may form in all
 TERM_BUDGET = 10 ** 6
+
+#: exponent entries, m*n per term, the terms of one expression may hold
+ENTRY_GUARD = 10 ** 7
 
 _TOKEN_RE = re.compile(r"(\d+)|(minor|x|q)\b|([\[\](),|+\-*^/])|(\S)")
 
@@ -99,6 +109,22 @@ def _check_power(p, den, k):
             "dimension above %d" % (k, degree, DIM_GUARD))
 
 
+def check_entries(shape, terms):
+    """Raise DegreeTooLarge when terms exponent tuples of the shape would
+    hold more than ENTRY_GUARD entries; called before they are formed."""
+    entries = terms * shape.ngens
+    if entries > ENTRY_GUARD:
+        raise DegreeTooLarge("%d terms on %s hold %d exponent entries "
+                             "(guard %d)" % (terms, shape, entries,
+                                             ENTRY_GUARD))
+
+
+def minor_terms(minor):
+    """The t! terms minor_value forms for a minor of size t; 0 past
+    MINOR_SIZE_GUARD, where minor_value refuses with its own message."""
+    return factorial(minor.size) if minor.size <= MINOR_SIZE_GUARD else 0
+
+
 def _laurent_terms(p):
     return sum(len(c.terms) for c in p.terms.values())
 
@@ -120,6 +146,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.spent = 0
+        self.formed = 0
+
+    def form(self, terms):
+        """Count terms formed by the expression, before or as they are."""
+        self.formed += terms
+        check_entries(self.shape, self.formed)
 
     def charge(self, terms):
         self.spent += terms
@@ -135,6 +167,7 @@ class _Parser:
         self.charge(_laurent_terms(pa) * _laurent_terms(pb))
         p = pa * pb
         self.charge(_laurent_terms(p))
+        self.form(len(p.terms))
         return _reduced(p, da * db)
 
     # token plumbing ----------------------------------------------------
@@ -198,6 +231,7 @@ class _Parser:
         poly, den = p
         _check_power(poly, den, k)
         if k >= 0:
+            self.form(1)
             out = (NCPoly.one(self.shape), 1)
             for _ in range(k):
                 out = self.multiply(out, p)
@@ -220,6 +254,7 @@ class _Parser:
             self.expect(")", "a closing parenthesis")
             return p
         if kind == "int":
+            self.form(1)
             num = NCPoly.scalar(self.shape, LaurentScalar({0: value}))
             if self.peek()[0] == "/":
                 self.advance()
@@ -229,6 +264,7 @@ class _Parser:
                 return _reduced(num, dtok[1])
             return num, 1
         if kind == "name" and value == "q":
+            self.form(1)
             return NCPoly.scalar(self.shape, Q), 1
         if kind == "name" and value == "x":
             self.expect("[", "'['")
@@ -237,9 +273,11 @@ class _Parser:
             j = self.expect("int", "a column index")[1]
             self.expect("]", "']'")
             try:
-                return NCPoly.generator(self.shape, i, j), 1
+                self.shape.check(i, j)
             except IndexOutOfShape as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
+            self.form(1)
+            return NCPoly.generator(self.shape, i, j), 1
         if kind == "name" and value == "minor":
             self.expect("[", "'['")
             rows = self._int_list()
@@ -247,9 +285,11 @@ class _Parser:
             cols = self._int_list()
             self.expect("]", "']'")
             try:
-                return minor_value(Minor(self.shape, rows, cols)), 1
+                minor = Minor(self.shape, rows, cols)
             except (IndexOutOfShape, SizeMismatch) as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
+            self.form(minor_terms(minor))
+            return minor_value(minor), 1
         raise ExprSyntaxError("expected a value", pos)
 
     def _int_list(self):

@@ -11,8 +11,8 @@ import pytest
 from conftest import laurent_row, spans_clear, watch_images
 from qdet import cache, cli, factor, linalg
 from qdet.algebra import MatrixShape, NCPoly, graded_dim
-from qdet.errors import (DegreeTooLarge, NoScalarFound, NotAboveGamma,
-                         ShapeMismatch)
+from qdet.errors import (BasisMismatch, DegreeTooLarge, NoScalarFound,
+                         NotAboveGamma, ShapeMismatch)
 from qdet.factor import (IdealComponent, StandardMonomial, basis_check,
                          generator_image_check, generator_image_suite,
                          hilbert_check, hilbert_function, ideal_component,
@@ -101,19 +101,67 @@ def reference_echelons(gamma, max_degree):
     return out
 
 
+def shifted(gamma):
+    """gamma' on R: gamma moved into its southeast rectangle R, the rows
+    min I..m and the columns min J..n, whose corner becomes (1, 1)."""
+    r1, c1 = gamma.rows[0], gamma.cols[0]
+    shape = MatrixShape(gamma.shape.m - r1 + 1, gamma.shape.n - c1 + 1)
+    return Minor(shape, [i - r1 + 1 for i in gamma.rows],
+                 [j - c1 + 1 for j in gamma.cols])
+
+
+def project(p, gamma):
+    """pi(p): p's terms with every letter in gamma's R, as an NCPoly on R.
+
+    Written letter by letter, apart from factor's slices of the exponent
+    tuple.
+    """
+    shape, sub = gamma.shape, shifted(gamma).shape
+    r1, c1 = gamma.rows[0], gamma.cols[0]
+    out = {}
+    for e, c in p.terms.items():
+        letters = [shape.gen_at(g) for g, k in enumerate(e) for _ in range(k)]
+        if all(i >= r1 and j >= c1 for i, j in letters):
+            exps = [0] * sub.ngens
+            for i, j in letters:
+                exps[sub.gen_index(i - r1 + 1, j - c1 + 1)] += 1
+            out[tuple(exps)] = c
+    return NCPoly(sub, out)
+
+
+def assert_same_span(gamma, d, ref):
+    """ideal_component(gamma, d) is the span of the ambient reference
+    echelon ref: it holds every row of ref and has ref's rank."""
+    ic = ideal_component(gamma, d)
+    assert ic.rank == ref.rank
+    basis = component_basis(gamma.shape, d)
+    for row in ref.rows():
+        assert ic.contains(row_poly(basis, row))
+
+
+BENCH_GAMMAS = [Minor(MatrixShape(4, 4), (2, 4), (1, 3)),
+                Minor(MatrixShape(4, 4), (2, 3), (2, 3))]
+
+
 class TestColumnSpaceBuild:
-    """ideal_component builds on rows what the polynomial route builds."""
+    """ideal_component holds the span the polynomial route builds on the
+    whole shape, and builds on rows what that route builds on R."""
+
+    @staticmethod
+    def check_through_degree_4(gamma):
+        on_r = reference_echelons(shifted(gamma), 4)
+        for d, ref in enumerate(reference_echelons(gamma, 4)):
+            assert_same_span(gamma, d, ref)
+            assert ideal_component(gamma, d).echelon.pivots == on_r[d].pivots
 
     @pytest.mark.parametrize("gamma", enumerate_minors(MatrixShape(3, 3)),
                              ids=str)
     def test_every_3x3_minor_through_degree_4(self, gamma):
-        for d, ref in enumerate(reference_echelons(gamma, 4)):
-            assert ideal_component(gamma, d).echelon.pivots == ref.pivots
+        self.check_through_degree_4(gamma)
 
-    def test_4x4_2413_through_degree_3(self):
-        gamma = Minor(MatrixShape(4, 4), (2, 4), (1, 3))
-        for d, ref in enumerate(reference_echelons(gamma, 3)):
-            assert ideal_component(gamma, d).echelon.pivots == ref.pivots
+    @pytest.mark.parametrize("gamma", BENCH_GAMMAS, ids=str)
+    def test_bench_gammas_of_4x4_through_degree_4(self, gamma):
+        self.check_through_degree_4(gamma)
 
     @pytest.mark.parametrize("m, n, rows, cols, degrees", [
         (3, 3, (1, 3), (1, 2), (2, 3, 4)),
@@ -122,18 +170,21 @@ class TestColumnSpaceBuild:
     def test_images_only_of_touched_columns(self, m, n, rows, cols, degrees,
                                             monkeypatch):
         """The degree-d build takes right images of I_{d-1}'s row columns
-        and of their reversals (the left images) only, each exactly once."""
+        and of their reversals (the left images) only, each exactly once;
+        rows, columns and images are those of gamma' on R."""
         gamma = Minor(MatrixShape(m, n), rows, cols)
+        sub = shifted(gamma)
         built = watch_images(monkeypatch)
         for d in degrees:
             spans_clear()
             prev = ideal_component(gamma, d - 1).echelon
             built.clear()
             ideal_component(gamma, d)
-            rev = linalg.component_basis(gamma.shape, d - 1).reversal()
+            rev = linalg.component_basis(sub.shape, d - 1).reversal()
             touched = {c for row in prev.rows() for c, _ in row}
             assert Counter(key for key, _ in built) == Counter(
-                {(d, c): 1 for c in touched | {rev[c] for c in touched}})
+                {(d, c): 1
+                 for c in touched | {rev[c] for c in touched}})
 
     @pytest.mark.parametrize("m, n, rows, cols, d", [
         (3, 3, (1, 3), (1, 2), 4),
@@ -144,11 +195,13 @@ class TestColumnSpaceBuild:
                                                          monkeypatch):
         """While row r of I_{d-1} has its products inserted, the images
         alive are exactly those of the columns that a row at or before r
-        and a row at or after r read; none outlives the build."""
+        and a row at or after r read; none outlives the build.  Rows,
+        columns and generators are those of gamma' on R."""
         gamma = Minor(MatrixShape(m, n), rows, cols)
+        sub = shifted(gamma)
         spans_clear()
         prev = ideal_component(gamma, d - 1).echelon.rows()
-        rev = linalg.component_basis(gamma.shape, d - 1).reversal()
+        rev = linalg.component_basis(sub.shape, d - 1).reversal()
         first, last = {}, {}
         for r, row in enumerate(prev):
             for c, _ in row:
@@ -156,7 +209,7 @@ class TestColumnSpaceBuild:
                     first.setdefault(col, r)
                     last[col] = r
         built = watch_images(monkeypatch)
-        per_row = 2 * gamma.shape.ngens
+        per_row = 2 * sub.shape.ngens
         live = []
         real = Echelon.insert
 
@@ -174,6 +227,52 @@ class TestColumnSpaceBuild:
             assert cols_alive == {c for c in first
                                   if first[c] <= r <= last[c]}, k
         assert all(ref() is None for _, ref in built)
+
+
+class TestSoutheastRectangle:
+    """The facts the module docstring's proof rests on, checked on 4x4."""
+
+    @pytest.mark.parametrize("gamma", BENCH_GAMMAS, ids=str)
+    def test_the_kernel_keeps_m_closed(self, gamma):
+        """A monomial with a letter outside R, times any generator on
+        either side, is a sum of monomials with such a letter."""
+        shape = gamma.shape
+        r1, c1 = gamma.rows[0], gamma.cols[0]
+        outside = [shape.gen_index(i, j) for i, j in shape.gens()
+                   if i < r1 or j < c1]
+        gens = [NCPoly.generator(shape, i, j) for i, j in shape.gens()]
+        products = 0
+        for d in range(4):
+            for e in component_basis(shape, d).monomials:
+                if not any(e[g] for g in outside):
+                    continue
+                mono = NCPoly(shape, {e: ONE})
+                for g in gens:
+                    for p in (g * mono, mono * g):
+                        products += 1
+                        assert all(any(f[k] for k in outside)
+                                   for f in p.terms), (e, g)
+        assert products == 2 * 16 * sum(
+            graded_dim(shape, d) - graded_dim(shifted(gamma).shape, d)
+            for d in range(4))
+
+    @pytest.mark.parametrize("gamma", BENCH_GAMMAS, ids=str)
+    def test_the_echelon_is_gamma_primes(self, gamma):
+        """gamma and gamma' share their echelons, and answer alike through
+        pi: the quotient is the same and a polynomial lies in I_gamma
+        exactly when its projection lies in I_gamma'."""
+        sub = shifted(gamma)
+        for d in range(4):
+            ic, on_r = ideal_component(gamma, d), ideal_component(sub, d)
+            assert ic.echelon is on_r.echelon
+            assert ic.quotient_dim == on_r.quotient_dim
+            assert ic.rank == graded_dim(gamma.shape, d) - ic.quotient_dim
+        taus = [t for t in enumerate_minors(gamma.shape) if std_le(gamma, t)]
+        for tau in taus[:6]:
+            p = minor_value(gamma) * minor_value(tau)
+            ic = ideal_component(gamma, gamma.size + tau.size)
+            on_r = ideal_component(sub, gamma.size + tau.size)
+            assert ic.contains(p) == on_r.contains(project(p, gamma))
 
 
 def degree_4_build(gamma, monkeypatch):
@@ -202,9 +301,11 @@ class TestInsertSequence:
     def test_3x3_1312_degree_4_makes_450_inserts(self, g1312, monkeypatch):
         assert degree_4_build(g1312, monkeypatch) == (450, 117)
 
-    def test_4x4_2413_degree_4_makes_17153_inserts(self, monkeypatch):
+    def test_4x4_2413_degree_4_makes_2016_inserts(self, monkeypatch):
+        """Built on R (3x4, where I_gamma' has rank 483), read as the
+        ambient rank 2994, the rank the bench's self-check compares."""
         gamma = Minor(MatrixShape(4, 4), (2, 4), (1, 3))
-        assert degree_4_build(gamma, monkeypatch) == (17153, 2994)
+        assert degree_4_build(gamma, monkeypatch) == (2016, 2994)
 
 
 class TestSizeGuard:
@@ -219,6 +320,17 @@ class TestSizeGuard:
         with pytest.raises(DegreeTooLarge, match=r"degree-4 component of 5x5 "
                            r"has dimension 20475 \(guard 10000\)"):
             ideal_component(g2413, 4)
+        assert not factor._ECHELONS
+
+    def test_the_guard_reads_the_ambient_shape(self):
+        """4x4 2,3,4|2,3,4 is built on 3x3, whose degree-5 component
+        (dimension 1287) is under the guard; its own (15504) is not."""
+        gamma = Minor(MatrixShape(4, 4), (2, 3, 4), (2, 3, 4))
+        assert graded_dim(shifted(gamma).shape, 5) == 1287
+        spans_clear()
+        with pytest.raises(DegreeTooLarge, match=r"degree-5 component of 4x4 "
+                           r"has dimension 15504 \(guard 10000\)"):
+            ideal_component(gamma, 5)
         assert not factor._ECHELONS
 
     def test_basis_check_refuses_before_expanding(self, g2413, monkeypatch):
@@ -279,6 +391,17 @@ class TestQuotient:
     def test_shape_guard(self, g11, shape33):
         with pytest.raises(ShapeMismatch):
             ideal_component(g11, 0).contains(NCPoly.one(shape33))
+
+    def test_degree_guard(self):
+        """A term of another degree is refused, also when dropping its
+        letters outside R would leave a monomial of this degree."""
+        shape = MatrixShape(4, 4)
+        x = lambda i, j: NCPoly.generator(shape, i, j)
+        ic = ideal_component(Minor(shape, (2, 4), (1, 3)), 2)
+        assert ic.contains(x(1, 1) * x(2, 2))
+        for p in (x(2, 2), x(1, 1) * x(2, 2) * x(3, 3)):
+            with pytest.raises(BasisMismatch):
+                ic.contains(p)
 
     def test_hilbert_functions(self, g11, shape22):
         assert hilbert_function(g11, 4) == [1, 4, 9, 16, 25]
@@ -470,14 +593,15 @@ class TestNormalityScalars:
 def solved_scalar(gamma, tau):
     """c solved for by elimination, the reference for the prediction.
 
-    tau*gamma is inserted on top of a copy of the ideal echelon, tagged
-    with a 1 at column width; gamma*tau, tagged at width + 1, then
-    reduces to den*gamma*tau - num*tau*gamma plus an ideal member, so
-    its residue holds -num at width and den at width + 1.  Returns
-    (num, den), so c = num / den.
+    The ideal echelon is gamma' 's on R, so both products enter through
+    the test's own projection.  tau*gamma is inserted on top of a copy of
+    the echelon, tagged with a 1 at column width; gamma*tau, tagged at
+    width + 1, then reduces to den*gamma*tau - num*tau*gamma plus an
+    ideal member, so its residue holds -num at width and den at
+    width + 1.  Returns (num, den), so c = num / den.
     """
-    u = minor_value(gamma) * minor_value(tau)
-    v = minor_value(tau) * minor_value(gamma)
+    u = project(minor_value(gamma) * minor_value(tau), gamma)
+    v = project(minor_value(tau) * minor_value(gamma), gamma)
     ic = ideal_component(gamma, gamma.size + tau.size)
     width = len(ic.basis)
     ech = ic.echelon.copy()
@@ -673,6 +797,46 @@ class TestDiskCache:
             cache.set_cache_dir(None)
             spans_clear()
         assert ideal_component(gamma, 2).rank == want == 1
+
+
+    def test_a_shifted_gamma_reads_the_spans_of_gamma_prime(
+            self, tmp_path, monkeypatch, capsys):
+        """4x4 2,3|2,3 is built on 3x3 as 1,2|1,2 under the same keys, so
+        after a 3x3 1,2|1,2 run fills the cache, a 4x4 run builds no span
+        and reports what it reports uncached (the config's cache aside)."""
+        span_dir = str(tmp_path / "spans")
+        small = ["verify", "--m", "3", "--n", "3", "--gamma", "1,2|1,2",
+                 "--max-degree", "3"]
+        large = ["verify", "--m", "4", "--n", "4", "--gamma", "2,3|2,3",
+                 "--max-degree", "3"]
+
+        def report(argv, name):
+            path = str(tmp_path / name)
+            try:
+                spans_clear()
+                assert cli.main(argv + ["--report", path]) == 0
+            finally:
+                cache.set_cache_dir(None)
+                spans_clear()
+            with open(path, encoding="ascii") as fh:
+                return json.load(fh)
+
+        want = report(large, "uncached.json")
+        report(small + ["--cache", span_dir], "small.json")
+        files = sorted(os.listdir(span_dir))
+        assert files
+
+        def built(*args):
+            raise AssertionError("a span was built")
+
+        monkeypatch.setattr(factor, "generator_products", built)
+        monkeypatch.setattr(cache, "store_rows", built)
+        got = report(large + ["--cache", span_dir], "cached.json")
+        capsys.readouterr()
+        assert sorted(os.listdir(span_dir)) == files
+        assert got["config"].pop("cache") == span_dir
+        want["config"].pop("cache")
+        assert got == want
 
 
 def _tamper_rows(path, edit):

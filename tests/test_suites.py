@@ -18,6 +18,7 @@ from conftest import spans_clear
 import qdet
 from qdet import cache as disk
 from qdet import algebra, cli, factor
+from qdet import parser as parser_mod
 from qdet import tower as tower_mod
 from qdet import minors as minors_mod
 from qdet import suites as suites_mod
@@ -375,6 +376,66 @@ class TestCLI:
         assert rc == 2
         assert "size-8 guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["minor", "--m", "300", "--n", "300", "1,2,3,4,5|1,2,3,4,5"],
+        ["expr", "--m", "300", "--n", "300", "minor[1,2,3,4,5|1,2,3,4,5]"],
+    ], ids=["minor", "expr"])
+    def test_compute_refuses_wide_terms_before_any_expansion(
+            self, capsys, monkeypatch, argv):
+        # 5! terms of 90000 entries each pass 10^7; size 4 (2160000) runs
+        def expanded(*args):
+            raise AssertionError("minor expanded")
+
+        monkeypatch.setattr(minors_mod, "_minor_value_cached", expanded)
+        start = time.perf_counter()
+        rc = cli.main(["compute"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: 120 terms on 300x300 hold 10800000 exponent entries "
+            "(guard 10000000)\n")
+
+    def test_compute_entry_guard_counts_atoms_and_products(self, capsys,
+                                                           monkeypatch):
+        # on 2x2 a term holds 4 entries: a guard of 40 lets ten letters
+        # through and refuses the eleventh before it is formed
+        monkeypatch.setattr(parser_mod, "ENTRY_GUARD", 40)
+        formed = []
+        real = NCPoly.generator.__func__
+
+        def counting(cls, shape, i, j):
+            formed.append((i, j))
+            return real(cls, shape, i, j)
+
+        monkeypatch.setattr(NCPoly, "generator", classmethod(counting))
+        ten = "+".join((["x[1,1]", "x[1,2]", "x[2,1]", "x[2,2]"] * 3)[:10])
+        assert cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                         ten]) == 0
+        capsys.readouterr()
+        formed.clear()
+        assert cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                         ten + "+x[1,1]"]) == 2
+        assert len(formed) == 10
+        assert capsys.readouterr().err == (
+            "error: 11 terms on 2x2 hold 44 exponent entries (guard 40)\n")
+        # two letters and a two-term product: 16 entries
+        assert cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                         "x[2,2]*x[1,1]"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(parser_mod, "ENTRY_GUARD", 15)
+        assert cli.main(["compute", "expr", "--m", "2", "--n", "2",
+                         "x[2,2]*x[1,1]"]) == 2
+        assert "4 terms on 2x2 hold 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, head", [
+        (["--m", "7", "--n", "7", "1,2,3,4,5,6,7|1,2,3,4,5,6,7"],
+         "x[1,1]*x[2,2]*x[3,3]*x[4,4]*x[5,5]*x[6,6]*x[7,7] "),
+        (["--m", "1", "--n", "3000000", "1|1"], "x[1,1]\n"),
+    ], ids=["7x7-determinant", "1x3000000"])
+    def test_compute_minor_under_the_entry_guard(self, capsys, argv, head):
+        assert cli.main(["compute", "minor"] + argv) == 0
+        assert capsys.readouterr().out.startswith(head)
+
     def test_counts_pass_above_the_shape_guard(self, capsys):
         # 36 generators: the counts are closed formulas, no frame is guarded
         rc = cli.main(["verify", "--m", "6", "--n", "6", "--suites", "counts",
@@ -562,6 +623,16 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "error: suite factor-basis: zero-divisor check of minor[1|1] "
             "through degree 1200 has 719400 pairs (guard 10000)\n")
+
+    @pytest.mark.parametrize("gamma", ["2,3,4|2,3,4", "1,2,3|1,2,3"])
+    def test_ctau_guard_reads_the_ambient_component(self, capsys, gamma):
+        # 2,3,4|2,3,4 is built on 3x3, but the guard reads 4x4's dimension
+        rc = cli.main(["verify", "--m", "4", "--n", "4", "--gamma", gamma,
+                       "--suites", "ctau"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: suite ctau: degree-5 component of 4x4 has dimension "
+            "15504 (guard 10000)\n")
 
     def test_component_guard_precedes_enumeration(self, capsys, monkeypatch):
         # the message the degree-4 basis check raised when it came first

@@ -87,6 +87,19 @@ MUTANTS = (
      "src/qdet/algebra.py",
      "    if entries > LINES_GUARD:\n",
      "    if entries >= LINES_GUARD:\n"),
+    ("entry-guard-off-by-one", "a count at ENTRY_GUARD entries is refused",
+     "src/qdet/parser.py",
+     "if entries > ENTRY_GUARD:",
+     "if entries >= ENTRY_GUARD:"),
+    ("entry-guard-letter-late", "a letter is formed before it is counted",
+     "src/qdet/parser.py",
+     "            self.form(1)\n            return NCPoly.generator(self.shape, i, j), 1",
+     "            p = NCPoly.generator(self.shape, i, j)\n            self.form(1)\n"
+     "            return p, 1"),
+    ("entry-guard-minor-skipped", "compute minor expands without the count",
+     "src/qdet/cli.py",
+     "        check_entries(shape, minor_terms(minor))\n",
+     ""),
     ("lines-guard-late", "the memo tables are made before the shape is refused",
      "src/qdet/algebra.py",
      "            _refuse_wide(m, n)\n",
@@ -201,10 +214,34 @@ MUTANTS = (
      "src/qdet/factor.py",
      "return ext.rank - self.echelon.rank",
      "return ext.rank"),
-    ("quotient-dim-ambient", "quotient_dim returns the ambient dimension",
+    ("quotient-dim-ambient",
+     "quotient_dim returns the dimension of R's whole component",
      "src/qdet/factor.py",
      "return len(self.basis) - self.echelon.rank",
      "return len(self.basis)"),
+    ("rank-on-r", "rank is I_gamma'(d)'s rank on R, not the ambient rank",
+     "src/qdet/factor.py",
+     "return graded_dim(self.shape, self.basis.degree) - self.quotient_dim",
+     "return self.echelon.rank"),
+    ("pi-keeps-outside",
+     "pi keeps a term with a letter outside R, on R's first monomial",
+     "src/qdet/factor.py",
+     "            if i is None:\n                continue\n",
+     "            if i is None:\n                i = 0\n"),
+    ("corner-rows-both", "gamma' shifts its columns by the row offset",
+     "src/qdet/factor.py",
+     "[j - c1 + 1 for j in cols]",
+     "[j - r1 + 1 for j in cols]"),
+    ("corner-column-right", "pi reads R from one column right of c1",
+     "src/qdet/factor.py",
+     "cuts = tuple((i * n + c1 - 1, (i + 1) * n)",
+     "cuts = tuple((i * n + c1, (i + 1) * n)"),
+    ("guard-on-r", "the size guard reads R's component, not the ambient one",
+     "src/qdet/factor.py",
+     "    _dim_guard(shape, degree)\n    sub, cuts = _corner(shape, gamma.rows,"
+     " gamma.cols)\n",
+     "    sub, cuts = _corner(shape, gamma.rows, gamma.cols)\n"
+     "    _dim_guard(sub.shape, degree)\n"),
     ("tower-image-base-series",
      "the tower image is compared with the base stage's series",
      "src/qdet/factor.py",
