@@ -5,8 +5,8 @@ Spans are stored as files named by a content hash of the defining data
 a header with the format, the key, the rank and the sha256 of the second
 line, then the encoded rows.  A file whose header, digest or row count
 does not match is a miss.  The cache directory is the one given to
-set_cache_dir (run_workbench passes --cache); without one, caching is a
-no-op.
+set_cache_dir, which factor.begin_run calls at the start of each run
+with the run's --cache (run_workbench); without one, caching is a no-op.
 
 An ideal span's key is ("ideal", m', n', rows', cols', d) of gamma' on
 its southeast rectangle R (see the factor module), so every gamma with

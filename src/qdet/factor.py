@@ -69,7 +69,6 @@ check reads none and is bounded by the tower's shape guard alone.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 
 from . import cache as _disk
@@ -161,19 +160,17 @@ class IdealComponent:
 _ECHELONS = {}
 
 
-@lru_cache(maxsize=512)
-def _excluded_by_degree(shape, rows, cols):
-    by = {}
-    for mn in excluded_minors(Minor(shape, rows, cols)):
-        by.setdefault(mn.size, []).append(mn)
-    return by
+def begin_run(cache_dir):
+    """Start a run: empty the span memo and set the span cache directory."""
+    _ECHELONS.clear()
+    _disk.set_cache_dir(cache_dir)
 
 
-@lru_cache(maxsize=512)
-def _corner(shape, rows, cols):
-    """(gamma', cuts) for gamma = (rows|cols) on the shape: gamma' on R,
-    and the (start, stop) slice of R's letters in each row of R, over
-    the exponent tuples of the shape."""
+def _corner(gamma):
+    """(gamma', cuts) for gamma on its shape: gamma' on R, and the
+    (start, stop) slice of R's letters in each row of R, over the
+    exponent tuples of the shape."""
+    shape, rows, cols = gamma.shape, gamma.rows, gamma.cols
     r1, c1 = rows[0], cols[0]
     sub = Minor(MatrixShape(shape.m - r1 + 1, shape.n - c1 + 1),
                 [i - r1 + 1 for i in rows], [j - c1 + 1 for j in cols])
@@ -183,16 +180,16 @@ def _corner(shape, rows, cols):
 
 
 def ideal_component(gamma, degree):
-    """The degree-d component of I_gamma, cached per session and on disk.
+    """The degree-d component of I_gamma, kept for the run and on disk.
 
-    Built, cached and queried as the component of gamma' on R; see the
+    Built, kept and queried as the component of gamma' on R; see the
     module docstring.  Raises DegreeTooLarge before any lookup or build
     when the ambient component, on gamma's own shape, has dimension
     above DIM_GUARD.
     """
     shape = gamma.shape
     _dim_guard(shape, degree)
-    sub, cuts = _corner(shape, gamma.rows, gamma.cols)
+    sub, cuts = _corner(gamma)
     key = (sub.shape.m, sub.shape.n, sub.rows, sub.cols, degree)
     ech = _ECHELONS.get(key)
     basis = component_basis(sub.shape, degree)
@@ -225,8 +222,9 @@ def _build_echelon(gamma, degree, basis, key):
         rows = ideal_component(gamma, degree - 1).echelon.rows()
         for product in generator_products(shape, degree, rows):
             ech.insert(product)
-    for mn in _excluded_by_degree(shape, gamma.rows, gamma.cols).get(degree, ()):
-        ech.insert(poly_row(minor_value(mn), basis))
+    for mn in excluded_minors(gamma):
+        if mn.size == degree:
+            ech.insert(poly_row(minor_value(mn), basis))
     _disk.store_rows(("ideal",) + key, ech.rows())
     return ech
 
@@ -272,13 +270,8 @@ def standard_monomials(floor, degree):
     leading minor [1..t|1..t], t = min(m, n), sits below every minor, so
     its chains are those of the whole ring.  Order is deterministic:
     factors are tried in enumerate_minors order at every position.  A
-    tuple, memoised.
+    tuple.
     """
-    return _standard_monomials_cached(floor, degree)
-
-
-@lru_cache(maxsize=256)
-def _standard_monomials_cached(floor, degree):
     shape = floor.shape
     pool = [mn for mn in enumerate_minors(shape) if std_le(floor, mn)]
     if degree == 0:

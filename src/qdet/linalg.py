@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import BasisMismatch, ShapeMismatch
-from .algebra import MatrixShape, _nf_mono_gen_raw, graded_basis
+from .algebra import _nf_mono_gen_raw, graded_basis
 
 
 class GradedBasis:
@@ -100,12 +100,9 @@ class LocalColumns:
 
 
 @lru_cache(maxsize=256)
-def _basis_cached(m, n, degree):
-    return GradedBasis(MatrixShape(m, n), degree)
-
-
 def component_basis(shape, degree):
-    return _basis_cached(shape.m, shape.n, degree)
+    """The GradedBasis of one component, built once per shape and degree."""
+    return GradedBasis(shape, degree)
 
 
 def generator_images(shape, degree, col):

@@ -179,8 +179,14 @@ def minor_count(shape, bound):
 
 
 @lru_cache(maxsize=64)
-def _std_le_masks_cached(m, n):
-    pool = _enumerate_minors_cached(m, n)
+def std_le_masks(shape):
+    """The standard order on enumerate_minors(shape) as up-set bitmasks.
+
+    Bit b of up[a] is set iff std_le(pool[a], pool[b]).  Built once per
+    shape with pool^2 std_le calls, then shared by the minors suite's
+    order checks and standard_monomial_counts.
+    """
+    pool = _enumerate_minors_cached(shape.m, shape.n)
     up = []
     for a in pool:
         mask = 0
@@ -189,16 +195,6 @@ def _std_le_masks_cached(m, n):
                 mask |= 1 << k
         up.append(mask)
     return tuple(up)
-
-
-def std_le_masks(shape):
-    """The standard order on enumerate_minors(shape) as up-set bitmasks.
-
-    Bit b of up[a] is set iff std_le(pool[a], pool[b]).  Built once per
-    shape with pool^2 std_le calls, then shared by the minors suite's
-    order checks and standard_monomial_counts.
-    """
-    return _std_le_masks_cached(shape.m, shape.n)
 
 
 def bits(mask):

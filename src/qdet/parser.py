@@ -15,7 +15,8 @@ then sums):
 Negative powers are allowed only on invertible expressions: nonzero
 rationals and single-term Laurent scalars such as q or 2*q^3.  Every
 syntax or semantic problem raises ExprSyntaxError carrying the character
-offset where it was detected.
+offset where it was detected; so does a '(' nested deeper than
+NESTING_GUARD, since the parser recurses on each.
 
 Rationals enter the workbench only here: a value is a pair (p, den),
 p an NCPoly over Z[q, q^-1] and den a positive int, reduced after each
@@ -59,6 +60,9 @@ TERM_BUDGET = 10 ** 6
 
 #: exponent entries, m*n per term, the terms of one expression may hold
 ENTRY_GUARD = 10 ** 7
+
+#: parentheses an expression may nest, each open one a few parser frames
+NESTING_GUARD = 100
 
 _TOKEN_RE = re.compile(r"(\d+)|(minor|x|q)\b|([\[\](),|+\-*^/])|(\S)")
 
@@ -147,6 +151,7 @@ class _Parser:
         self.k = 0
         self.spent = 0
         self.formed = 0
+        self.depth = 0
 
     def form(self, terms):
         """Count terms formed by the expression, before or as they are."""
@@ -250,8 +255,13 @@ class _Parser:
         tok = self.advance()
         kind, value, pos = tok
         if kind == "(":
+            self.depth += 1
+            if self.depth > NESTING_GUARD:
+                raise ExprSyntaxError("parentheses nested deeper than %d"
+                                      % NESTING_GUARD, pos)
             p = self.expr()
             self.expect(")", "a closing parenthesis")
+            self.depth -= 1
             return p
         if kind == "int":
             self.form(1)

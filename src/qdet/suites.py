@@ -20,14 +20,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import cache as _disk
 from .errors import ConfigError, DegreeTooLarge, EmptyMinor, WorkbenchError
 from .algebra import MatrixShape, NCPoly, graded_basis, graded_dim
 from .minors import (Minor, bits, enumerate_minors, excluded_minors,
                      laplace_relation, laplace_row_relation, minor_count,
                      minor_value, quantum_determinant, std_le_masks)
-from .factor import (basis_check, generator_image_suite, hilbert_check,
-                     normality_check, regularity_check,
+from .factor import (basis_check, begin_run, generator_image_suite,
+                     hilbert_check, normality_check, regularity_check,
                      standard_monomial_counts, tower_image_check,
                      zero_divisor_check)
 from .report import SuiteReport
@@ -67,6 +66,9 @@ class WorkbenchConfig:
         if not (isinstance(self.max_degree, int) and self.max_degree >= 0):
             raise ConfigError("max_degree must be a nonnegative integer")
         names = self.suite_list()
+        if not names:
+            raise ConfigError("no suite requested (known: %s, all)"
+                              % ", ".join(SUITE_NAMES))
         if self.gamma is None:
             needed = [s for s in names if _SUITES[s][0]]
             if needed:
@@ -415,7 +417,6 @@ def run_suite(name, config):
 def run_workbench(config):
     """Run all requested suites and collect a WorkbenchRun."""
     config.validate()
-    # set or clear: a directory from an earlier run must not leak into this one
-    _disk.set_cache_dir(config.cache)
+    begin_run(config.cache)
     reports = [run_suite(name, config) for name in config.suite_list()]
     return WorkbenchRun(config, reports)

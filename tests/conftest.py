@@ -13,8 +13,8 @@ it to check predicted relations against solved ones.
 at_q sets q to a rational q0 in a polynomial, and commutative_product
 multiplies two such evaluations as commuting monomials; at q0 = 1 the
 quantum product must agree with it.  spans_clear drops the ideal spans
-that factor.ideal_component keeps for the session, so that the next call
-builds its span again.
+that factor.ideal_component keeps until the next run starts, so that a
+direct call builds its span again.
 
 rank, coeff and member read what the library computes but never asks
 for itself: the rank of integer rows, one coefficient of a polynomial,

@@ -6,7 +6,7 @@ from conftest import random_poly
 from qdet.algebra import MatrixShape, NCPoly, render_poly
 from qdet.errors import DegreeTooLarge, ExprSyntaxError
 from qdet.minors import Minor, minor_value
-from qdet.parser import parse_expression, parse_index_pair
+from qdet.parser import NESTING_GUARD, parse_expression, parse_index_pair
 from qdet.scalars import LaurentScalar, ONE, Q, Q_INV, QHAT
 
 
@@ -89,6 +89,17 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError) as err:
             parse_expression(text, shape22)
         assert err.value.pos == pos, err.value
+
+    def test_nesting_guard(self, shape22):
+        """Parentheses nest up to NESTING_GUARD deep; the next one is
+        refused at its own offset, however deep the text goes on."""
+        bound = NESTING_GUARD
+        text = "(" * bound + "q" + ")" * bound
+        assert parse_expression(text, shape22) == (NCPoly.scalar(shape22, Q), 1)
+        for depth in (bound + 1, 10 ** 4):
+            with pytest.raises(ExprSyntaxError, match="nested deeper") as err:
+                parse_expression("(" * depth + "q" + ")" * depth, shape22)
+            assert err.value.pos == bound
 
     def test_minor_size_guard(self):
         full = ",".join(map(str, range(1, 10)))

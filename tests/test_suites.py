@@ -14,7 +14,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import spans_clear
 import qdet
 from qdet import cache as disk
 from qdet import algebra, cli, factor
@@ -172,6 +171,29 @@ class TestRunWorkbench:
         with pytest.raises(ConfigError, match="shape sides"):
             run_workbench(WorkbenchConfig(m=0, n=2))
 
+    def test_run_workbench_refuses_no_suite(self):
+        with pytest.raises(ConfigError, match="no suite requested"):
+            run_workbench(WorkbenchConfig(m=2, n=2, suites=()))
+
+    def test_spans_live_for_one_run(self, tmp_path):
+        """A run starts with no span of an earlier run: after 3x3 1,3|1,2
+        and then 4x4 2,4|1,3 in one process, only the second run's spans
+        (gamma' 1,3|1,3 on 3x4) are held, and its report is the one a
+        fresh process writes."""
+        run_workbench(WorkbenchConfig(m=3, n=3, gamma=((1, 3), (1, 2))))
+        out = io.StringIO()
+        emit_report(run_workbench(
+            WorkbenchConfig(m=4, n=4, gamma=((2, 4), (1, 3)))), out)
+        assert {key[:4] for key in factor._ECHELONS} == {
+            (3, 4, (1, 3), (1, 3))}
+        path = tmp_path / "fresh.json"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qdet.__file__)))
+        subprocess.run([sys.executable, "-m", "qdet.cli", "verify", "--m", "4",
+                        "--n", "4", "--gamma", "2,4|1,3", "--report",
+                        str(path)], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert path.read_text(encoding="ascii") == out.getvalue()
+
     def test_run_suite_rejects_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown suite"):
             run_suite("nope", small_config())
@@ -186,7 +208,6 @@ class TestRunWorkbench:
         config = small_config(suites=("factor-basis",), max_degree=1,
                               cache=str(target))
         try:
-            spans_clear()
             run = run_workbench(config)
             assert run.ok
             assert list(target.glob("*.json"))
@@ -196,12 +217,10 @@ class TestRunWorkbench:
     def test_run_without_cache_clears_an_earlier_directory(self, tmp_path):
         target = tmp_path / "spans"
         try:
-            spans_clear()
             run_workbench(small_config(suites=("factor-basis",), max_degree=1,
                                        cache=str(target)))
             assert disk.cache_dir() == str(target)
             written = sorted(target.glob("*.json"))
-            spans_clear()
             run = run_workbench(small_config(suites=("factor-basis",),
                                              max_degree=2))
             assert run.ok
@@ -209,7 +228,6 @@ class TestRunWorkbench:
             assert sorted(target.glob("*.json")) == written
         finally:
             disk.set_cache_dir(None)
-            spans_clear()
 
 
 def fake_suite(records):
@@ -231,9 +249,9 @@ class TestMinorsOrderChecks:
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
-        minors_mod._std_le_masks_cached.cache_clear()
+        minors_mod.std_le_masks.cache_clear()
         yield
-        minors_mod._std_le_masks_cached.cache_clear()
+        minors_mod.std_le_masks.cache_clear()
 
     @staticmethod
     def order_statuses(config):
@@ -572,7 +590,6 @@ class TestCLI:
             raise AssertionError("standard monomials enumerated")
 
         monkeypatch.setattr(factor, "standard_monomials", refuse)
-        monkeypatch.setattr(factor, "_standard_monomials_cached", refuse)
         rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", "counts",
                        "--max-degree", "40"])
         assert rc == 0
@@ -759,18 +776,35 @@ class TestCLI:
         assert rc == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suites", ["", ",", " , "])
+    def test_verify_refuses_an_empty_suite_list(self, capsys, suites):
+        rc = cli.main(["verify", "--m", "2", "--n", "2", "--suites", suites])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: no suite requested (known: pbw, ")
+
+    @pytest.mark.parametrize("depth", [parser_mod.NESTING_GUARD + 1, 10 ** 4])
+    def test_compute_refuses_deep_nesting(self, capsys, depth):
+        text = "(" * depth + "1" + ")" * depth
+        rc = cli.main(["compute", "expr", "--m", "2", "--n", "2", text])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "syntax error at position %d: parentheses nested deeper than "
+            "%d (at position %d)\n" % ((parser_mod.NESTING_GUARD,) * 3))
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
     def test_unusable_cache_path_runs_uncached(self, capsys, tmp_path, sub):
         blocker = tmp_path / "FILE"
         blocker.write_text("not a directory")
         try:
-            spans_clear()   # force a build, so the span is stored
             rc = cli.main(["verify", "--m", "2", "--n", "2", "--gamma", "1|1",
                            "--max-degree", "2", "--suites", "factor-basis",
                            "--cache", str(blocker / sub)])
         finally:
             disk.set_cache_dir(None)
-            spans_clear()
         assert rc == 0
         assert capsys.readouterr().out.rstrip().endswith("/ fail 0")
         assert blocker.read_text() == "not a directory"
@@ -971,7 +1005,6 @@ class TestGoldenReports:
                             lambda key: loaded.append(load_rows(key))
                             or loaded[-1])
         for run in range(2):
-            spans_clear()
             loaded.clear()
             assert cli.main(["verify"] + args + ["--report", "out.json"]) == 0
             capsys.readouterr()
@@ -1038,7 +1071,6 @@ class TestCacheFiles:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     want = fh.read()
@@ -1052,7 +1084,6 @@ class TestCacheFiles:
                     fh.write(damaged(data, how, at, bit, field))
                 # a damaged file is a miss, unless its rows read back whole
                 assert disk.load_rows(key) in (None, stored)
-                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     assert fh.read() == want
@@ -1068,7 +1099,6 @@ class TestCacheFiles:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     want = fh.read()
@@ -1092,7 +1122,6 @@ class TestCacheFiles:
                 monkeypatch.setattr(
                     disk, "load_rows",
                     lambda key: loads.append(real(key)) or loads[-1])
-                spans_clear()
                 assert cli.main(self.ARGV) == 0
                 with open("report.json", "rb") as fh:
                     assert fh.read() == want
@@ -1100,7 +1129,6 @@ class TestCacheFiles:
                 assert loads == [None] * len(names)
             finally:
                 os.chdir(cwd)
-                spans_clear()
 
 
 def format_2_file(key, rows):

@@ -480,7 +480,7 @@ class TestOreSteps:
         real = linalg.GradedBasis
         monkeypatch.setattr(linalg, "GradedBasis",
                             lambda shape, d: asked.append(d) or real(shape, d))
-        linalg._basis_cached.cache_clear()
+        linalg.component_basis.cache_clear()
         frame = build_frame(Minor(shape34, (1, 2), (1, 2)))
         out = ore_step_check(frame, max_degree=3)[3]
         assert frame.family()[3].label == "col_swap[2,2]"

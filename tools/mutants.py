@@ -96,6 +96,10 @@ MUTANTS = (
      "            self.form(1)\n            return NCPoly.generator(self.shape, i, j), 1",
      "            p = NCPoly.generator(self.shape, i, j)\n            self.form(1)\n"
      "            return p, 1"),
+    ("nest-guard-off-by-one", "parentheses exactly NESTING_GUARD deep are refused",
+     "src/qdet/parser.py",
+     "if self.depth > NESTING_GUARD:",
+     "if self.depth >= NESTING_GUARD:"),
     ("entry-guard-minor-skipped", "compute minor expands without the count",
      "src/qdet/cli.py",
      "        check_entries(shape, minor_terms(minor))\n",
@@ -128,6 +132,10 @@ MUTANTS = (
      "src/qdet/minors.py",
      "        if c > bound + 1:\n",
      "        if c > bound:\n"),
+    ("empty-suites-accepted", "a run with no suite passes with nothing checked",
+     "src/qdet/suites.py",
+     "        if not names:\n",
+     "        if False:\n"),
     ("ctau-guard-skipped", "ctau lists the minors of any shape",
      "src/qdet/suites.py",
      "    minor_count(gamma.shape, CTAU_POOL_GUARD)\n",
@@ -196,10 +204,10 @@ MUTANTS = (
      "src/qdet/factor.py",
      "c = LaurentScalar({exponent: 1})",
      "c = ONE"),
-    ("drop-excluded-minor", "the ideal build skips one excluded minor",
+    ("drop-excluded-minor", "the ideal build skips the first excluded minor",
      "src/qdet/factor.py",
-     ".get(degree, ()):",
-     ".get(degree, ())[1:]:"),
+     "for mn in excluded_minors(gamma):\n        if mn.size == degree:",
+     "for mn in excluded_minors(gamma)[1:]:\n        if mn.size == degree:"),
     ("dead-as-surviving",
      "the merged size-(t+1) minor of an expansion counts as surviving",
      "src/qdet/factor.py",
@@ -238,10 +246,12 @@ MUTANTS = (
      "cuts = tuple((i * n + c1, (i + 1) * n)"),
     ("guard-on-r", "the size guard reads R's component, not the ambient one",
      "src/qdet/factor.py",
-     "    _dim_guard(shape, degree)\n    sub, cuts = _corner(shape, gamma.rows,"
-     " gamma.cols)\n",
-     "    sub, cuts = _corner(shape, gamma.rows, gamma.cols)\n"
-     "    _dim_guard(sub.shape, degree)\n"),
+     "    _dim_guard(shape, degree)\n    sub, cuts = _corner(gamma)\n",
+     "    sub, cuts = _corner(gamma)\n    _dim_guard(sub.shape, degree)\n"),
+    ("spans-kept-across-runs", "a run starts with the spans of earlier runs",
+     "src/qdet/factor.py",
+     "    _ECHELONS.clear()\n",
+     ""),
     ("tower-image-base-series",
      "the tower image is compared with the base stage's series",
      "src/qdet/factor.py",
